@@ -1,7 +1,7 @@
 // fused_pipeline — end-to-end sampling+selection wall time of the three
 // data-path variants, demonstrating the zero-copy hand-off:
 //
-//   flat          — shards=1: the legacy contiguous RRRPool path.
+//   flat          — shards=1: the single-shard reference run.
 //   sharded-merge — the PR 3 pipeline reconstructed (staging arenas +
 //                   full payload copy into the RRRPool at merge), then
 //                   selection over the merged pool. merged_bytes > 0.
@@ -13,6 +13,9 @@
 // workspace counter-layout allocation count (contract: 1 per run), and a
 // seed bit-match flag against the flat reference; the binary exits
 // non-zero if any variant's seeds deviate or the view path merges bytes.
+// All three rows sample with the scalar kernel: the merge row stages one
+// range in a single round, and fused IC content depends on the round
+// schedule, so only scalar pools are comparable bit for bit here.
 // Emits a human table plus machine-readable BENCH_pipeline.json via
 // io/json_log.
 //
@@ -76,10 +79,11 @@ int main() {
       load_workload(config, workload, DiffusionModel::kIndependentCascade);
   ImmOptions options = imm_options(
       config, DiffusionModel::kIndependentCascade, config.max_threads);
+  options.fused_sampling = FusedSampling::kOff;
 
   std::vector<PipelineBenchResult> rows;
 
-  // --- flat reference: shards = 1, contiguous RRRPool end to end ---
+  // --- flat reference: shards = 1 ---
   options.shards = 1;
   const ImmResult flat = run_efficient_imm(graph, options);
   rows.push_back(row_from_run(workload, "flat", 1, flat));

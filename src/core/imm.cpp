@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_info.hpp"
-#include "runtime/work_queue.hpp"
 #include "rrr/generate.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/sharded.hpp"
@@ -20,54 +19,20 @@
 namespace eimm {
 namespace {
 
-/// Builds pool slots [begin, end) through the legacy single-path loop
-/// (the sharded path stages into a SegmentedPool instead — see
-/// build_rrr_pool). Under kernel fusion (fused != nullptr) each freshly
-/// sampled set also increments the base counter in place — Algorithm 3
-/// lines 14-16 — while its vertices are still cache-hot.
-void generate_rrr_range(RRRPool& pool, const CSRGraph& reverse,
-                        const ImmOptions& opt, Engine engine,
-                        std::uint64_t begin, std::uint64_t end,
-                        CounterArray* fused) {
-  const VertexId n = reverse.num_vertices();
-  const bool adaptive =
-      engine == Engine::kEfficient && opt.adaptive_representation;
-
-  auto build_one = [&](std::uint64_t index, SamplerScratch& scratch) {
-    std::vector<VertexId> verts =
-        sample_rrr(reverse, opt.model, opt.rng_seed, index, scratch);
-    if (fused != nullptr) {
-      for (const VertexId v : verts) fused->increment(v);
-    }
-    pool[index] = adaptive
-                      ? RRRSet::make_adaptive(std::move(verts), n,
-                                              opt.bitmap_threshold)
-                      : RRRSet::make_vector(std::move(verts));
-  };
-
-  if (engine == Engine::kEfficient && opt.dynamic_balance) {
-    const auto workers = static_cast<std::size_t>(omp_get_max_threads());
-    JobPool jobs(end - begin, opt.batch_size, workers);
+/// The Ripples baseline's generation loop: pool slots [begin, end) as
+/// sorted vectors under a static θ/p split, the parallelization §II-B
+/// describes. EfficientIMM builds go through the ShardedSampler instead
+/// (see build_rrr_pool).
+void generate_ripples_range(RRRPool& pool, const CSRGraph& reverse,
+                            const ImmOptions& opt, std::uint64_t begin,
+                            std::uint64_t end) {
 #pragma omp parallel
-    {
-      SamplerScratch scratch(n);
-      const auto wid = static_cast<std::size_t>(omp_get_thread_num());
-      for (JobBatch batch = jobs.next(wid); !batch.empty();
-           batch = jobs.next(wid)) {
-        for (std::size_t j = batch.begin; j < batch.end; ++j) {
-          build_one(begin + j, scratch);
-        }
-      }
-    }
-  } else {
-    // Baseline: static θ/p split, the parallelization §II-B describes.
-#pragma omp parallel
-    {
-      SamplerScratch scratch(n);
+  {
+    SamplerScratch scratch(reverse.num_vertices());
 #pragma omp for schedule(static)
-      for (std::uint64_t i = begin; i < end; ++i) {
-        build_one(i, scratch);
-      }
+    for (std::uint64_t i = begin; i < end; ++i) {
+      pool[i] = RRRSet::make_vector(
+          sample_rrr(reverse, opt.model, opt.rng_seed, i, scratch));
     }
   }
 }
@@ -162,13 +127,12 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   }
   build.shards_used =
       engine == Engine::kEfficient ? resolve_shards(options.shards) : 1;
-  // Fused sampling stages through the ShardedSampler even at shards == 1
-  // (its traversals emit arena runs, not RRRPool slots), so it forces
-  // the segmented zero-copy storage path.
   build.fused_sampling_used =
       engine == Engine::kEfficient &&
       resolve_fused_sampling(options.fused_sampling);
-  build.segmented = build.shards_used > 1 || build.fused_sampling_used;
+  // Every EfficientIMM build stages through the ShardedSampler into the
+  // segmented zero-copy storage; build.pool serves the Ripples baseline.
+  build.segmented = engine == Engine::kEfficient;
 
   // Compressed backing (kEfficient only): rounds are gap-coded into
   // build.cpool as they land, and the raw staging storage is recycled,
@@ -187,9 +151,8 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   }
 
   // The sharded sampler persists across the martingale rounds: its
-  // arenas (owned by build.segments on the zero-copy path) keep
-  // accumulating staged runs, and selection reads them in place through
-  // build.view() — the merge copy the PR 3 pipeline paid is gone.
+  // arenas (owned by build.segments) keep accumulating staged slots, and
+  // selection reads them in place through build.view().
   std::optional<ShardedSampler> sampler;
   if (build.segmented) {
     build.segments = SegmentedPool(n);
@@ -198,9 +161,9 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
     config.model = options.model;
     config.rng_seed = options.rng_seed;
     config.batch_size = options.batch_size;
+    config.adaptive_representation = options.adaptive_representation;
+    config.bitmap_threshold = options.bitmap_threshold;
     config.fused = build.fused_sampling_used;
-    // adaptive_representation/bitmap_threshold are merge-path knobs: the
-    // zero-copy path always keeps sorted runs (see ImmOptions docs).
     sampler.emplace(graph.reverse, config);
   }
 
@@ -223,9 +186,8 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
       build.shard_stats = sampler->stats();
     } else {
       build.pool.resize(target);
-      generate_rrr_range(build.pool, graph.reverse, options, engine,
-                         generated, target,
-                         use_fusion ? &build.base_counters : nullptr);
+      generate_ripples_range(build.pool, graph.reverse, options, generated,
+                             target);
     }
     core_metrics().sets.add(target - generated);
     core_metrics().generate_us.observe(generate_timer.nanos() / 1000);
@@ -233,17 +195,8 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
       // Encode the fresh round, then recycle its raw staging storage.
       // Fused base counters were already incremented during generation,
       // so dropping the raw sets loses nothing the kernels need.
-      const RRRPoolView staged = build.segmented
-                                     ? RRRPoolView(build.segments)
-                                     : RRRPoolView(build.pool);
-      build.cpool.append(staged, generated, target);
-      if (build.segmented) {
-        build.segments.reset_arenas();
-      } else {
-        for (std::uint64_t i = generated; i < target; ++i) {
-          build.pool[i] = RRRSet();
-        }
-      }
+      build.cpool.append(build.segments, generated, target);
+      build.segments.reset_arenas();
     }
     generated = target;
   };

@@ -12,9 +12,12 @@
 //     vertex-partitioned selection with thread-local counters and
 //     binary search over all sets, static scheduling.
 //
-// Both engines run the identical martingale workflow and — given the same
-// seed — identical RRR-set contents, so runtime differences are purely
-// the parallelization strategy, exactly as the paper frames them.
+// Both engines run the identical martingale workflow. With fused sampling
+// off (FusedSampling::kOff or EIMM_FUSED=0) they also build identical
+// RRR-set contents from the same seed, so runtime differences are purely
+// the parallelization strategy, exactly as the paper frames them. Fused
+// sampling — the EfficientIMM default — keeps LT contents identical but
+// makes IC contents only statistically equivalent (ctest -L statcheck).
 #pragma once
 
 #include <cstdint>
@@ -57,16 +60,17 @@ struct ImmOptions {
   // --- EfficientIMM feature flags (ablations in bench/) ---
   /// Fuse Generate_RRRsets with the initial counter build (Algorithm 3).
   bool kernel_fusion = true;
-  /// Adaptive vector/bitmap RRR representation (§IV-C). Applies to the
-  /// contiguous RRRPool paths (shards == 1, and the ripples engine);
-  /// the sharded zero-copy path (shards > 1) always stores sorted
-  /// vertex runs in the staging arenas — set contents and seeds are
-  /// identical either way, but bitmap_sets reports 0 there and dense
-  /// sets occupy size·4 bytes instead of |V|/8.
+  /// Adaptive vector/bitmap RRR representation (§IV-C), applied on every
+  /// EfficientIMM path (scalar and fused, any shard count): sets with at
+  /// least bitmap_threshold·|V| members are stored as |V|/8-byte bitmap
+  /// slots, the rest as sorted runs. Set contents and seeds are
+  /// identical either way; only storage and bitmap_sets change.
   bool adaptive_representation = true;
   /// Adaptive decrement-vs-rebuild counter update (§IV-C / Fig. 5).
   bool adaptive_update = true;
-  /// Stealing job pool instead of static partitions (§IV-C).
+  /// Stealing job pool instead of static partitions (§IV-C) in the
+  /// selection kernel. Sampling always drains the sharded sampler's
+  /// per-shard stealing job pools.
   bool dynamic_balance = true;
   /// Interleave shared arrays across NUMA nodes (§IV-B); silently a
   /// no-op on single-node hosts.
@@ -77,9 +81,10 @@ struct ImmOptions {
   std::size_t batch_size = 64;
   /// NUMA sampling shards (rrr/sharded.hpp). 0 resolves from the
   /// EIMM_SHARDS environment variable, defaulting to the detected NUMA
-  /// domain count; 1 forces the legacy single-path generation loop.
-  /// Pool contents are bit-identical for every value — per-index RNG
-  /// streams — so this only moves storage placement and scheduling.
+  /// domain count; 1 runs the same sharded sampler with one shard (no
+  /// separate generation loop exists). Pool contents are bit-identical
+  /// for every value — per-index RNG streams — so this only moves
+  /// storage placement and scheduling.
   int shards = 0;
   /// NUMA counter shards for the selection phase (seedselect/engine.hpp):
   /// one domain-local counter replica per shard. 0 resolves from the
@@ -111,12 +116,12 @@ struct ImmOptions {
   /// Fused 64-wide sampling (rrr/fused.hpp): one traversal emits up to
   /// 64 RRR sets by packing lanes into a per-vertex uint64_t visited
   /// word. kAuto resolves the EIMM_FUSED environment variable (default
-  /// off). kEfficient engine only. Fused pools are identical across
-  /// shard counts and deterministic in the seed, but IC contents are
-  /// only STATISTICALLY equivalent to the scalar pipeline (the joint
-  /// traversal reorders coin flips) — the statcheck spread-ratio harness
-  /// validates the mode instead of bit-identity. Forces the segmented
-  /// zero-copy storage path even when shards == 1.
+  /// ON; EIMM_FUSED=0 selects the scalar sampler). kEfficient engine
+  /// only. Fused pools are identical across shard counts and
+  /// deterministic in the seed; LT contents match the scalar sampler bit
+  /// for bit, but IC contents are only STATISTICALLY equivalent (the
+  /// joint traversal reorders coin flips) — the statcheck spread-ratio
+  /// harness validates the mode instead of bit-identity.
   FusedSampling fused_sampling = FusedSampling::kAuto;
 };
 
@@ -156,7 +161,7 @@ struct ImmResult {
   /// test pins it); the ripples kernel owns its thread-local counters
   /// internally, so kRipples runs report 0.
   std::uint64_t counter_layout_allocations = 0;
-  /// Sharded-pipeline byte accounting (all zero when shards_used == 1):
+  /// Sharded-pipeline byte accounting (all zero for the ripples engine):
   /// payload staged into arenas, arena bytes mapped, and payload copied
   /// at merge — the zero-copy view path keeps merged_bytes at 0.
   std::uint64_t staged_bytes = 0;
@@ -183,14 +188,16 @@ struct ImmResult {
 /// performs its final selection over exactly this state, and the serve/
 /// subsystem freezes it into a queryable SketchStore.
 ///
-/// Storage: the legacy path (shards_used == 1, or the ripples engine)
-/// fills `pool`; the sharded path stages straight into `segments` and
-/// NEVER builds the contiguous image — consumers read through view(),
+/// Storage: the ripples engine fills `pool` (sorted-vector RRRSets);
+/// every EfficientIMM build stages straight into `segments` — sorted
+/// runs plus, under the adaptive representation, bitmap slots — and
+/// NEVER builds the contiguous image. Consumers read through view(),
 /// which works over either, and call view().flatten() only when they
 /// genuinely need the flat CSR (snapshots).
 struct PoolBuild {
   RRRPool pool{0};
-  /// Zero-copy sharded storage (populated iff `segmented`).
+  /// Zero-copy segmented storage (populated iff `segmented`, i.e. for
+  /// every EfficientIMM build).
   SegmentedPool segments;
   bool segmented = false;
   /// Gap-coded pool storage (populated iff `compressed`). When active,
@@ -208,7 +215,7 @@ struct PoolBuild {
   /// when run_imm drives the build — the final selection, so one run
   /// allocates exactly one working counter layout.
   SelectionWorkspace workspace;
-  /// Sampler diagnostics (empty per-shard vectors when shards_used == 1).
+  /// Sampler diagnostics (empty for the ripples engine).
   ShardStats shard_stats;
   std::uint64_t theta = 0;
   bool theta_capped = false;
@@ -216,7 +223,7 @@ struct PoolBuild {
   /// Selection time spent inside the probing iterations (the final
   /// selection happens outside this struct's lifetime).
   double probing_selection_seconds = 0.0;
-  /// Resolved sampling shard count (1 = legacy single-path generation).
+  /// Resolved sampling shard count (always 1 for the ripples engine).
   int shards_used = 1;
   /// Whether generation went through the fused 64-wide sampler.
   bool fused_sampling_used = false;

@@ -3,6 +3,7 @@
 #include "core/martingale.hpp"
 #include "runtime/atomic_counters.hpp"
 #include "runtime/partition.hpp"
+#include "rrr/fused.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/sharded.hpp"
 #include "seedselect/engine.hpp"
@@ -51,6 +52,9 @@ DistImmResult run_distributed_imm(const DiffusionGraph& graph,
   shard_config.model = options.model;
   shard_config.rng_seed = options.rng_seed;
   shard_config.adaptive_representation = false;  // wire format: raw vectors
+  // Same sampler mode as the single-node driver, so both build the same
+  // pool from the same seed.
+  shard_config.fused = resolve_fused_sampling(FusedSampling::kAuto);
   ShardedSampler sampler(graph.reverse, shard_config);
 
   auto generate_to = [&](std::uint64_t target) {

@@ -120,7 +120,7 @@ struct PipelineBenchResult {
   double selection_seconds = 0.0;
   std::uint64_t num_rrr_sets = 0;
   /// Payload bytes staged into arenas / arena bytes mapped / payload
-  /// bytes copied at merge (all 0 on the unsharded flat path).
+  /// bytes copied at merge (merged is 0 on every zero-copy row).
   std::uint64_t staged_bytes = 0;
   std::uint64_t mapped_bytes = 0;
   std::uint64_t merged_bytes = 0;

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "runtime/rng_stream.hpp"
+#include "support/bits.hpp"
 #include "support/env.hpp"
 #include "support/macros.hpp"
 
@@ -30,7 +31,7 @@ bool resolve_fused_sampling(FusedSampling requested) {
     case FusedSampling::kAuto:
       break;
   }
-  return env_bool("EIMM_FUSED", false);
+  return env_bool("EIMM_FUSED", true);
 }
 
 std::string_view to_string(FusedSampling mode) noexcept {
@@ -253,7 +254,8 @@ FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
 FusedTraversalStats sample_rrr_fused_into(
     const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
     std::uint64_t block, unsigned lane_begin, unsigned lane_end,
-    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out) {
+    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
+    std::size_t bitmap_min, CounterArray* counters) {
   run_fused_traversal(reverse, model, base_seed, block, lane_begin, lane_end,
                       scratch);
 
@@ -262,30 +264,50 @@ FusedTraversalStats sample_rrr_fused_into(
   stats.touched = scratch.touched.size();
 
   // Pass 1: per-lane sizes (counts live in registers/stack, no buffer
-  // traffic), so each lane's run can be allocated exactly-sized.
+  // traffic), so each lane's slot can be allocated exactly-sized. The
+  // visited word's popcount is also v's whole contribution to the base
+  // counters from this traversal.
   std::array<std::uint32_t, kFusedLanes> counts{};
   for (const VertexId v : scratch.touched) {
     std::uint64_t word = scratch.visited[v];
-    stats.members += static_cast<std::uint64_t>(std::popcount(word));
+    const auto lanes = static_cast<std::uint64_t>(std::popcount(word));
+    stats.members += lanes;
+    if (counters != nullptr) counters->add(v, lanes);
     for (; word != 0; word &= word - 1) {
       ++counts[std::countr_zero(word)];
     }
   }
+  const std::size_t bitmap_words = words_for_bits(reverse.num_vertices());
+  std::uint64_t bitmap_lanes = 0;
   std::array<VertexId*, kFusedLanes> dest{};
+  std::array<std::uint64_t*, kFusedLanes> bits{};
   for (unsigned l = lane_begin; l < lane_end; ++l) {
-    std::span<VertexId> run;
-    refs_out[l - lane_begin] = arena.allocate(counts[l], run);
-    dest[l] = run.data();
+    if (counts[l] >= bitmap_min) {
+      std::span<std::uint64_t> words;
+      refs_out[l - lane_begin] =
+          arena.allocate_bitmap(bitmap_words, counts[l], words);
+      bits[l] = words.data();
+      bitmap_lanes |= std::uint64_t{1} << l;
+    } else {
+      std::span<VertexId> run;
+      refs_out[l - lane_begin] = arena.allocate(counts[l], run);
+      dest[l] = run.data();
+    }
   }
 
   // Pass 2: scatter each touched vertex into its lanes' runs (sorted,
-  // since touched is) and clear the scratch words in the same sweep.
+  // since touched is) or set its bit in their bitmaps, and clear the
+  // scratch words in the same sweep.
   for (const VertexId v : scratch.touched) {
-    std::uint64_t word = scratch.visited[v];
+    const std::uint64_t word = scratch.visited[v];
     scratch.visited[v] = 0;
     scratch.pending[v] = 0;  // LT roots park lanes here and never expand
-    for (; word != 0; word &= word - 1) {
-      *dest[std::countr_zero(word)]++ = v;
+    for (std::uint64_t w = word & ~bitmap_lanes; w != 0; w &= w - 1) {
+      *dest[std::countr_zero(w)]++ = v;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    for (std::uint64_t w = word & bitmap_lanes; w != 0; w &= w - 1) {
+      bits[std::countr_zero(w)][v >> 6] |= bit;
     }
   }
   return stats;

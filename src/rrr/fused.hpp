@@ -53,6 +53,7 @@
 #include "diffusion/model.hpp"
 #include "graph/csr.hpp"
 #include "rrr/pool_view.hpp"
+#include "runtime/atomic_counters.hpp"
 #include "support/rng.hpp"
 
 namespace eimm {
@@ -62,8 +63,10 @@ inline constexpr unsigned kFusedLanes = 64;
 
 /// Fused-mode request, mirroring the PoolCompression tri-state idiom:
 /// explicit on/off wins, kAuto resolves the EIMM_FUSED environment
-/// variable (default off — fused IC output is statistically, not
-/// bitwise, equivalent to the scalar pipeline).
+/// variable (default ON; EIMM_FUSED=0 opts out). Fused IC output is
+/// statistically, not bitwise, equivalent to the scalar pipeline — the
+/// statcheck spread-ratio gate enforces it — while fused LT is
+/// bit-identical.
 enum class FusedSampling { kAuto, kOff, kOn };
 
 /// Applies the kAuto -> EIMM_FUSED defaulting; returns the final answer.
@@ -126,14 +129,20 @@ FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
                                      std::uint64_t block, unsigned lane_begin,
                                      unsigned lane_end, FusedScratch& scratch);
 
-/// The staging-path variant: identical traversal, but each lane's sorted
-/// members are scattered STRAIGHT into runs allocated from `arena` (no
-/// intermediate per-lane buffer, one write per member). refs_out must
-/// have room for lane_end - lane_begin entries; refs_out[l - lane_begin]
-/// receives lane l's arena run. scratch.members is left untouched.
+/// The staging-path variant: identical traversal, but each lane's set is
+/// written STRAIGHT into `arena` (no intermediate per-lane buffer, one
+/// write per member): a lane with at least `bitmap_min` members becomes
+/// a bitmap slot (the adaptive representation, §IV-C), every other lane
+/// a sorted run. refs_out must have room for lane_end - lane_begin
+/// entries; refs_out[l - lane_begin] receives lane l's slot. When
+/// `counters` is non-null the emit pass also builds the base counters
+/// (kernel fusion, Algorithm 3) as counters[v] += popcount(visited[v]) —
+/// the same sums per-member increments would produce, in one atomic add
+/// per touched vertex. scratch.members is left untouched.
 FusedTraversalStats sample_rrr_fused_into(
     const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
     std::uint64_t block, unsigned lane_begin, unsigned lane_end,
-    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out);
+    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
+    std::size_t bitmap_min = kNoBitmaps, CounterArray* counters = nullptr);
 
 }  // namespace eimm

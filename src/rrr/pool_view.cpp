@@ -6,30 +6,56 @@
 
 namespace eimm {
 
-ShardArena::Ref ShardArena::allocate(std::size_t len,
-                                     std::span<VertexId>& out) {
+ShardArena::Ref ShardArena::place(std::size_t units, std::size_t align,
+                                  VertexId*& out) {
   // Advance through existing chunks (reset() reuse) before mapping new
-  // ones; a run never spans chunks.
+  // ones; a slot never spans chunks. Chunks are page-aligned, so an
+  // offset that is a multiple of `align` units is aligned in memory too.
+  auto aligned = [align](std::size_t pos) {
+    return (pos + align - 1) / align * align;
+  };
   while (cursor_ < chunks_.size() &&
-         chunks_[cursor_].bytes() / sizeof(VertexId) - head_used_ < len) {
+         chunks_[cursor_].bytes() / sizeof(VertexId) <
+             aligned(head_used_) + units) {
     ++cursor_;
     head_used_ = 0;
   }
   if (cursor_ >= chunks_.size()) {
-    const std::size_t capacity = std::max(chunk_vertices_, len);
+    const std::size_t capacity = std::max(chunk_vertices_, units);
     chunks_.emplace_back(capacity * sizeof(VertexId), MemPolicy::kLocal);
     cursor_ = chunks_.size() - 1;
     head_used_ = 0;
   }
+  head_used_ = aligned(head_used_);
   Ref ref;
   ref.chunk = static_cast<std::uint32_t>(cursor_);
   ref.pos = static_cast<std::uint32_t>(head_used_);
-  ref.len = static_cast<std::uint32_t>(len);
-  auto* base = static_cast<VertexId*>(chunks_[cursor_].data());
-  out = {base + head_used_, len};
-  head_used_ += len;
+  out = static_cast<VertexId*>(chunks_[cursor_].data()) + head_used_;
+  head_used_ += units;
   ++runs_;
-  staged_vertices_ += len;
+  staged_vertices_ += units;
+  return ref;
+}
+
+ShardArena::Ref ShardArena::allocate(std::size_t len,
+                                     std::span<VertexId>& out) {
+  VertexId* dest = nullptr;
+  Ref ref = place(len, 1, dest);
+  ref.len = static_cast<std::uint32_t>(len);
+  out = {dest, len};
+  return ref;
+}
+
+ShardArena::Ref ShardArena::allocate_bitmap(std::size_t words,
+                                            std::size_t members,
+                                            std::span<std::uint64_t>& out) {
+  constexpr std::size_t kUnits = sizeof(std::uint64_t) / sizeof(VertexId);
+  VertexId* dest = nullptr;
+  Ref ref = place(words * kUnits, kUnits, dest);
+  ref.len = static_cast<std::uint32_t>(members);
+  ref.words = static_cast<std::uint32_t>(words);
+  out = {reinterpret_cast<std::uint64_t*>(dest), words};
+  std::fill(out.begin(), out.end(), std::uint64_t{0});
   return ref;
 }
 
@@ -41,8 +67,14 @@ ShardArena::Ref ShardArena::append(std::span<const VertexId> vertices) {
 }
 
 std::span<const VertexId> ShardArena::view(const Ref& ref) const noexcept {
-  const auto* base = static_cast<const VertexId*>(chunks_[ref.chunk].data());
-  return {base + ref.pos, ref.len};
+  return {data(ref), ref.len};
+}
+
+RRRSetView ShardArena::slot(const Ref& ref) const noexcept {
+  if (ref.words == 0) return RRRSetView(view(ref));
+  return RRRSetView::bitmap(
+      {reinterpret_cast<const std::uint64_t*>(data(ref)), ref.words},
+      ref.len);
 }
 
 void ShardArena::reset() noexcept {
@@ -77,25 +109,35 @@ std::uint64_t SegmentedPool::mapped_bytes() const noexcept {
   return bytes;
 }
 
+std::uint64_t SegmentedPool::memory_bytes() const noexcept {
+  return mapped_bytes() + entries_.capacity() * sizeof(Entry);
+}
+
 std::uint64_t RRRPoolView::total_vertices() const noexcept {
   if (pool_ != nullptr) return pool_->total_vertices();
   if (comp_ != nullptr) return comp_->total_vertices();
   if (segments_ == nullptr) return 0;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < segments_->size(); ++i) {
-    total += segments_->run(i).size();
+    total += segments_->slot(i).size();
   }
   return total;
 }
 
 std::size_t RRRPoolView::bitmap_count() const noexcept {
-  return pool_ != nullptr ? pool_->bitmap_count() : 0;
+  if (pool_ != nullptr) return pool_->bitmap_count();
+  if (segments_ == nullptr) return 0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < segments_->size(); ++i) {
+    count += segments_->is_bitmap(i) ? 1 : 0;
+  }
+  return count;
 }
 
 std::uint64_t RRRPoolView::memory_bytes() const noexcept {
   if (pool_ != nullptr) return pool_->memory_bytes();
   if (comp_ != nullptr) return comp_->memory_bytes();
-  return segments_ != nullptr ? segments_->mapped_bytes() : 0;
+  return segments_ != nullptr ? segments_->memory_bytes() : 0;
 }
 
 FlatPool RRRPoolView::flatten() const {
@@ -109,21 +151,11 @@ FlatPool RRRPoolView::flatten() const {
     flat.offsets[i + 1] = flat.offsets[i] + (*this)[i].size();
   }
   flat.vertices.resize(flat.offsets.back());
-  if (segments_ != nullptr) {
 #pragma omp parallel for schedule(dynamic, 64)
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::span<const VertexId> run = segments_->run(i);
-      std::copy(run.begin(), run.end(),
-                flat.vertices.begin() +
-                    static_cast<std::ptrdiff_t>(flat.offsets[i]));
-    }
-  } else if (comp_ != nullptr) {
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::size_t i = 0; i < count; ++i) {
-      auto out = flat.vertices.begin() +
-                 static_cast<std::ptrdiff_t>(flat.offsets[i]);
-      comp_->slot(i).for_each([&](VertexId v) { *out++ = v; });
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    auto out = flat.vertices.begin() +
+               static_cast<std::ptrdiff_t>(flat.offsets[i]);
+    (*this)[i].for_each([&](VertexId v) { *out++ = v; });
   }
   return flat;
 }

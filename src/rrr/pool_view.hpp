@@ -5,25 +5,30 @@
 // paid a full extra copy of every vertex payload rebuilding the flat
 // RRRPool image at merge time. This layer removes the copy:
 //
+//   RRRSetView     — one RRR set, whichever storage backs it: a legacy
+//                    RRRSet (vector or bitmap), a sorted arena run, an
+//                    arena bitmap, or a gap-coded CompressedPool slot.
 //   ShardArena     — worker-private staging storage (page-aligned
 //                    mbind(kLocal) NumaBuffer chunks). reset() rewinds
 //                    the write cursor while KEEPING the mapped chunks,
 //                    so repeated generation rounds reuse the same pages
 //                    instead of re-mapping fresh ones.
 //   SegmentedPool  — the shard-local pool format that survives into
-//                    selection: per-worker arenas owning the sorted
-//                    vertex runs, plus one (pointer, length) entry per
-//                    global RRR slot. No contiguous image is ever built.
-//   RRRSetView     — one RRR set, whichever storage backs it: a legacy
-//                    RRRSet (vector or bitmap) or a sorted arena run.
+//                    selection: per-worker arenas owning the staged
+//                    slots, plus one 16-byte entry per global RRR slot.
+//                    A slot is either a sorted vertex run or — the
+//                    paper's adaptive representation (§IV-C) — a
+//                    word-aligned bitmap over |V|. No contiguous image
+//                    is ever built.
 //   RRRPoolView    — the pool abstraction every selection-side consumer
 //                    (seedselect kernels, SelectionEngine, coverage
 //                    probing, serve/SketchStore freezing, cachesim)
-//                    accepts: a contiguous legacy RRRPool OR a
-//                    SegmentedPool, behind one slot-addressed surface.
+//                    accepts: a contiguous legacy RRRPool, a
+//                    SegmentedPool, or a CompressedPool, behind one
+//                    slot-addressed surface.
 //
-// Determinism: slot content is identical under either backing (runs are
-// sorted exactly like RRRSet's vector representation; bitmap sets
+// Determinism: slot content is identical under every backing (runs are
+// sorted exactly like RRRSet's vector representation; bitmap slots
 // enumerate ascending), so selection over a view is bit-identical to
 // selection over the flattened pool — enforced by tests/rrr/pool_view
 // and the ctest -L statcheck view sweep. flatten() stays available for
@@ -40,24 +45,140 @@
 #include "rrr/compressed_pool.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/set.hpp"
+#include "support/bits.hpp"
 
 namespace eimm {
 
-/// Worker-private staging storage for sampled vertex runs: page-aligned
+/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, an
+/// arena bitmap, or a gap-coded CompressedPool slot. Same observable
+/// surface every way — ascending for_each enumeration, exact contains —
+/// so the selection kernels produce identical seed sequences no matter
+/// which storage backs the pool. Bitmap and compressed slots route the
+/// kernels to the generic for_each/contains path (the vertices() span
+/// fast path exists only for kVector).
+class RRRSetView {
+ public:
+  RRRSetView() = default;
+  /*implicit*/ RRRSetView(const RRRSet& set) noexcept
+      : kind_(Kind::kSet), set_(&set) {}
+  /*implicit*/ RRRSetView(std::span<const VertexId> run) noexcept
+      : run_(run) {}
+  /*implicit*/ RRRSetView(const CompressedSlot& slot) noexcept
+      : kind_(Kind::kCompressed), comp_(slot) {}
+
+  /// A bitmap over |V| (`words` = ceil(|V|/64), bits past |V| zero)
+  /// holding `count` members.
+  [[nodiscard]] static RRRSetView bitmap(std::span<const std::uint64_t> words,
+                                         std::size_t count) noexcept {
+    RRRSetView view;
+    view.kind_ = Kind::kBitmap;
+    view.words_ = words;
+    view.count_ = count;
+    return view;
+  }
+
+  /// kVector for arena runs (they are sorted vertex runs by contract);
+  /// kBitmap for arena bitmaps; kCompressed for CompressedPool slots.
+  [[nodiscard]] RRRRepr repr() const noexcept {
+    switch (kind_) {
+      case Kind::kSet: return set_->repr();
+      case Kind::kBitmap: return RRRRepr::kBitmap;
+      case Kind::kCompressed: return RRRRepr::kCompressed;
+      case Kind::kRun: break;
+    }
+    return RRRRepr::kVector;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    switch (kind_) {
+      case Kind::kSet: return set_->size();
+      case Kind::kBitmap: return count_;
+      case Kind::kCompressed: return comp_.count;
+      case Kind::kRun: break;
+    }
+    return run_.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+
+  /// Sorted-member span; valid only when repr() == kVector (mirrors
+  /// RRRSet::vertices(), which the baseline binary-search kernel uses).
+  /// Empty for bitmap and compressed slots — they have no materialized
+  /// members.
+  [[nodiscard]] std::span<const VertexId> vertices() const noexcept {
+    switch (kind_) {
+      case Kind::kSet:
+        return {set_->vertices().data(), set_->vertices().size()};
+      case Kind::kBitmap:
+      case Kind::kCompressed: return {};
+      case Kind::kRun: break;
+    }
+    return run_;
+  }
+
+  /// The bitmap words; valid only for arena bitmaps (empty otherwise).
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return words_;
+  }
+
+  /// Membership. May throw CheckError for a compressed slot whose
+  /// payload is corrupt (bounds-checked decode) — hence not noexcept.
+  [[nodiscard]] bool contains(VertexId v) const {
+    switch (kind_) {
+      case Kind::kSet: return set_->contains(v);
+      case Kind::kBitmap:
+        return (v >> 6) < words_.size() && ((words_[v >> 6] >> (v & 63)) & 1);
+      case Kind::kCompressed: return comp_.contains(v);
+      case Kind::kRun: break;
+    }
+    return std::binary_search(run_.begin(), run_.end(), v);
+  }
+
+  /// Invokes fn(vertex) for every member in ascending order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    switch (kind_) {
+      case Kind::kSet: set_->for_each(std::forward<Fn>(fn)); return;
+      case Kind::kBitmap:
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+          for_each_set_bit(words_[w], w * 64, [&](std::size_t v) {
+            fn(static_cast<VertexId>(v));
+          });
+        }
+        return;
+      case Kind::kCompressed: comp_.for_each(std::forward<Fn>(fn)); return;
+      case Kind::kRun: break;
+    }
+    for (const VertexId v : run_) fn(v);
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kRun, kSet, kBitmap, kCompressed };
+
+  Kind kind_ = Kind::kRun;
+  const RRRSet* set_ = nullptr;           // kSet
+  std::span<const VertexId> run_;         // kRun
+  std::span<const std::uint64_t> words_;  // kBitmap
+  std::size_t count_ = 0;                 // kBitmap
+  CompressedSlot comp_;                   // kCompressed
+};
+
+/// Worker-private staging storage for sampled RRR slots: page-aligned
 /// NumaBuffer chunks requested kLocal, so the pages land on the sampling
-/// worker's own domain under first-touch. Single-writer; a run never
-/// spans chunks, so view() is one contiguous span.
+/// worker's own domain under first-touch. Single-writer; a slot never
+/// spans chunks, so view()/slot() is one contiguous span.
 class ShardArena {
  public:
-  /// Handle to one staged run.
+  /// Handle to one staged slot: a sorted run (words == 0) or a bitmap of
+  /// `words` 64-bit words holding `len` members.
   struct Ref {
     std::uint32_t chunk = 0;
-    std::uint32_t pos = 0;
-    std::uint32_t len = 0;
+    std::uint32_t pos = 0;    ///< offset in VertexId units
+    std::uint32_t len = 0;    ///< member count
+    std::uint32_t words = 0;  ///< bitmap word count; 0 for a run
   };
 
-  /// `chunk_vertices` is the default chunk capacity; runs larger than it
-  /// get a dedicated exactly-sized chunk.
+  /// `chunk_vertices` is the default chunk capacity; slots larger than
+  /// it get a dedicated exactly-sized chunk.
   explicit ShardArena(std::size_t chunk_vertices = std::size_t{1} << 18)
       : chunk_vertices_(chunk_vertices == 0 ? 1 : chunk_vertices) {}
 
@@ -70,12 +191,21 @@ class ShardArena {
   /// arena with no intermediate buffer.
   Ref allocate(std::size_t len, std::span<VertexId>& out);
 
+  /// Reserves a ZEROED, 8-byte-aligned bitmap of `words` words for a set
+  /// of `members` members; the caller sets exactly that many bits before
+  /// the slot is read.
+  Ref allocate_bitmap(std::size_t words, std::size_t members,
+                      std::span<std::uint64_t>& out);
+
+  /// A run's members; valid only for run refs (words == 0).
   [[nodiscard]] std::span<const VertexId> view(const Ref& ref) const noexcept;
+  /// Either kind of staged slot.
+  [[nodiscard]] RRRSetView slot(const Ref& ref) const noexcept;
 
   /// Rewinds the write cursor to the first chunk while KEEPING every
   /// mapped NumaBuffer chunk — the next round's appends reuse the pages
-  /// (and their NUMA placement) instead of re-mapping. Staged runs become
-  /// invalid; cumulative staged accounting is preserved.
+  /// (and their NUMA placement) instead of re-mapping. Staged slots
+  /// become invalid; cumulative staged accounting is preserved.
   void reset() noexcept;
 
   /// Bytes of mapped staging memory currently held (diagnostics).
@@ -85,10 +215,16 @@ class ShardArena {
   [[nodiscard]] std::uint64_t staged_bytes() const noexcept {
     return staged_vertices_ * sizeof(VertexId);
   }
-  /// Staged runs since construction (survives reset()).
+  /// Staged slots since construction (survives reset()).
   [[nodiscard]] std::uint64_t runs() const noexcept { return runs_; }
 
  private:
+  /// Places `units` VertexId units at a multiple of `align` units.
+  Ref place(std::size_t units, std::size_t align, VertexId*& out);
+  [[nodiscard]] const VertexId* data(const Ref& ref) const noexcept {
+    return static_cast<const VertexId*>(chunks_[ref.chunk].data()) + ref.pos;
+  }
+
   std::size_t chunk_vertices_;
   std::vector<NumaBuffer> chunks_;
   std::size_t cursor_ = 0;         // chunk currently written
@@ -97,15 +233,15 @@ class ShardArena {
   std::uint64_t staged_vertices_ = 0;
 };
 
-/// The shard-local pool format that survives into selection: slot i's
-/// members are a SORTED vertex run staged in one of the per-worker
-/// arenas, addressed by a raw (pointer, length) entry. The arenas are
-/// owned here, so the staged pages live exactly as long as the pool —
-/// a SegmentedPool can be moved into a SketchStore and keep serving.
+/// The shard-local pool format that survives into selection: slot i is
+/// a SORTED vertex run or a bitmap staged in one of the per-worker
+/// arenas, addressed by a raw 16-byte entry. The arenas are owned here,
+/// so the staged pages live exactly as long as the pool — a
+/// SegmentedPool can be moved into a SketchStore and keep serving.
 ///
 /// Concurrency contract: ensure_workers()/resize() are driver-side
 /// (serial, or inside `omp single`); workers then fill DISJOINT slots
-/// through their own arena(w) + set_run(i, span).
+/// through their own arena(w) + set_run/set_bitmap.
 class SegmentedPool {
  public:
   SegmentedPool() = default;
@@ -142,29 +278,52 @@ class SegmentedPool {
   void set_run(std::size_t i, std::span<const VertexId> run) noexcept {
     entries_[i] = Entry{run.data(), static_cast<std::uint64_t>(run.size())};
   }
+  /// Records slot `i`'s staged bitmap (ceil(|V|/64) words, `count`
+  /// members); same lifetime contract as set_run.
+  void set_bitmap(std::size_t i, const std::uint64_t* words,
+                  std::size_t count) noexcept {
+    entries_[i] = Entry{words, kBitmapFlag | count};
+  }
 
-  /// Slot `i`'s members, ascending.
-  [[nodiscard]] std::span<const VertexId> run(std::size_t i) const noexcept {
-    return {entries_[i].data, entries_[i].len};
+  [[nodiscard]] bool is_bitmap(std::size_t i) const noexcept {
+    return (entries_[i].len & kBitmapFlag) != 0;
+  }
+  /// Slot `i`, whichever kind it is.
+  [[nodiscard]] RRRSetView slot(std::size_t i) const noexcept {
+    const Entry& e = entries_[i];
+    if ((e.len & kBitmapFlag) == 0) {
+      return RRRSetView(std::span<const VertexId>(
+          static_cast<const VertexId*>(e.data), e.len));
+    }
+    return RRRSetView::bitmap(
+        {static_cast<const std::uint64_t*>(e.data),
+         words_for_bits(num_vertices_)},
+        e.len & ~kBitmapFlag);
   }
 
   /// Cumulative payload / currently-mapped staging bytes over all arenas.
   [[nodiscard]] std::uint64_t staged_bytes() const noexcept;
   [[nodiscard]] std::uint64_t mapped_bytes() const noexcept;
+  /// Resident footprint: mapped arena bytes plus the slot entry table.
+  [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
   /// Rewinds every arena's write cursor (chunks and their NUMA placement
   /// are KEPT — see ShardArena::reset()). Used by the compressed-pool
-  /// hand-off: once a round's runs are encoded into the CompressedPool,
+  /// hand-off: once a round's slots are encoded into the CompressedPool,
   /// the staging pages are recycled for the next round, bounding raw
   /// staging memory to one round instead of the whole pool. Every staged
-  /// run (and the entry table) becomes invalid.
+  /// slot (and the entry table) becomes invalid.
   void reset_arenas() noexcept {
     for (ShardArena& a : arenas_) a.reset();
   }
 
  private:
+  /// Entry::len's top bit marks a bitmap slot; the low bits are always
+  /// the member count.
+  static constexpr std::uint64_t kBitmapFlag = std::uint64_t{1} << 63;
+
   struct Entry {
-    const VertexId* data = nullptr;
+    const void* data = nullptr;
     std::uint64_t len = 0;
   };
 
@@ -173,89 +332,7 @@ class SegmentedPool {
   std::vector<ShardArena> arenas_;
 };
 
-/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, or
-/// a gap-coded CompressedPool slot. Same observable surface every way —
-/// ascending for_each enumeration, exact contains — so the selection
-/// kernels produce identical seed sequences no matter which storage
-/// backs the pool. Compressed slots report repr() == kCompressed, which
-/// routes the kernels to the generic for_each/contains path (the
-/// vertices() span fast path does not exist for them).
-class RRRSetView {
- public:
-  RRRSetView() = default;
-  /*implicit*/ RRRSetView(const RRRSet& set) noexcept
-      : kind_(Kind::kSet), set_(&set) {}
-  /*implicit*/ RRRSetView(std::span<const VertexId> run) noexcept
-      : run_(run) {}
-  /*implicit*/ RRRSetView(const CompressedSlot& slot) noexcept
-      : kind_(Kind::kCompressed), comp_(slot) {}
-
-  /// kVector for arena runs (they are sorted vertex runs by contract);
-  /// kCompressed for CompressedPool slots.
-  [[nodiscard]] RRRRepr repr() const noexcept {
-    switch (kind_) {
-      case Kind::kSet: return set_->repr();
-      case Kind::kCompressed: return RRRRepr::kCompressed;
-      case Kind::kRun: break;
-    }
-    return RRRRepr::kVector;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    switch (kind_) {
-      case Kind::kSet: return set_->size();
-      case Kind::kCompressed: return comp_.count;
-      case Kind::kRun: break;
-    }
-    return run_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  /// Sorted-member span; valid only when repr() == kVector (mirrors
-  /// RRRSet::vertices(), which the baseline binary-search kernel uses).
-  /// Empty for compressed slots — they have no materialized members.
-  [[nodiscard]] std::span<const VertexId> vertices() const noexcept {
-    switch (kind_) {
-      case Kind::kSet:
-        return {set_->vertices().data(), set_->vertices().size()};
-      case Kind::kCompressed: return {};
-      case Kind::kRun: break;
-    }
-    return run_;
-  }
-
-  /// Membership. May throw CheckError for a compressed slot whose
-  /// payload is corrupt (bounds-checked decode) — hence not noexcept.
-  [[nodiscard]] bool contains(VertexId v) const {
-    switch (kind_) {
-      case Kind::kSet: return set_->contains(v);
-      case Kind::kCompressed: return comp_.contains(v);
-      case Kind::kRun: break;
-    }
-    return std::binary_search(run_.begin(), run_.end(), v);
-  }
-
-  /// Invokes fn(vertex) for every member in ascending order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    switch (kind_) {
-      case Kind::kSet: set_->for_each(std::forward<Fn>(fn)); return;
-      case Kind::kCompressed: comp_.for_each(std::forward<Fn>(fn)); return;
-      case Kind::kRun: break;
-    }
-    for (const VertexId v : run_) fn(v);
-  }
-
- private:
-  enum class Kind : std::uint8_t { kRun, kSet, kCompressed };
-
-  Kind kind_ = Kind::kRun;
-  const RRRSet* set_ = nullptr;        // kSet
-  std::span<const VertexId> run_;      // kRun
-  CompressedSlot comp_;                // kCompressed
-};
-
-/// Non-owning, slot-addressed view over either pool storage. Implicit
+/// Non-owning, slot-addressed view over any pool storage. Implicit
 /// construction keeps every RRRPool call site source-compatible; the
 /// referenced pool must outlive the view (same contract as std::span).
 class RRRPoolView {
@@ -289,15 +366,16 @@ class RRRPoolView {
 
   [[nodiscard]] RRRSetView operator[](std::size_t i) const noexcept {
     if (pool_ != nullptr) return RRRSetView((*pool_)[i]);
-    if (segments_ != nullptr) return RRRSetView(segments_->run(i));
+    if (segments_ != nullptr) return segments_->slot(i);
     return RRRSetView(comp_->slot(i));
   }
 
   /// Sum of set sizes (== total counter increments during a build).
   [[nodiscard]] std::uint64_t total_vertices() const noexcept;
-  /// Sets in bitmap representation (always 0 for segmented backing).
+  /// Sets in bitmap representation: RRRSet bitmaps or segmented bitmap
+  /// slots (always 0 for compressed backing).
   [[nodiscard]] std::size_t bitmap_count() const noexcept;
-  /// Heap/staging footprint of the backing storage.
+  /// Heap/staging footprint of the backing storage, slot tables included.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
   /// Copies every set into one contiguous CSR image — the ONLY remaining

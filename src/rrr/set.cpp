@@ -4,12 +4,17 @@
 
 namespace eimm {
 
+std::size_t bitmap_min_members(VertexId num_vertices,
+                               double threshold_fraction) noexcept {
+  if (num_vertices == 0) return kNoBitmaps;
+  return static_cast<std::size_t>(
+      std::max(0.0, threshold_fraction * static_cast<double>(num_vertices)));
+}
+
 RRRSet RRRSet::make_adaptive(std::vector<VertexId> vertices,
                              VertexId num_vertices,
                              double threshold_fraction) {
-  const auto threshold = static_cast<std::size_t>(
-      threshold_fraction * static_cast<double>(num_vertices));
-  if (vertices.size() >= threshold && num_vertices > 0) {
+  if (vertices.size() >= bitmap_min_members(num_vertices, threshold_fraction)) {
     return make_bitmap(vertices, num_vertices);
   }
   return make_vector(std::move(vertices));

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -30,12 +31,22 @@ enum class RRRRepr { kVector, kBitmap, kCompressed };
 /// 1/32 equalizes the memory of the two encodings (4-byte id vs 1 bit).
 inline constexpr double kDefaultBitmapThreshold = 1.0 / 32.0;
 
+/// bitmap_min_members() value that keeps every set a sorted vector.
+inline constexpr std::size_t kNoBitmaps =
+    std::numeric_limits<std::size_t>::max();
+
+/// Smallest member count the adaptive policy stores as a bitmap over
+/// `num_vertices` vertices with crossover `threshold_fraction` — the one
+/// rule RRRSet::make_adaptive and the segmented stagers share.
+[[nodiscard]] std::size_t bitmap_min_members(
+    VertexId num_vertices, double threshold_fraction) noexcept;
+
 class RRRSet {
  public:
   RRRSet() = default;
 
-  /// Builds with the adaptive policy: bitmap iff
-  /// vertices.size() >= threshold_fraction * num_vertices.
+  /// Builds with the adaptive policy: bitmap iff vertices.size() >=
+  /// bitmap_min_members(num_vertices, threshold_fraction).
   /// `vertices` need not be sorted; the vector representation sorts.
   static RRRSet make_adaptive(std::vector<VertexId> vertices,
                               VertexId num_vertices,

@@ -15,10 +15,71 @@
 #include "runtime/affinity.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/work_queue.hpp"
+#include "support/bits.hpp"
 #include "support/env.hpp"
 #include "support/macros.hpp"
 
 namespace eimm {
+namespace {
+
+std::uint64_t total_runs(const std::vector<ShardArena>& arenas) {
+  std::uint64_t runs = 0;
+  for (const ShardArena& arena : arenas) runs += arena.runs();
+  return runs;
+}
+
+/// One job pool per shard, sized in the plan's units (slots or blocks).
+void make_jobs(const ShardPlan& plan, std::size_t batch,
+               std::vector<std::unique_ptr<JobPool>>& jobs) {
+  jobs.reserve(plan.shards.size());
+  for (const ShardPlan::Shard& shard : plan.shards) {
+    jobs.push_back(std::make_unique<JobPool>(
+        shard.size(), batch, std::max<std::size_t>(1, shard.worker_count)));
+  }
+}
+
+/// Fills `stats` for the round just staged. Plan units are slots
+/// (slots_per_unit == 1) or fused blocks (kFusedLanes); each shard's set
+/// count is clipped to [begin, end).
+void record_round(ShardStats& stats, const ShardPlan& plan,
+                  const std::vector<std::unique_ptr<JobPool>>& jobs,
+                  const std::vector<ShardArena>& arenas, std::uint64_t begin,
+                  std::uint64_t end, std::uint64_t slots_per_unit) {
+  stats.numa_domains = numa_topology().num_nodes();
+  stats.sets_per_shard.clear();
+  stats.shard_domains.clear();
+  stats.sets_per_shard.reserve(plan.shards.size());
+  stats.shard_domains.reserve(plan.shards.size());
+  for (const ShardPlan::Shard& shard : plan.shards) {
+    const std::uint64_t lo = std::max(begin, shard.begin * slots_per_unit);
+    const std::uint64_t hi = std::min(end, shard.end * slots_per_unit);
+    stats.sets_per_shard.push_back(hi > lo ? hi - lo : 0);
+    stats.shard_domains.push_back(shard.domain);
+  }
+  static const obs::Counter steal_counter =
+      obs::counter("sampling.steals_total");
+  static const obs::Counter staged_counter =
+      obs::counter("sampling.staged_bytes_total");
+  stats.steals_per_shard.assign(plan.shards.size(), 0);
+  std::uint64_t round_steals = 0;
+  for (std::size_t s = 0; s < jobs.size(); ++s) {
+    stats.steals_per_shard[s] = jobs[s]->steal_count();
+    round_steals += stats.steals_per_shard[s];
+  }
+  steal_counter.add(round_steals);
+  const std::uint64_t staged_bytes_before = stats.staged_bytes;
+  stats.staged_bytes = 0;
+  stats.mapped_bytes = 0;
+  for (const ShardArena& arena : arenas) {
+    stats.staged_bytes += arena.staged_bytes();
+    stats.mapped_bytes += arena.mapped_bytes();
+  }
+  if (stats.staged_bytes > staged_bytes_before) {
+    staged_counter.add(stats.staged_bytes - staged_bytes_before);
+  }
+}
+
+}  // namespace
 
 int resolve_shards(int requested) {
   if (requested > 0) return requested;
@@ -83,10 +144,10 @@ ShardedSampler::ShardedSampler(const CSRGraph& reverse, ShardedConfig config)
 
 void ShardedSampler::stage(
     std::vector<ShardArena>& arenas, std::uint64_t begin, std::uint64_t end,
-    CounterArray* fused,
+    CounterArray* counters, std::size_t bitmap_min,
     std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs) {
   if (config_.fused) {
-    stage_fused(arenas, begin, end, fused, refs);
+    stage_fused(arenas, begin, end, counters, bitmap_min, refs);
     return;
   }
   const std::uint64_t count = end - begin;
@@ -106,9 +167,8 @@ void ShardedSampler::stage(
   std::vector<std::unique_ptr<JobPool>> jobs;
   refs.assign(count, {});
   const VertexId n = reverse_.num_vertices();
-
-  std::uint64_t staged_before = 0;
-  for (const ShardArena& arena : arenas) staged_before += arena.runs();
+  const std::size_t bitmap_words = words_for_bits(n);
+  const std::uint64_t runs_before = total_runs(arenas);
 
   if (count > 0) {
 #pragma omp parallel
@@ -128,12 +188,7 @@ void ShardedSampler::stage(
         // imbalance. Arenas are worker-private (single writer each) and
         // PERSISTENT — growing rounds keep appending into the same
         // chunk set instead of mapping fresh arenas per round.
-        jobs.reserve(plan.shards.size());
-        for (const ShardPlan::Shard& shard : plan.shards) {
-          jobs.push_back(std::make_unique<JobPool>(
-              shard.size(), config_.batch_size,
-              std::max<std::size_t>(1, shard.worker_count)));
-        }
+        make_jobs(plan, config_.batch_size, jobs);
         if (arenas.size() < plan.total_workers) {
           arenas.resize(plan.total_workers);
         }
@@ -159,15 +214,25 @@ void ShardedSampler::stage(
               std::vector<VertexId> verts = sample_rrr(
                   reverse_, config_.model, config_.rng_seed, global,
                   scratch);
-              if (fused != nullptr) {
-                for (const VertexId v : verts) fused->increment(v);
+              if (counters != nullptr) {
+                for (const VertexId v : verts) counters->increment(v);
               }
-              // Stage sorted: the run then IS the vector representation
-              // of the set, so selection can binary-search it in place.
-              std::sort(verts.begin(), verts.end());
               auto& slot = refs[global - begin];
               slot.first = static_cast<std::uint32_t>(wid);
-              slot.second = arena.append(verts);
+              if (verts.size() >= bitmap_min) {
+                // Dense set: the adaptive bitmap slot (§IV-C).
+                std::span<std::uint64_t> words;
+                slot.second =
+                    arena.allocate_bitmap(bitmap_words, verts.size(), words);
+                for (const VertexId v : verts) {
+                  words[v >> 6] |= std::uint64_t{1} << (v & 63);
+                }
+              } else {
+                // Stage sorted: the run then IS the vector representation
+                // of the set, so selection can binary-search it in place.
+                std::sort(verts.begin(), verts.end());
+                slot.second = arena.append(verts);
+              }
             }
           }
         }
@@ -175,47 +240,16 @@ void ShardedSampler::stage(
     }
   }
 
-  stats_.numa_domains = topo.num_nodes();
-  stats_.sets_per_shard.clear();
-  stats_.shard_domains.clear();
-  stats_.sets_per_shard.reserve(plan.shards.size());
-  stats_.shard_domains.reserve(plan.shards.size());
-  for (const ShardPlan::Shard& shard : plan.shards) {
-    stats_.sets_per_shard.push_back(shard.size());
-    stats_.shard_domains.push_back(shard.domain);
-  }
-  static const obs::Counter steal_counter =
-      obs::counter("sampling.steals_total");
-  static const obs::Counter staged_counter =
-      obs::counter("sampling.staged_bytes_total");
-  stats_.steals_per_shard.assign(plan.shards.size(), 0);
-  std::uint64_t round_steals = 0;
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    stats_.steals_per_shard[s] = jobs[s]->steal_count();
-    round_steals += stats_.steals_per_shard[s];
-  }
-  steal_counter.add(round_steals);
-  std::uint64_t staged_after = 0;
-  const std::uint64_t staged_bytes_before = stats_.staged_bytes;
-  stats_.staged_bytes = 0;
-  stats_.mapped_bytes = 0;
-  for (const ShardArena& arena : arenas) {
-    staged_after += arena.runs();
-    stats_.staged_bytes += arena.staged_bytes();
-    stats_.mapped_bytes += arena.mapped_bytes();
-  }
-  if (stats_.staged_bytes > staged_bytes_before) {
-    staged_counter.add(stats_.staged_bytes - staged_bytes_before);
-  }
+  record_round(stats_, plan, jobs, arenas, begin, end, 1);
   // Every slot must have been staged exactly once; a scheduling bug here
   // would otherwise surface as silently-empty RRR sets far downstream.
-  EIMM_CHECK(staged_after - staged_before == count,
+  EIMM_CHECK(total_runs(arenas) - runs_before == count,
              "sharded generation lost RRR slots");
 }
 
 void ShardedSampler::stage_fused(
     std::vector<ShardArena>& arenas, std::uint64_t begin, std::uint64_t end,
-    CounterArray* counters,
+    CounterArray* counters, std::size_t bitmap_min,
     std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs) {
   const std::uint64_t count = end - begin;
   const NumaTopology& topo = numa_topology();
@@ -237,9 +271,7 @@ void ShardedSampler::stage_fused(
   // Batch size is configured in slots; convert to whole blocks.
   const std::size_t block_batch =
       std::max<std::size_t>(1, config_.batch_size / kFusedLanes);
-
-  std::uint64_t staged_before = 0;
-  for (const ShardArena& arena : arenas) staged_before += arena.runs();
+  const std::uint64_t runs_before = total_runs(arenas);
 
   static const obs::Counter traversals_counter =
       obs::counter("sampler.fused.traversals_total");
@@ -263,12 +295,7 @@ void ShardedSampler::stage_fused(
           plan = ShardPlan::make(block_begin, block_end, config_.shards, team,
                                  topo);
         }
-        jobs.reserve(plan.shards.size());
-        for (const ShardPlan::Shard& shard : plan.shards) {
-          jobs.push_back(std::make_unique<JobPool>(
-              shard.size(), block_batch,
-              std::max<std::size_t>(1, shard.worker_count)));
-        }
+        make_jobs(plan, block_batch, jobs);
         if (arenas.size() < plan.total_workers) {
           arenas.resize(plan.total_workers);
         }
@@ -302,17 +329,12 @@ void ShardedSampler::stage_fused(
               std::array<ShardArena::Ref, kFusedLanes> lane_refs;
               const FusedTraversalStats tstats = sample_rrr_fused_into(
                   reverse_, config_.model, config_.rng_seed, block, lane_lo,
-                  lane_hi, scratch, arena, lane_refs.data());
+                  lane_hi, scratch, arena, lane_refs.data(), bitmap_min,
+                  counters);
               for (unsigned l = lane_lo; l < lane_hi; ++l) {
-                const ShardArena::Ref lane_ref = lane_refs[l - lane_lo];
-                if (counters != nullptr) {
-                  for (const VertexId v : arena.view(lane_ref)) {
-                    counters->increment(v);
-                  }
-                }
                 auto& slot = refs[block * kFusedLanes + l - begin];
                 slot.first = static_cast<std::uint32_t>(wid);
-                slot.second = lane_ref;
+                slot.second = lane_refs[l - lane_lo];
               }
               ++local_traversals;
               local_sets += tstats.lanes;
@@ -329,44 +351,8 @@ void ShardedSampler::stage_fused(
     }
   }
 
-  stats_.numa_domains = topo.num_nodes();
-  stats_.sets_per_shard.clear();
-  stats_.shard_domains.clear();
-  stats_.sets_per_shard.reserve(plan.shards.size());
-  stats_.shard_domains.reserve(plan.shards.size());
-  for (const ShardPlan::Shard& shard : plan.shards) {
-    // Shard sizes are in blocks here; report the slot count the shard's
-    // blocks contribute to THIS round, clipped to [begin, end).
-    const std::uint64_t lo =
-        std::max(begin, shard.begin * kFusedLanes);
-    const std::uint64_t hi = std::min(end, shard.end * kFusedLanes);
-    stats_.sets_per_shard.push_back(hi > lo ? hi - lo : 0);
-    stats_.shard_domains.push_back(shard.domain);
-  }
-  static const obs::Counter steal_counter =
-      obs::counter("sampling.steals_total");
-  static const obs::Counter staged_counter =
-      obs::counter("sampling.staged_bytes_total");
-  stats_.steals_per_shard.assign(plan.shards.size(), 0);
-  std::uint64_t round_steals = 0;
-  for (std::size_t s = 0; s < jobs.size(); ++s) {
-    stats_.steals_per_shard[s] = jobs[s]->steal_count();
-    round_steals += stats_.steals_per_shard[s];
-  }
-  steal_counter.add(round_steals);
-  std::uint64_t staged_after = 0;
-  const std::uint64_t staged_bytes_before = stats_.staged_bytes;
-  stats_.staged_bytes = 0;
-  stats_.mapped_bytes = 0;
-  for (const ShardArena& arena : arenas) {
-    staged_after += arena.runs();
-    stats_.staged_bytes += arena.staged_bytes();
-    stats_.mapped_bytes += arena.mapped_bytes();
-  }
-  if (stats_.staged_bytes > staged_bytes_before) {
-    staged_counter.add(stats_.staged_bytes - staged_bytes_before);
-  }
-  EIMM_CHECK(staged_after - staged_before == count,
+  record_round(stats_, plan, jobs, arenas, begin, end, kFusedLanes);
+  EIMM_CHECK(total_runs(arenas) - runs_before == count,
              "fused generation lost RRR slots");
 }
 
@@ -385,8 +371,10 @@ void ShardedSampler::generate(RRRPool& pool, std::uint64_t begin,
   // while staged_bytes keeps accumulating.
   for (ShardArena& arena : merge_arenas_) arena.reset();
 
+  // Staging keeps every set a run here: the merge applies the adaptive
+  // representation itself when it builds the RRRSet slots.
   std::vector<std::pair<std::uint32_t, ShardArena::Ref>> refs;
-  stage(merge_arenas_, begin, end, fused, refs);
+  stage(merge_arenas_, begin, end, fused, kNoBitmaps, refs);
   if (count == 0) return;
 
   // Merge: copy every staged run into its RRRPool slot. Slot content is a
@@ -422,17 +410,27 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
   mode_ = HandOff::kZeroCopy;
   const std::uint64_t count = end - begin;
 
-  // The pool owns the arenas on this path (the staged runs ARE the pool,
-  // and must outlive the sampler), so stage() appends into them without
-  // ever resetting — earlier rounds' entries stay valid.
+  // The pool owns the arenas on this path (the staged slots ARE the
+  // pool, and must outlive the sampler), so stage() appends into them
+  // without ever resetting — earlier rounds' entries stay valid.
   std::vector<std::pair<std::uint32_t, ShardArena::Ref>> refs;
   pool.ensure_workers(static_cast<std::size_t>(omp_get_max_threads()));
   std::vector<ShardArena>& arenas = pool.arenas_for_staging();
-  stage(arenas, begin, end, fused, refs);
+  const std::size_t bitmap_min =
+      config_.adaptive_representation
+          ? bitmap_min_members(reverse_.num_vertices(),
+                               config_.bitmap_threshold)
+          : kNoBitmaps;
+  stage(arenas, begin, end, fused, bitmap_min, refs);
 
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto& slot = refs[i];
-    pool.set_run(begin + i, arenas[slot.first].view(slot.second));
+    const auto& [worker, ref] = refs[i];
+    const RRRSetView slot = arenas[worker].slot(ref);
+    if (slot.repr() == RRRRepr::kBitmap) {
+      pool.set_bitmap(begin + i, slot.words().data(), slot.size());
+    } else {
+      pool.set_run(begin + i, slot.vertices());
+    }
   }
 }
 

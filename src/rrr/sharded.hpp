@@ -14,11 +14,13 @@
 //      (rrr/pool_view.hpp) whose pages are mbind'd kLocal (numa/alloc):
 //      first touch by the sampling worker places them on its own domain.
 //   3. Hand-off, two ways:
-//      * generate(SegmentedPool&, ...) — the zero-copy production path:
-//        the staged runs ARE the pool (slot entries point straight into
-//        the arena pages) and selection consumes them through
-//        RRRPoolView. No merge, no second copy of the vertex payload;
-//        ShardStats::merged_bytes stays 0.
+//      * generate(SegmentedPool&, ...) — the zero-copy production path
+//        every EfficientIMM build takes: the staged slots ARE the pool
+//        (slot entries point straight into the arena pages; dense sets
+//        are bitmap slots under the adaptive representation) and
+//        selection consumes them through RRRPoolView. No merge, no
+//        second copy of the vertex payload; ShardStats::merged_bytes
+//        stays 0.
 //      * generate(RRRPool&, ...) — the legacy merge path (dist/imm's
 //        wire-format accounting and the flatten-identity tests): staged
 //        runs are copied into RRRSet slots, producing the exact CSR
@@ -31,8 +33,8 @@
 // worker count, steal schedule, and hand-off mode yields bit-identical
 // pool content (tests/statcheck enforces this). On single-node hosts the
 // kLocal policy falls back to first-touch and the pipeline degrades to
-// plain batched generation; shards == 1 callers should prefer the legacy
-// single-path loop in core/imm, which this layer bit-matches.
+// plain batched generation — at shards == 1 the scalar mode bit-matches
+// a serial per-index loop.
 #pragma once
 
 #include <cstdint>
@@ -111,12 +113,14 @@ struct ShardedConfig {
   DiffusionModel model = DiffusionModel::kIndependentCascade;
   std::uint64_t rng_seed = 0;
   std::size_t batch_size = 64;
-  /// Merge path only: build RRRSet::make_adaptive (true) or make_vector
-  /// (false). The zero-copy path always keeps sorted runs.
+  /// Adaptive vector/bitmap representation (§IV-C): sets with at least
+  /// bitmap_min_members(|V|, bitmap_threshold) members become RRRSet
+  /// bitmaps on the merge path and bitmap slots on the zero-copy path;
+  /// false keeps every set a sorted vector/run.
   bool adaptive_representation = true;
   double bitmap_threshold = kDefaultBitmapThreshold;
   /// Fused 64-wide generation (rrr/fused.hpp): each traversal covers one
-  /// 64-slot block and emits up to 64 runs. Resolved already (use
+  /// 64-slot block and emits up to 64 slots. Resolved already (use
   /// resolve_fused_sampling()); slot contents depend only on
   /// (rng_seed, block, lane window), so every shard count still yields
   /// identical pools — but IC contents differ from the scalar mode.
@@ -156,9 +160,11 @@ class ShardedSampler {
  private:
   /// Shared staging engine: plans the round, pins the team, samples every
   /// slot into `arenas`, then records (worker, ref) pairs into `refs`.
-  /// Delegates to stage_fused() when config_.fused is set.
+  /// Sets with at least `bitmap_min` members are staged as bitmap slots,
+  /// the rest as sorted runs. Delegates to stage_fused() when
+  /// config_.fused is set.
   void stage(std::vector<ShardArena>& arenas, std::uint64_t begin,
-             std::uint64_t end, CounterArray* fused,
+             std::uint64_t end, CounterArray* counters, std::size_t bitmap_min,
              std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs);
 
   /// Fused staging: plans in 64-slot block units (a block is never split
@@ -168,6 +174,7 @@ class ShardedSampler {
   /// round schedule, which is itself deterministic in (params, seed).
   void stage_fused(std::vector<ShardArena>& arenas, std::uint64_t begin,
                    std::uint64_t end, CounterArray* counters,
+                   std::size_t bitmap_min,
                    std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs);
 
   const CSRGraph& reverse_;

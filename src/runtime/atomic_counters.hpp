@@ -83,6 +83,11 @@ class CounterArray {
   void increment(std::size_t i) noexcept {
     array_[i].fetch_add(1, std::memory_order_relaxed);
   }
+  /// Adds `delta` in one atomic update (the fused sampler credits a
+  /// vertex with every lane that reached it at once).
+  void add(std::size_t i, std::uint64_t delta) noexcept {
+    array_[i].fetch_add(delta, std::memory_order_relaxed);
+  }
   void decrement(std::size_t i) noexcept {
     array_[i].fetch_sub(1, std::memory_order_relaxed);
   }

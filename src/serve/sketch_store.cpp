@@ -292,35 +292,32 @@ SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
   store.entry_ptrs_.assign(count, nullptr);
   if (build.segmented) {
     store.backing_segments_ = std::move(build.segments);
-    for (std::size_t s = 0; s < count; ++s) {
-      const std::span<const VertexId> run = store.backing_segments_.run(s);
-      store.sketch_offsets_own_[s + 1] =
-          store.sketch_offsets_own_[s] + run.size();
-      store.entry_ptrs_[s] = run.data();
-    }
   } else {
     store.backing_pool_ = std::move(build.pool);
-    std::uint64_t bitmap_vertices = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      const RRRSet& set = store.backing_pool_[s];
-      store.sketch_offsets_own_[s + 1] =
-          store.sketch_offsets_own_[s] + set.size();
-      if (set.repr() == RRRRepr::kBitmap) bitmap_vertices += set.size();
-    }
-    // Reserve the exact expansion size up front: entry pointers go live
-    // as we fill, so the array must never reallocate.
-    store.bitmap_expansion_.resize(bitmap_vertices);
-    std::uint64_t cursor = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      const RRRSet& set = store.backing_pool_[s];
-      if (set.repr() == RRRRepr::kVector) {
-        store.entry_ptrs_[s] = set.vertices().data();
-      } else {
-        store.entry_ptrs_[s] = store.bitmap_expansion_.data() + cursor;
-        set.for_each([&](VertexId v) {
-          store.bitmap_expansion_[cursor++] = v;
-        });
-      }
+  }
+  const RRRPoolView backing =
+      build.segmented ? RRRPoolView(store.backing_segments_)
+                      : RRRPoolView(store.backing_pool_);
+  std::uint64_t bitmap_vertices = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    const RRRSetView set = backing[s];
+    store.sketch_offsets_own_[s + 1] =
+        store.sketch_offsets_own_[s] + set.size();
+    if (set.repr() == RRRRepr::kBitmap) bitmap_vertices += set.size();
+  }
+  // Reserve the exact expansion size up front: entry pointers go live
+  // as we fill, so the array must never reallocate.
+  store.bitmap_expansion_.resize(bitmap_vertices);
+  std::uint64_t cursor = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    const RRRSetView set = backing[s];
+    if (set.repr() == RRRRepr::kVector) {
+      store.entry_ptrs_[s] = set.vertices().data();
+    } else {
+      store.entry_ptrs_[s] = store.bitmap_expansion_.data() + cursor;
+      set.for_each([&](VertexId v) {
+        store.bitmap_expansion_[cursor++] = v;
+      });
     }
   }
   store.sketch_offsets_ = store.sketch_offsets_own_;
@@ -442,7 +439,7 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
   return sketch_offsets_own_.capacity() * sizeof(std::uint64_t) +
          sketch_vertices_own_.capacity() * sizeof(VertexId) +
          entry_ptrs_.capacity() * sizeof(const VertexId*) +
-         backing_pool_.memory_bytes() + backing_segments_.mapped_bytes() +
+         backing_pool_.memory_bytes() + backing_segments_.memory_bytes() +
          bitmap_expansion_.capacity() * sizeof(VertexId) +
          backing_cpool_.memory_bytes() +
          comp_offsets_own_.capacity() * sizeof(std::uint64_t) +

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "serve/query_engine.hpp"
 #include "serve/server.hpp"
 #include "serve/sketch_store.hpp"
@@ -95,6 +97,14 @@ void run_clients(const std::string& socket_path, const RetryOptions& retry,
   for (std::thread& t : workers) t.join();
 }
 
+/// Per-process temp file. ctest runs every chaos case as its own process
+/// and in parallel; a shared snapshot path would be truncated and
+/// rewritten under a sibling server's live mapping (SIGBUS).
+std::string temp_path(const std::string& suffix) {
+  return ::testing::TempDir() + "/eimm_chaos_" + std::to_string(::getpid()) +
+         "_" + suffix;
+}
+
 class ChaosFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -106,11 +116,8 @@ class ChaosFixture : public ::testing::Test {
       expected_.push_back(engine_->top_k(k).seeds);
     }
     ServerOptions options;
-    options.socket_path = ::testing::TempDir() + "/eimm_chaos_" +
-                          std::to_string(::testing::UnitTest::GetInstance()
-                                             ->random_seed()) +
-                          ".sock";
-    snapshot_path_ = ::testing::TempDir() + "/eimm_chaos_store.sks";
+    options.socket_path = temp_path("sock");
+    snapshot_path_ = temp_path("store.sks");
     shared_store().save_file(snapshot_path_);
     options.snapshot_path = snapshot_path_;
     server_ = std::make_unique<SketchServer>(shared_store(), options);
@@ -209,8 +216,7 @@ TEST_F(ChaosFixture, CorruptReloadUnderLoadKeepsServing) {
   // A corrupt replacement snapshot keeps getting pushed while clients
   // query: every reload must fail cleanly, every query must answer from
   // the surviving generation.
-  const std::string corrupt_path =
-      ::testing::TempDir() + "/eimm_chaos_corrupt.sks";
+  const std::string corrupt_path = temp_path("corrupt.sks");
   {
     std::ifstream is(snapshot_path_, std::ios::binary);
     std::ostringstream buf;

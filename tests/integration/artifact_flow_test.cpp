@@ -47,6 +47,9 @@ TEST(ArtifactFlow, LogsRoundTripThroughParserWithBestTimeExtraction) {
   options.model = DiffusionModel::kIndependentCascade;
   options.rng_seed = 13;
   options.max_rrr_sets = 50'000;
+  // Scalar sampling, so both engines build the same IC pool and every
+  // log below reports one seed set.
+  options.fused_sampling = FusedSampling::kOff;
 
   // Strong-scaling sweep for both engines, logged like the artifact.
   for (const Engine engine : {Engine::kEfficient, Engine::kRipples}) {

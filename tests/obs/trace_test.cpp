@@ -153,6 +153,7 @@ TEST_F(TraceTest, RunImmEmitsPhaseSpans) {
   options.k = 4;
   options.max_rrr_sets = 4096;
   options.shards = 2;
+  options.fused_sampling = FusedSampling::kOff;  // scalar sampler spans
   (void)run_efficient_imm(g, options);
 
   std::ostringstream os;
@@ -164,6 +165,18 @@ TEST_F(TraceTest, RunImmEmitsPhaseSpans) {
   EXPECT_TRUE(names.count("martingale.round"));
   EXPECT_TRUE(names.count("selection.select"));
   EXPECT_TRUE(names.count("selection.final"));
+
+  // The default sampler is the fused one.
+  const eimm::testing::ScopedEnv default_mode("EIMM_FUSED", nullptr);
+  reset_trace_events();
+  options.fused_sampling = FusedSampling::kAuto;
+  (void)run_efficient_imm(g, options);
+  std::ostringstream fused_os;
+  write_trace_json(fused_os);
+  const std::set<std::string> fused_names =
+      event_names(parse_events(fused_os.str()));
+  EXPECT_TRUE(fused_names.count("sampler.fused"));
+  EXPECT_FALSE(fused_names.count("sampler.shard"));
 }
 
 }  // namespace

@@ -30,12 +30,12 @@ void expect_scratch_clean(const FusedScratch& scratch) {
 }
 
 TEST(ResolveFusedSampling, ExplicitWinsEnvFillsAuto) {
-  ScopedEnv on("EIMM_FUSED", "1");
+  ScopedEnv off("EIMM_FUSED", "0");
   EXPECT_FALSE(resolve_fused_sampling(FusedSampling::kOff));
   EXPECT_TRUE(resolve_fused_sampling(FusedSampling::kOn));
-  EXPECT_TRUE(resolve_fused_sampling(FusedSampling::kAuto));
-  ScopedEnv off("EIMM_FUSED", nullptr);
   EXPECT_FALSE(resolve_fused_sampling(FusedSampling::kAuto));
+  ScopedEnv unset("EIMM_FUSED", nullptr);
+  EXPECT_TRUE(resolve_fused_sampling(FusedSampling::kAuto));  // default on
 }
 
 TEST(BernoulliMask, DegenerateProbabilities) {
@@ -260,30 +260,45 @@ TEST(FusedSampling, RejectsEmptyGraphAndBadWindows) {
 }
 
 TEST(FusedSampling, ArenaVariantMatchesMembersVariant) {
-  // sample_rrr_fused_into is the staging-path twin: same traversal, runs
-  // scattered straight into arena allocations. Outputs must be equal.
+  // sample_rrr_fused_into is the staging-path twin: same traversal, sets
+  // written straight into arena slots (runs, or bitmaps at or above the
+  // adaptive threshold) and base counters credited by lane popcount.
+  // Slot contents and counters must match the members variant.
   for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                      DiffusionModel::kLinearThreshold}) {
     auto g = make_weighted_graph(gen_erdos_renyi(300, 2400, /*seed=*/17),
                                  model);
-    FusedScratch a(g.num_vertices());
-    FusedScratch b(g.num_vertices());
+    const VertexId n = g.num_vertices();
+    const std::size_t bitmap_min =
+        bitmap_min_members(n, kDefaultBitmapThreshold);
+    FusedScratch a(n);
+    FusedScratch b(n);
     ShardArena arena;
     std::array<ShardArena::Ref, kFusedLanes> refs;
     for (const std::uint64_t block : {0ull, 4ull}) {
+      CounterArray counters(n);
       const FusedTraversalStats sa =
           sample_rrr_fused(g.reverse, model, kSeed, block, 0, kFusedLanes, a);
       const FusedTraversalStats sb = sample_rrr_fused_into(
           g.reverse, model, kSeed, block, 0, kFusedLanes, b, arena,
-          refs.data());
+          refs.data(), bitmap_min, &counters);
       EXPECT_EQ(sa.lanes, sb.lanes);
       EXPECT_EQ(sa.touched, sb.touched);
       EXPECT_EQ(sa.members, sb.members);
+      std::vector<std::uint64_t> expected_counts(n, 0);
       for (unsigned l = 0; l < kFusedLanes; ++l) {
-        const std::span<const VertexId> run = arena.view(refs[l]);
-        EXPECT_EQ(std::vector<VertexId>(run.begin(), run.end()), a.members[l])
+        const RRRSetView slot = arena.slot(refs[l]);
+        EXPECT_EQ(slot.repr(), a.members[l].size() >= bitmap_min
+                                   ? RRRRepr::kBitmap
+                                   : RRRRepr::kVector)
             << "block " << block << " lane " << l;
+        EXPECT_EQ(slot.size(), a.members[l].size());
+        std::vector<VertexId> got;
+        slot.for_each([&](VertexId v) { got.push_back(v); });
+        EXPECT_EQ(got, a.members[l]) << "block " << block << " lane " << l;
+        for (const VertexId v : a.members[l]) ++expected_counts[v];
       }
+      EXPECT_EQ(counters.snapshot(), expected_counts) << "block " << block;
       expect_scratch_clean(a);
       expect_scratch_clean(b);
     }

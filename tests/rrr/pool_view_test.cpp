@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -31,6 +33,29 @@ SegmentedPool segment_pool(const RRRPool& reference, std::size_t workers) {
     const std::vector<VertexId> sorted = reference[i].to_vector();
     ShardArena& arena = segments.arena(i % workers);
     segments.set_run(i, arena.view(arena.append(sorted)));
+  }
+  return segments;
+}
+
+/// Like segment_pool, but stages every slot in the reference's own
+/// representation: bitmap sets become segmented bitmap slots.
+SegmentedPool segment_pool_adaptive(const RRRPool& reference,
+                                    std::size_t workers) {
+  const VertexId n = reference.num_vertices();
+  SegmentedPool segments(n);
+  segments.resize(reference.size());
+  segments.ensure_workers(workers);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ShardArena& arena = segments.arena(i % workers);
+    if (reference[i].repr() != RRRRepr::kBitmap) {
+      segments.set_run(i, arena.view(arena.append(reference[i].vertices())));
+      continue;
+    }
+    std::span<std::uint64_t> words;
+    arena.allocate_bitmap(words_for_bits(n), reference[i].size(), words);
+    reference[i].for_each(
+        [&](VertexId v) { words[v >> 6] |= std::uint64_t{1} << (v & 63); });
+    segments.set_bitmap(i, words.data(), reference[i].size());
   }
   return segments;
 }
@@ -88,6 +113,100 @@ TEST(RRRPoolView, SegmentBackingMatchesAdaptivePoolWithBitmaps) {
   EXPECT_EQ(zero_copy.bitmap_count(), 0u);  // runs are always vectors
   EXPECT_TRUE(zero_copy.segmented());
   EXPECT_FALSE(legacy.segmented());
+}
+
+TEST(RRRPoolView, SegmentBitmapSlotsMatchAdaptivePool) {
+  // Bitmap slots in the segmented backing must be indistinguishable from
+  // the RRRSet bitmaps they mirror, and counted as bitmaps.
+  const RRRPool pool = sampled_pool(/*adaptive=*/true);
+  const SegmentedPool segments = segment_pool_adaptive(pool, 3);
+  const RRRPoolView legacy(pool);
+  const RRRPoolView zero_copy(segments);
+  ASSERT_GT(legacy.bitmap_count(), 0u);
+  expect_views_identical(legacy, zero_copy);
+  EXPECT_EQ(zero_copy.bitmap_count(), legacy.bitmap_count());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(zero_copy[i].repr(), legacy[i].repr()) << "slot " << i;
+    EXPECT_EQ(segments.is_bitmap(i), pool[i].repr() == RRRRepr::kBitmap);
+  }
+}
+
+TEST(SegmentedPool, BitmapSlotMatchesMakeAdaptiveOffWordBoundary) {
+  // |V| = 130 is not a multiple of 64: the last word is partial, and
+  // contains() must reject every id past |V| (and past the last word).
+  constexpr VertexId kN = 130;
+  std::vector<VertexId> members;
+  for (VertexId v = 0; v + 3 < kN; v += 3) members.push_back(v);
+  members.push_back(kN - 1);  // the partial last word's top member
+  const RRRSet set = RRRSet::make_adaptive(members, kN);
+  ASSERT_EQ(set.repr(), RRRRepr::kBitmap);
+
+  SegmentedPool segments(kN);
+  segments.resize(2);
+  segments.ensure_workers(1);
+  ShardArena& arena = segments.arena(0);
+  arena.append(std::vector<VertexId>{7});  // odd offset before the bitmap
+  std::span<std::uint64_t> words;
+  const ShardArena::Ref ref =
+      arena.allocate_bitmap(words_for_bits(kN), members.size(), words);
+  ASSERT_EQ(words.size(), 3u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.data()) %
+                alignof(std::uint64_t),
+            0u);
+  for (const VertexId v : members) {
+    words[v >> 6] |= std::uint64_t{1} << (v & 63);
+  }
+  segments.set_bitmap(0, words.data(), members.size());
+  const std::vector<VertexId> run = {2, 64, 129};
+  segments.set_run(1, arena.view(arena.append(run)));
+
+  const RRRSetView slot = segments.slot(0);
+  EXPECT_EQ(slot.repr(), RRRRepr::kBitmap);
+  EXPECT_EQ(arena.slot(ref).size(), set.size());
+  EXPECT_EQ(slot.size(), set.size());
+  for (VertexId v = 0; v < kN + 100; ++v) {
+    EXPECT_EQ(slot.contains(v), set.contains(v)) << "vertex " << v;
+  }
+  std::vector<VertexId> got;
+  slot.for_each([&](VertexId v) { got.push_back(v); });
+  EXPECT_EQ(got, set.to_vector());
+
+  RRRPool reference(kN);
+  reference.resize(2);
+  reference[0] = set;
+  reference[1] = RRRSet::make_vector(run);
+  expect_views_identical(RRRPoolView(reference), RRRPoolView(segments));
+  EXPECT_EQ(RRRPoolView(segments).bitmap_count(), 1u);
+}
+
+TEST(SegmentedPool, MemoryBytesCountsTheSlotTable) {
+  // Like RRRPool and CompressedPool, the segmented backing reports its
+  // per-slot entry table, not only the arena chunks.
+  SegmentedPool empty_slots(100);
+  empty_slots.resize(1000);
+  EXPECT_EQ(empty_slots.mapped_bytes(), 0u);
+  EXPECT_GE(empty_slots.memory_bytes(), 1000u * 16u);
+  EXPECT_EQ(RRRPoolView(empty_slots).memory_bytes(),
+            empty_slots.memory_bytes());
+
+  const RRRPool pool = sampled_pool(/*adaptive=*/false, 60);
+  const SegmentedPool segments = segment_pool(pool, 3);
+  EXPECT_GE(segments.memory_bytes(),
+            segments.mapped_bytes() + segments.size() * 16u);
+}
+
+TEST(RRRPoolView, CompressedAppendOverBitmapSlots) {
+  // CompressedPool::append enumerates bitmap slots ascending, so a
+  // compressed copy of a segmented pool with bitmaps holds the same sets.
+  const RRRPool pool = sampled_pool(/*adaptive=*/true);
+  const SegmentedPool segments = segment_pool_adaptive(pool, 2);
+  ASSERT_GT(RRRPoolView(segments).bitmap_count(), 0u);
+  for (const PoolCodec codec : {PoolCodec::kVarint, PoolCodec::kHuffman}) {
+    CompressedPool comp(segments.num_vertices(), codec);
+    comp.append(segments, 0, 100);
+    comp.append(segments, 100, segments.size());
+    expect_views_identical(RRRPoolView(segments), RRRPoolView(comp));
+  }
 }
 
 TEST(RRRPoolView, ContainsRejectsNonMembersOnBothBackings) {

@@ -274,10 +274,19 @@ TEST(ShardedSampler, ZeroCopyGenerateMatchesSerialReference) {
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
 
-  // The zero-copy contract: payload staged once, merged never.
+  // The zero-copy contract: payload staged once, merged never. Each slot
+  // is staged in the reference's representation: a sorted run, or a
+  // bitmap of ceil(|V|/64) words.
+  std::uint64_t slot_bytes = 0;
+  for (std::size_t i = 0; i < kSets; ++i) {
+    slot_bytes += reference[i].repr() == RRRRepr::kBitmap
+                      ? words_for_bits(g.num_vertices()) * sizeof(std::uint64_t)
+                      : reference[i].size() * sizeof(VertexId);
+  }
+  ASSERT_GT(reference.bitmap_count(), 0u);
+  EXPECT_EQ(RRRPoolView(segments).bitmap_count(), reference.bitmap_count());
   EXPECT_EQ(sampler.stats().merged_bytes, 0u);
-  EXPECT_EQ(sampler.stats().staged_bytes,
-            reference.total_vertices() * sizeof(VertexId));
+  EXPECT_EQ(sampler.stats().staged_bytes, slot_bytes);
 }
 
 TEST(ShardedSampler, ZeroCopyGrowingRangesRetainEarlierRounds) {
@@ -322,6 +331,67 @@ TEST(ShardedSampler, ZeroCopyFusedCountersCountMembership) {
     view[i].for_each([&](VertexId v) { ++expected[v]; });
   }
   EXPECT_EQ(counters.snapshot(), expected);
+}
+
+TEST(ShardedSampler, ZeroCopyBitmapSlotsFollowTheAdaptiveThreshold) {
+  // Scalar and fused staging both write a bitmap slot exactly when
+  // RRRSet::make_adaptive would pick a bitmap. |V| = 200 is not a
+  // multiple of 64, and the crossover sits on a set size the pool
+  // contains, so the boundary itself is exercised. With the adaptive
+  // representation off, every slot stays a run.
+  const auto model = DiffusionModel::kIndependentCascade;
+  const auto g = small_graph(model, 67);
+  const VertexId n = g.num_vertices();
+  ASSERT_NE(n % 64, 0u);
+  constexpr std::size_t kSets = 256;
+  for (const bool fused : {false, true}) {
+    ShardedConfig runs_config = config_for(model, 2, /*adaptive=*/false);
+    runs_config.fused = fused;
+    SegmentedPool runs(n);
+    runs.resize(kSets);
+    ShardedSampler(g.reverse, runs_config).generate(runs, 0, kSets, nullptr);
+    EXPECT_EQ(RRRPoolView(runs).bitmap_count(), 0u) << "fused=" << fused;
+
+    std::vector<std::size_t> sizes;
+    for (std::size_t i = 0; i < kSets; ++i) {
+      sizes.push_back(runs.slot(i).size());
+    }
+    std::sort(sizes.begin(), sizes.end());
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+    ASSERT_GE(sizes.size(), 3u) << "need varied set sizes";
+    const std::size_t boundary = sizes[sizes.size() / 2];
+
+    ShardedConfig adaptive_config = runs_config;
+    adaptive_config.adaptive_representation = true;
+    adaptive_config.bitmap_threshold =
+        (static_cast<double>(boundary) + 0.5) / static_cast<double>(n);
+    ASSERT_EQ(bitmap_min_members(n, adaptive_config.bitmap_threshold),
+              boundary);
+    SegmentedPool mixed(n);
+    mixed.resize(kSets);
+    CounterArray counters(n);
+    ShardedSampler(g.reverse, adaptive_config)
+        .generate(mixed, 0, kSets, &counters);
+
+    std::vector<std::uint64_t> expected(n, 0);
+    for (std::size_t i = 0; i < kSets; ++i) {
+      std::vector<VertexId> want;
+      runs.slot(i).for_each([&](VertexId v) { want.push_back(v); });
+      std::vector<VertexId> got;
+      mixed.slot(i).for_each([&](VertexId v) { got.push_back(v); });
+      EXPECT_EQ(got, want) << "fused=" << fused << " slot=" << i;
+      EXPECT_EQ(mixed.slot(i).size(), want.size());
+      const RRRSet reference = RRRSet::make_adaptive(
+          want, n, adaptive_config.bitmap_threshold);
+      EXPECT_EQ(mixed.slot(i).repr(), reference.repr())
+          << "fused=" << fused << " slot=" << i << " size=" << want.size();
+      for (const VertexId v : want) ++expected[v];
+    }
+    const std::size_t bitmaps = RRRPoolView(mixed).bitmap_count();
+    EXPECT_GT(bitmaps, 0u);
+    EXPECT_LT(bitmaps, kSets);
+    EXPECT_EQ(counters.snapshot(), expected) << "fused=" << fused;
+  }
 }
 
 TEST(ShardedSampler, MergePathReusesArenaChunksAcrossRounds) {

@@ -119,6 +119,58 @@ TEST(MmapSnapshot, StreamAndMapLoadsServeIdenticalResults) {
   EXPECT_EQ(a.select(constrained).seeds, b.select(constrained).seeds);
 }
 
+TEST(MmapSnapshot, BitmapSlotStoreRoundTripsThroughMapLoad) {
+  // The default build stages dense sets as segmented bitmap slots; the
+  // store expands them for serving, and a save -> mmap load round trip
+  // must answer exactly like the in-memory store and like an eager
+  // freeze of the same sets held as sorted vectors.
+  const DiffusionGraph g = make_workload_with_weights(
+      "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
+  ImmOptions options;
+  options.k = 6;
+  options.max_rrr_sets = 4096;
+  PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
+  ASSERT_TRUE(build.segmented);
+  ASSERT_GT(build.view().bitmap_count(), 0u)
+      << "workload produced no bitmap slots";
+  const FlatPool flat = build.view().flatten();
+  RRRPool vectors(g.num_vertices());
+  vectors.resize(flat.offsets.size() - 1);
+  for (std::size_t s = 0; s < vectors.size(); ++s) {
+    vectors[s] = RRRSet::make_vector(std::vector<VertexId>(
+        flat.vertices.begin() + static_cast<std::ptrdiff_t>(flat.offsets[s]),
+        flat.vertices.begin() +
+            static_cast<std::ptrdiff_t>(flat.offsets[s + 1])));
+  }
+  const SketchStore store = SketchStore::from_build(std::move(build), 6);
+  const SketchStore eager = SketchStore::from_pool(vectors, 6);
+  EXPECT_TRUE(store == eager);
+
+  const std::string path = snapshot_path("eimm_mmap_bitmap_slots.sks");
+  store.save_file(path);
+  SnapshotLoadOptions map_options;
+  map_options.mode = SnapshotLoadMode::kMap;
+  const SketchStore mapped = SketchStore::load_file(path, map_options);
+  EXPECT_TRUE(mapped.load_stats().mmap_backed);
+  EXPECT_TRUE(store == mapped);
+
+  const QueryEngine live(store);
+  const QueryEngine loaded(mapped);
+  const QueryEngine reference(eager);
+  for (const std::size_t k : {1u, 3u, 6u}) {
+    EXPECT_EQ(live.top_k(k).seeds, loaded.top_k(k).seeds) << "k=" << k;
+    EXPECT_EQ(reference.top_k(k).seeds, loaded.top_k(k).seeds) << "k=" << k;
+  }
+  QueryOptions constrained;
+  constrained.k = 4;
+  constrained.forbidden = {live.top_k(1).seeds[0]};
+  const QueryResult a = live.select(constrained);
+  const QueryResult b = loaded.select(constrained);
+  EXPECT_EQ(a.seeds, b.seeds);
+  EXPECT_EQ(a.marginal_coverage, b.marginal_coverage);
+  EXPECT_EQ(reference.select(constrained).seeds, b.seeds);
+}
+
 TEST(MmapSnapshot, AutoModePrefersMapForV2Files) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_mmap_auto.sks");

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "rrr/fused.hpp"
 #include "rrr/sharded.hpp"
@@ -33,6 +34,12 @@ using statcheck::statcheck_imm_options;
 using statcheck::statcheck_workload;
 
 constexpr double kSpreadTolerance = 0.05;
+
+std::vector<VertexId> members(const RRRSetView& slot) {
+  std::vector<VertexId> out;
+  slot.for_each([&](VertexId v) { out.push_back(v); });
+  return out;
+}
 
 TEST(FusedStatistical, FusedSeedsMatchScalarSpreadAcrossShardsAndBackings) {
   // The headline contract: for IC and LT, across shard counts and pool
@@ -153,11 +160,10 @@ TEST(FusedDeterminism, TinyWorkloadsSurviveTheFullPipeline) {
     ShardedSampler sampler(g.reverse, config);
     sampler.generate(pool, 0, kSets, nullptr);
     for (std::uint64_t i = 0; i < kSets; ++i) {
-      const auto a = reference.run(i);
-      const auto b = pool.run(i);
+      const std::vector<VertexId> a = members(reference.slot(i));
+      const std::vector<VertexId> b = members(pool.slot(i));
       ASSERT_EQ(a.size(), b.size()) << "shards=" << shards << " slot=" << i;
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-          << "shards=" << shards << " slot=" << i;
+      EXPECT_EQ(a, b) << "shards=" << shards << " slot=" << i;
       EXPECT_GE(a.size(), 1u);  // root always included
     }
   }
@@ -191,10 +197,10 @@ TEST(FusedDeterminism, RoundSplitWindowsComposeToTheFullRange) {
   split_sampler2.generate(split_pool2, 100, kSets, nullptr);
 
   for (std::uint64_t i = 0; i < kSets; ++i) {
-    const auto a = split_pool.run(i);
-    const auto b = split_pool2.run(i);
+    const std::vector<VertexId> a = members(split_pool.slot(i));
+    const std::vector<VertexId> b = members(split_pool2.slot(i));
     ASSERT_EQ(a.size(), b.size()) << "slot=" << i;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "slot=" << i;
+    EXPECT_EQ(a, b) << "slot=" << i;
   }
 }
 

@@ -88,7 +88,7 @@ TEST(PoolViewDeterminism, SelectionOverSegmentsMatchesSelectionOverPool) {
 
   opt.shards = 3;
   // The reference pool below is the scalar per-index sampler; pin fused
-  // off so EIMM_FUSED=1 environments keep comparing like with like.
+  // off (it is the default) to keep comparing like with like.
   opt.fused_sampling = FusedSampling::kOff;
   const PoolBuild segmented = build_rrr_pool(g, opt, Engine::kEfficient);
   ASSERT_TRUE(segmented.segmented);

@@ -1,9 +1,9 @@
 // Determinism regressions for the sharded sampling pipeline:
 //   * same (workload, seed, epsilon, shards) → bit-identical
 //     RRRPool::flatten() CSR image across repeated runs;
-//   * shards == 1 (explicit or via EIMM_SHARDS=1) routes through the
-//     legacy single-path generation loop and bit-matches the serial
-//     per-index reference sampler;
+//   * shards == 1 (explicit or via EIMM_SHARDS=1) runs the sharded
+//     sampler with one shard and, with fused sampling off, bit-matches
+//     the serial per-index reference sampler;
 //   * every shard count produces the same image — shard count moves
 //     placement and scheduling, never content;
 //   * the selection-phase analogues: every EIMM_COUNTER_SHARDS value and
@@ -54,8 +54,8 @@ TEST(ShardedDeterminism, ShardsOneBitMatchesSerialReferenceSampler) {
   auto opt = statcheck_imm_options(DiffusionModel::kIndependentCascade, 6);
   opt.shards = 1;
   // This test's whole point is the SCALAR per-index contract; pin fused
-  // off so an EIMM_FUSED=1 environment (CI's fused statcheck leg) can't
-  // reroute the build away from the reference being checked.
+  // off so the fused default can't reroute the build away from the
+  // reference being checked.
   opt.fused_sampling = FusedSampling::kOff;
   const PoolBuild build = build_rrr_pool(g, opt, Engine::kEfficient);
   EXPECT_EQ(build.shards_used, 1);

@@ -60,6 +60,22 @@ TEST(StatisticalEquivalence, ManyShardsStillWithinToleranceIC) {
   EXPECT_TRUE(cmp.within(kSpreadTolerance)) << cmp.describe();
 }
 
+TEST(StatisticalEquivalence, DefaultEfficientMatchesRipplesSpreadIC) {
+  // Default EfficientIMM samples IC through the fused 64-wide sampler, so
+  // its pool no longer bit-matches the Ripples baseline's; its seeds must
+  // still be as good under forward Monte-Carlo estimation.
+  const DiffusionGraph g = statcheck_workload(
+      "com-DBLP", DiffusionModel::kIndependentCascade);
+  const auto opt = statcheck_imm_options(DiffusionModel::kIndependentCascade);
+  const ImmResult ripples = run_imm(g, opt, Engine::kRipples);
+  const ImmResult efficient = run_imm(g, opt, Engine::kEfficient);
+  const auto cmp =
+      compare_spread(g, opt.model, ripples.seeds, efficient.seeds);
+  EXPECT_EQ(cmp.candidate_seeds.size(), cmp.reference_seeds.size());
+  expect_meaningful(cmp);
+  EXPECT_TRUE(cmp.within(kSpreadTolerance)) << cmp.describe();
+}
+
 // The harness itself must be able to DETECT degradation, or the
 // equivalence assertions above are vacuous: dropping the last greedy
 // seed can only lose spread, and losing the FIRST (highest-marginal-

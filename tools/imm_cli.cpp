@@ -32,7 +32,7 @@
 //                       (default: EIMM_POOL_COMPRESS, then off); seeds
 //                       are bit-identical for every mode
 //   --fused             fused 64-wide RRR generation (default:
-//                       EIMM_FUSED, then off); IC output is
+//                       EIMM_FUSED, then on); IC output is
 //                       statistically, not bitwise, equivalent to the
 //                       scalar pipeline (LT stays bit-identical)
 //   --simulate N        verify seeds with N Monte-Carlo cascades
