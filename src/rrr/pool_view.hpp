@@ -115,9 +115,15 @@ class RRRSetView {
     return run_;
   }
 
-  /// The bitmap words; valid only for arena bitmaps (empty otherwise).
+  /// The bitmap words of an arena or RRRSet bitmap (empty otherwise).
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
-    return words_;
+    return kind_ == Kind::kSet ? set_->words() : words_;
+  }
+
+  /// The gap-coded payload of a compressed slot (empty otherwise).
+  [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
+    if (kind_ != Kind::kCompressed) return {};
+    return {comp_.data, static_cast<std::size_t>(comp_.bytes)};
   }
 
   /// Membership. May throw CheckError for a compressed slot whose

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -88,6 +89,12 @@ class RRRSet {
   /// baseline's binary-search kernel uses it directly).
   [[nodiscard]] const std::vector<VertexId>& vertices() const noexcept {
     return vertices_;
+  }
+
+  /// Bitmap words; only valid for the bitmap representation (empty for
+  /// vectors). The traced kernels report the word a member test reads.
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return bits_.words();
   }
 
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept {

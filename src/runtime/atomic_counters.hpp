@@ -58,6 +58,11 @@ class CounterSlab {
   void store(std::size_t i, std::uint64_t v) noexcept {
     slab_[i].store(v, std::memory_order_relaxed);
   }
+  /// Address of slot `i` — the word an update through this view hits
+  /// (the traced kernels report it to the cache model).
+  [[nodiscard]] const void* slot(std::size_t i) const noexcept {
+    return slab_ + i;
+  }
 
  private:
   std::atomic<std::uint64_t>* slab_ = nullptr;
@@ -97,6 +102,10 @@ class CounterArray {
   }
   void set(std::size_t i, std::uint64_t v) noexcept {
     array_[i].store(v, std::memory_order_relaxed);
+  }
+  /// Address of counter `i` (what a traced read of it touches).
+  [[nodiscard]] const void* slot(std::size_t i) const noexcept {
+    return array_.data() + i;
   }
 
   /// Zeroes all counters (parallel).
@@ -166,6 +175,13 @@ class ShardedCounterArray {
                                           std::size_t i) const noexcept {
     return replicas_[static_cast<std::size_t>(shard)][i].load(
         std::memory_order_relaxed);
+  }
+
+  /// Address of counter `i` in the first replica — where a traced read
+  /// of the summed value is attributed (the cache model itself only
+  /// ever replays the flat layout).
+  [[nodiscard]] const void* slot(std::size_t i) const noexcept {
+    return replicas_.front().data() + i;
   }
 
   /// Zeroes every replica (parallel).

@@ -79,6 +79,12 @@ SelectionResult SelectionEngine::select(SelectionKernel kernel,
                                         SelectionWorkspace* workspace) const {
   static const obs::Counter runs = obs::counter("selection.runs_total");
   static const obs::Histogram run_us = obs::histogram("selection.run_us");
+  static const obs::Counter rounds_indexed =
+      obs::counter("selection.rounds_indexed");
+  static const obs::Counter rounds_scanned =
+      obs::counter("selection.rounds_scanned");
+  static const obs::Counter rounds_rebuilt =
+      obs::counter("selection.rounds_rebuilt");
   obs::TraceSpan span("selection.select", "kernel",
                       kernel == SelectionKernel::kEfficient ? 0 : 1,
                       "counter_shards", shards_, "sets",
@@ -87,6 +93,12 @@ SelectionResult SelectionEngine::select(SelectionKernel kernel,
   SelectionResult result = select_impl(kernel, pool, options, base, workspace);
   runs.add();
   run_us.observe(timer.nanos() / 1000);
+  // Every pick ends in one counter update: a rebuild, an indexed
+  // decrement, or a scanning decrement (all Ripples rounds scan).
+  rounds_indexed.add(result.indexed_rounds);
+  rounds_rebuilt.add(result.rebuild_rounds);
+  rounds_scanned.add(result.seeds.size() - result.indexed_rounds -
+                     result.rebuild_rounds);
   return result;
 }
 

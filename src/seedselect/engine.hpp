@@ -15,7 +15,14 @@
 //     ShardedCounterArray with one mbind(kLocal) replica per domain;
 //   * the prebuilt-counter (kernel fusion, Algorithm 3) hand-off: the
 //     engine copies a fused base into whichever working layout it
-//     chose, so core/imm no longer needs to know the layout exists.
+//     chose, so core/imm no longer needs to know the layout exists;
+//   * round telemetry — each select() adds its indexed, scanned and
+//     rebuilt counter-update rounds to the obs counters
+//     selection.rounds_{indexed,scanned,rebuilt}.
+//
+// The efficient kernel's budgeted hot-vertex index (select.hpp) needs
+// no engine support: it is built inside every efficient selection, so
+// probing, final selection, dist/imm and SketchStore builds all use it.
 //
 // Contract: the engine's seed sequences are bit-identical to the legacy
 // kernels for every shard count and pin mode (same lowest-vertex-id

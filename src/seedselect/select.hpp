@@ -13,7 +13,16 @@
 // 64-bit atomic counter; the arg-max is a two-step parallel reduction;
 // after each pick the counter is either decremented over covered sets or
 // rebuilt from the survivors — whichever touches fewer vertices
-// (§IV-C "Adaptive Vertex Occurrence Counter Update"). The kernel is
+// (§IV-C "Adaptive Vertex Occurrence Counter Update"). Decrement rounds
+// go through a budgeted hot-vertex index (HotVertexIndex below), built
+// once per selection from the initial counters: the highest-count
+// vertices whose counts sum to at most θ/8, each with the ascending ids
+// of the sets containing it. One parallel pass over the pool fills it;
+// a decrement whose seed is indexed then costs O(covered sets) — it
+// walks the seed's list — instead of a θ-wide scan that decodes every
+// alive set to test membership. A seed outside the index (or a pool
+// with no index: the top vertex alone exceeds the budget, or θ ≥ 2^32)
+// falls back to that scan unchanged. The kernel is
 // additionally templated on the Counters layout: the flat CounterArray
 // (the paper's shared atomic array) or the NUMA ShardedCounterArray
 // (per-domain replicas, updates to the caller's home replica, summed
@@ -34,8 +43,12 @@
 
 #include <omp.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "runtime/atomic_counters.hpp"
@@ -44,6 +57,7 @@
 #include "runtime/work_queue.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
+#include "support/bits.hpp"
 #include "support/macros.hpp"
 
 namespace eimm {
@@ -94,6 +108,10 @@ struct SelectionResult {
   std::uint64_t total_sets = 0;
   /// How many rounds chose rebuild over decrement (diagnostics).
   std::uint32_t rebuild_rounds = 0;
+  /// Decrement rounds that walked the hot-vertex index instead of
+  /// scanning every set; the remaining rounds (seeds.size() − rebuild −
+  /// indexed) scanned.
+  std::uint32_t indexed_rounds = 0;
 
   /// F(S): fraction of RRR sets covered — the martingale estimator input.
   [[nodiscard]] double coverage_fraction() const noexcept {
@@ -106,30 +124,40 @@ struct SelectionResult {
 namespace detail {
 
 /// Traced iteration over one RRR set: touches the payload the way the
-/// real representation lays it out (vector elements or bitmap words).
-/// `SetT` is RRRSet or RRRSetView — both expose the same surface, so the
-/// kernels run unchanged over legacy pools and zero-copy views.
+/// real representation lays it out (run elements, bitmap words, or the
+/// gap-coded bytes). `SetT` is RRRSet or RRRSetView — both expose the
+/// same surface, so the kernels run unchanged over legacy pools and
+/// zero-copy views.
 template <typename Mem, typename SetT, typename Fn>
 void for_each_traced(const SetT& set, Fn&& fn) {
-  if (set.repr() == RRRRepr::kVector) {
-    const auto& verts = set.vertices();
-    for (const VertexId v : verts) {
+  const RRRRepr repr = set.repr();
+  if (repr == RRRRepr::kVector) {
+    for (const VertexId& v : set.vertices()) {
       Mem::touch(&v, sizeof(VertexId));
       fn(v);
     }
-  } else {
+  } else if (repr == RRRRepr::kBitmap) {
     // Bitmap: the kernel streams whole words and expands set bits.
+    const std::uint64_t* words = set.words().data();
     set.for_each([&](VertexId v) {
-      Mem::touch(&v, sizeof(std::uint64_t));
+      Mem::touch(words + (v >> 6), sizeof(std::uint64_t));
       fn(v);
     });
+  } else {
+    if constexpr (std::is_same_v<SetT, RRRSetView>) {
+      const auto bytes = set.payload();
+      Mem::touch(bytes.data(), bytes.size());
+    }
+    set.for_each(std::forward<Fn>(fn));
   }
 }
 
-/// Traced membership test (binary search probes / single bit test).
+/// Traced membership test (binary search probes / single bit test /
+/// linear decode of a gap-coded payload).
 template <typename Mem, typename SetT>
 bool contains_traced(const SetT& set, VertexId v) {
-  if (set.repr() == RRRRepr::kVector) {
+  const RRRRepr repr = set.repr();
+  if (repr == RRRRepr::kVector) {
     const auto& verts = set.vertices();
     std::size_t lo = 0, hi = verts.size();
     while (lo < hi) {
@@ -143,7 +171,17 @@ bool contains_traced(const SetT& set, VertexId v) {
     }
     return lo < verts.size() && verts[lo] == v;
   }
-  Mem::touch(&set, sizeof(std::uint64_t));
+  if constexpr (Mem::kTracing) {
+    if (repr == RRRRepr::kBitmap) {
+      const auto words = set.words();
+      if ((v >> 6) < words.size()) {
+        Mem::touch(words.data() + (v >> 6), sizeof(std::uint64_t));
+      }
+    } else if constexpr (std::is_same_v<SetT, RRRSetView>) {
+      const auto bytes = set.payload();
+      Mem::touch(bytes.data(), bytes.size());
+    }
+  }
   return set.contains(v);
 }
 
@@ -160,7 +198,7 @@ ArgMaxResult argmax_counters(const Counters& counters,
     ArgMaxResult best{0, 0};
     for (std::size_t i = 0; i < counters.size(); ++i) {
       if (eligible != nullptr && eligible[i] == 0) continue;
-      Mem::touch(&counters, sizeof(std::uint64_t));
+      Mem::touch(counters.slot(i), sizeof(std::uint64_t));
       const std::uint64_t v = counters.get(i);
       if (v > best.value) {
         best.value = v;
@@ -172,6 +210,149 @@ ArgMaxResult argmax_counters(const Counters& counters,
 }
 
 }  // namespace detail
+
+// ---------------------------------------------------------------------------
+// Budgeted hot-vertex index (decrement rounds of the efficient kernel)
+// ---------------------------------------------------------------------------
+
+/// Inverted lists for the vertices most likely to be picked: the longest
+/// prefix of the vertices ordered by initial count (descending, lower id
+/// first on ties) whose counts sum to at most num_sets / kBudgetDivisor.
+/// Each indexed vertex owns the ascending ids of the sets containing it,
+/// so a decrement round whose seed is indexed walks exactly the sets it
+/// covers. The lists never change during a selection: a rebuild round
+/// only flips alive flags, which the walk checks per entry.
+///
+/// Memory: at most 4 B × θ/8 of set ids (under 3% of SegmentedPool's
+/// 16-byte entry table) plus a |V|-bit membership bitmap with one 32-bit
+/// rank per 64 vertices and one offset per indexed vertex.
+class HotVertexIndex {
+ public:
+  /// Budget: at most num_sets / kBudgetDivisor list entries in total.
+  static constexpr std::uint64_t kBudgetDivisor = 8;
+  /// Set ids are stored as uint32_t, so pools of kMaxSets (2^32) sets or
+  /// more build no index and every decrement round scans — ids are never
+  /// truncated, however large ImmOptions::max_rrr_sets lets θ grow.
+  static constexpr std::uint64_t kMaxSets = std::uint64_t{1} << 32;
+
+  /// Builds the index over `pool` from its initial per-vertex counts
+  /// (`counters` must hold exactly each vertex's set count, as it does
+  /// before the first pick). Returns an empty index when the pool is too
+  /// large for 32-bit ids, the top vertex alone exceeds the budget, or
+  /// the counts disagree with the pool. Call outside parallel regions.
+  template <typename Mem, typename Counters, typename PoolT>
+  static HotVertexIndex build(const PoolT& pool, const Counters& counters) {
+    HotVertexIndex index;
+    const std::uint64_t num_sets = pool.size();
+    if (num_sets >= kMaxSets) return index;
+    const std::uint64_t budget = num_sets / kBudgetDivisor;
+    const VertexId n = pool.num_vertices();
+    // Candidate keys: count in the high word, inverted id in the low
+    // word, so a larger key means a higher count, then a lower id.
+    std::vector<std::uint64_t> keys;
+    for (VertexId v = 0; v < n; ++v) {
+      Mem::touch(counters.slot(v), sizeof(std::uint64_t));
+      const std::uint64_t count = counters.get(v);
+      if (count == 0) continue;
+      if (count > budget) return index;  // the top vertex cannot fit
+      keys.push_back(count << 32 | (~std::uint64_t{v} & 0xffffffffu));
+    }
+    index.plan(std::move(keys), budget, n);
+    if (!index.empty()) index.fill<Mem>(pool);
+    return index;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return sets_.empty(); }
+  /// Indexed vertices / total list entries (diagnostics and tests).
+  [[nodiscard]] std::size_t num_indexed() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  [[nodiscard]] std::size_t num_entries() const noexcept {
+    return sets_.size();
+  }
+
+  /// Ascending ids of every set (alive or not) containing `v`; empty
+  /// when `v` is not indexed (an indexed vertex has count >= 1).
+  template <typename Mem = NullMem>
+  [[nodiscard]] std::span<const std::uint32_t> covering(VertexId v) const {
+    const std::size_t w = v >> 6;
+    if (w >= words_.size()) return {};
+    Mem::touch(&words_[w], sizeof(std::uint64_t));
+    if (((words_[w] >> (v & 63)) & 1) == 0) return {};
+    const std::size_t r = rank<Mem>(v);
+    Mem::touch(&offsets_[r], 2 * sizeof(std::uint32_t));
+    return {sets_.data() + offsets_[r], offsets_[r + 1] - offsets_[r]};
+  }
+
+ private:
+  /// Chooses the indexed vertices from the candidate keys (expected
+  /// O(|V|): a weighted quickselect over nth_element, no full sort) and
+  /// lays out the bitmap, ranks and list offsets. Defined in select.cpp.
+  void plan(std::vector<std::uint64_t> keys, std::uint64_t budget,
+            VertexId n);
+
+  /// Position of indexed vertex `v` among the indexed vertices.
+  template <typename Mem>
+  [[nodiscard]] std::size_t rank(VertexId v) const noexcept {
+    const std::size_t w = v >> 6;
+    Mem::touch(&ranks_[w], sizeof(std::uint32_t));
+    const std::uint64_t below = words_[w] & ((std::uint64_t{1} << (v & 63)) - 1);
+    return ranks_[w] + static_cast<std::size_t>(popcount64(below));
+  }
+
+  /// One parallel pass over the pool: every member of an indexed vertex
+  /// claims the next slot of that vertex's list through an atomic cursor
+  /// starting at its offset. Lists are then sorted, so their content
+  /// (and a traced walk) does not depend on the schedule. A count that
+  /// disagrees with the pool empties the index instead of overrunning.
+  template <typename Mem, typename PoolT>
+  void fill(const PoolT& pool) {
+    const std::size_t m = num_indexed();
+    std::vector<std::atomic<std::uint32_t>> cursor(m);
+    for (std::size_t r = 0; r < m; ++r) cursor[r] = offsets_[r];
+    std::atomic<bool> overrun{false};
+    const auto num_sets = static_cast<std::int64_t>(pool.size());
+#pragma omp parallel for schedule(static)
+    for (std::int64_t i = 0; i < num_sets; ++i) {
+      detail::for_each_traced<Mem>(pool[static_cast<std::size_t>(i)],
+                                   [&](VertexId v) {
+        const std::size_t w = v >> 6;
+        Mem::touch(&words_[w], sizeof(std::uint64_t));
+        if (((words_[w] >> (v & 63)) & 1) == 0) return;
+        const std::size_t r = rank<Mem>(v);
+        Mem::touch(&cursor[r], sizeof(std::uint32_t));
+        const std::uint32_t at =
+            cursor[r].fetch_add(1, std::memory_order_relaxed);
+        if (at >= offsets_[r + 1]) {
+          overrun.store(true, std::memory_order_relaxed);
+          return;
+        }
+        Mem::touch(&sets_[at], sizeof(std::uint32_t));
+        sets_[at] = static_cast<std::uint32_t>(i);
+      });
+    }
+    bool exact = !overrun.load();
+    for (std::size_t r = 0; exact && r < m; ++r) {
+      exact = cursor[r].load(std::memory_order_relaxed) == offsets_[r + 1];
+    }
+    if (!exact) {
+      *this = HotVertexIndex();
+      return;
+    }
+    const auto lists = static_cast<std::int64_t>(m);
+#pragma omp parallel for schedule(dynamic, 64)
+    for (std::int64_t r = 0; r < lists; ++r) {
+      Mem::touch(sets_.data() + offsets_[r],
+                 (offsets_[r + 1] - offsets_[r]) * sizeof(std::uint32_t));
+      std::sort(sets_.begin() + offsets_[r], sets_.begin() + offsets_[r + 1]);
+    }
+  }
+
+  std::vector<std::uint64_t> words_;    // |V|-bit "is indexed" bitmap
+  std::vector<std::uint32_t> ranks_;    // indexed vertices before word w
+  std::vector<std::uint32_t> offsets_;  // list r is [offsets_[r], [r+1])
+  std::vector<std::uint32_t> sets_;     // concatenated set-id lists
+};
 
 // ---------------------------------------------------------------------------
 // EfficientIMM kernel (Algorithm 2)
@@ -220,7 +401,7 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
              batch = jobs.next(wid)) {
           for (std::size_t i = batch.begin; i < batch.end; ++i) {
             detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
-              Mem::touch(&counters, sizeof(std::uint64_t));
+              Mem::touch(slab.slot(v), sizeof(std::uint64_t));
               slab.increment(v);
             });
           }
@@ -233,13 +414,17 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
 #pragma omp for schedule(static)
         for (std::size_t i = 0; i < num_sets; ++i) {
           detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
-            Mem::touch(&counters, sizeof(std::uint64_t));
+            Mem::touch(slab.slot(v), sizeof(std::uint64_t));
             slab.increment(v);
           });
         }
       }
     }
   }
+
+  // Built from the initial counts, before the first pick changes them.
+  const HotVertexIndex index =
+      HotVertexIndex::build<Mem>(pool, std::as_const(counters));
 
   std::uint64_t alive_count = num_sets;
   const std::size_t rounds = std::min<std::size_t>(options.k, n);
@@ -278,8 +463,32 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
             continue;
           }
           detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
-            Mem::touch(&counters, sizeof(std::uint64_t));
+            Mem::touch(slab.slot(v), sizeof(std::uint64_t));
             slab.increment(v);
+          });
+        }
+      }
+    } else if (const auto covering = index.covering<Mem>(seed);
+               !covering.empty()) {
+      ++result.indexed_rounds;
+      // Indexed decrement: walk only the seed's list. Each set id appears
+      // once in it, so exactly one worker retires each covered set; the
+      // decrements commute, so the counters end where the scan leaves
+      // them.
+      const auto entries = static_cast<std::int64_t>(covering.size());
+#pragma omp parallel
+      {
+        CounterSlab slab = counters.local();
+#pragma omp for schedule(dynamic, 16)
+        for (std::int64_t j = 0; j < entries; ++j) {
+          Mem::touch(&covering[j], sizeof(std::uint32_t));
+          const std::uint32_t i = covering[j];
+          Mem::touch(&alive[i], sizeof(std::uint8_t));
+          if (!alive[i]) continue;
+          alive[i] = 0;
+          detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
+            Mem::touch(slab.slot(v), sizeof(std::uint64_t));
+            slab.decrement(v);
           });
         }
       }
@@ -299,7 +508,7 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
           if (!detail::contains_traced<Mem>(pool[i], seed)) continue;
           alive[i] = 0;
           detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
-            Mem::touch(&counters, sizeof(std::uint64_t));
+            Mem::touch(slab.slot(v), sizeof(std::uint64_t));
             slab.decrement(v);
           });
         }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/imm.hpp"
+#include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
 #include "test_util.hpp"
@@ -120,6 +121,49 @@ TEST(SelectionEngine, PrebuiltBaseSkipsTheInitialBuild) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < pool.size(); ++i) total += pool[i].size();
   EXPECT_EQ(base.total(), total);
+}
+
+std::uint64_t counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  const obs::MetricValue* metric = snap.find(name);
+  return metric != nullptr ? metric->value : 0;
+}
+
+TEST(SelectionEngine, CountsIndexedScannedAndRebuiltRounds) {
+  // A sparse LT pool: small sets, so the hot-vertex index fits the θ/8
+  // budget and the early picks walk it.
+  const DiffusionGraph g = make_workload_with_weights(
+      "as-Skitter", DiffusionModel::kLinearThreshold, 0.2, 17);
+  const RRRPool pool = testing::sample_pool(
+      g, DiffusionModel::kLinearThreshold, 4000, 99);
+  SelectionEngineConfig config;
+  config.pin = PinMode::kNone;
+  const SelectionEngine engine(config);
+  SelectionOptions options;
+  options.k = 20;
+
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const char* names[] = {"selection.rounds_indexed",
+                         "selection.rounds_scanned",
+                         "selection.rounds_rebuilt"};
+  for (const SelectionKernel kernel :
+       {SelectionKernel::kEfficient, SelectionKernel::kRipples}) {
+    std::uint64_t before[3];
+    for (int i = 0; i < 3; ++i) before[i] = counter_value(names[i]);
+    const SelectionResult r = engine.select(kernel, pool, options);
+    std::uint64_t delta[3];
+    for (int i = 0; i < 3; ++i) delta[i] = counter_value(names[i]) - before[i];
+    EXPECT_EQ(delta[0], r.indexed_rounds);
+    EXPECT_EQ(delta[2], r.rebuild_rounds);
+    EXPECT_EQ(delta[0] + delta[1] + delta[2], r.seeds.size());
+    if (kernel == SelectionKernel::kEfficient) {
+      EXPECT_GT(r.indexed_rounds, 0u);
+    } else {
+      EXPECT_EQ(delta[1], r.seeds.size());  // every Ripples round scans
+    }
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 TEST(SelectionEngine, StoreKernelMatchesPoolKernel) {
