@@ -127,8 +127,10 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   }
   build.shards_used =
       engine == Engine::kEfficient ? resolve_shards(options.shards) : 1;
+  // Fusion serves IC only; an LT build samples scalar whatever was asked.
   build.fused_sampling_used =
       engine == Engine::kEfficient &&
+      options.model == DiffusionModel::kIndependentCascade &&
       resolve_fused_sampling(options.fused_sampling);
   // Every EfficientIMM build stages through the ShardedSampler into the
   // segmented zero-copy storage; build.pool serves the Ripples baseline.

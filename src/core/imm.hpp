@@ -16,8 +16,9 @@
 // off (FusedSampling::kOff or EIMM_FUSED=0) they also build identical
 // RRR-set contents from the same seed, so runtime differences are purely
 // the parallelization strategy, exactly as the paper frames them. Fused
-// sampling — the EfficientIMM default — keeps LT contents identical but
-// makes IC contents only statistically equivalent (ctest -L statcheck).
+// sampling — the EfficientIMM default, IC only — makes IC contents only
+// statistically equivalent (ctest -L statcheck); LT always samples scalar,
+// so LT contents are identical in every mode.
 #pragma once
 
 #include <cstdint>
@@ -113,15 +114,16 @@ struct ImmOptions {
   /// pins it): compression changes storage, never set contents.
   PoolCompression pool_compress = PoolCompression::kAuto;
 
-  /// Fused 64-wide sampling (rrr/fused.hpp): one traversal emits up to
-  /// 64 RRR sets by packing lanes into a per-vertex uint64_t visited
+  /// Fused 64-wide IC sampling (rrr/fused.hpp): one traversal emits up
+  /// to 64 RRR sets by packing lanes into a per-vertex uint64_t visited
   /// word. kAuto resolves the EIMM_FUSED environment variable (default
-  /// ON; EIMM_FUSED=0 selects the scalar sampler). kEfficient engine
-  /// only. Fused pools are identical across shard counts and
-  /// deterministic in the seed; LT contents match the scalar sampler bit
-  /// for bit, but IC contents are only STATISTICALLY equivalent (the
-  /// joint traversal reorders coin flips) — the statcheck spread-ratio
-  /// harness validates the mode instead of bit-identity.
+  /// ON; EIMM_FUSED=0 selects the scalar sampler). kEfficient engine and
+  /// IC model only: LT walks share no traversal work, so an LT build
+  /// samples scalar under every value. Fused pools are identical across
+  /// shard counts and deterministic in the seed, but only STATISTICALLY
+  /// equivalent to scalar IC (the joint traversal reorders coin flips) —
+  /// the statcheck spread-ratio harness validates the mode instead of
+  /// bit-identity.
   FusedSampling fused_sampling = FusedSampling::kAuto;
 };
 
@@ -168,7 +170,7 @@ struct ImmResult {
   std::uint64_t mapped_bytes = 0;
   std::uint64_t merged_bytes = 0;
   /// Whether the build sampled through the fused 64-wide generator
-  /// (resolved from the option and EIMM_FUSED).
+  /// (resolved from the option and EIMM_FUSED; false for LT).
   bool fused_sampling_used = false;
   /// Pool compression the build actually used (resolved from the option
   /// and EIMM_POOL_COMPRESS; kNone when the pool stayed raw).
@@ -225,7 +227,7 @@ struct PoolBuild {
   double probing_selection_seconds = 0.0;
   /// Resolved sampling shard count (always 1 for the ripples engine).
   int shards_used = 1;
-  /// Whether generation went through the fused 64-wide sampler.
+  /// Whether generation went through the fused 64-wide sampler (IC only).
   bool fused_sampling_used = false;
   std::vector<MartingaleIteration> iterations;
 

@@ -21,6 +21,19 @@ NumaBuffer::NumaBuffer(std::size_t bytes, MemPolicy policy) {
   policy_applied_ = apply_mempolicy(data_, bytes_, policy);
 }
 
+void NumaBuffer::grow(std::size_t bytes) {
+  if (data_ == nullptr) {
+    *this = NumaBuffer(bytes, MemPolicy::kDefault);
+    return;
+  }
+  const std::size_t rounded = (bytes + kPageSize - 1) / kPageSize * kPageSize;
+  if (rounded <= bytes_) return;
+  void* p = ::mremap(data_, bytes_, rounded, MREMAP_MAYMOVE);
+  EIMM_CHECK(p != MAP_FAILED, "mremap failed for NumaBuffer");
+  data_ = p;
+  bytes_ = rounded;
+}
+
 void NumaBuffer::release() noexcept {
   if (data_ != nullptr) {
     ::munmap(data_, bytes_);

@@ -40,6 +40,11 @@ class NumaBuffer {
   }
   ~NumaBuffer() { release(); }
 
+  /// Extends the mapping to at least `bytes` via mremap, which moves page
+  /// tables, not data: contents stay, the zero-filled tail is not
+  /// resident until touched, and data() may change. Never shrinks.
+  void grow(std::size_t bytes);
+
   [[nodiscard]] void* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
   /// True when the kernel accepted the placement request (always false on

@@ -98,7 +98,6 @@ void draw_roots(const CSRGraph& reverse, std::uint64_t base_seed,
     const std::uint64_t bit = std::uint64_t{1} << l;
     scratch.visited[root] |= bit;
     scratch.pending[root] |= bit;
-    scratch.current[l] = root;
   }
 }
 
@@ -148,55 +147,15 @@ void traverse_ic(const CSRGraph& reverse, Xoshiro256& mask_rng,
   }
 }
 
-/// LT: per-lane reverse random walks over the shared visited words. A
-/// lane falls out of `alive` when no in-neighbor activates it or its
-/// walk closes a cycle. Draw order within a lane matches the scalar
-/// kernel exactly, so each lane's set is bit-identical to scalar LT.
-void traverse_lt(const CSRGraph& reverse, unsigned lane_begin,
-                 unsigned lane_end, FusedScratch& scratch) {
-  std::uint64_t alive = lane_end - lane_begin == kFusedLanes
-                            ? ~std::uint64_t{0}
-                            : ((std::uint64_t{1} << (lane_end - lane_begin)) - 1)
-                                  << lane_begin;
-  while (alive != 0) {
-    for (std::uint64_t rest = alive; rest != 0; rest &= rest - 1) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(rest));
-      const std::uint64_t bit = std::uint64_t{1} << l;
-      const VertexId u = scratch.current[l];
-      const auto neighbors = reverse.neighbors(u);
-      const auto weights = reverse.weights(u);
-      if (neighbors.empty()) {
-        alive &= ~bit;
-        continue;
-      }
-      const double r = scratch.lane_rng[l].next_double();
-      double cumulative = 0.0;
-      VertexId picked = kInvalidVertex;
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        cumulative += weights[i];
-        if (r < cumulative) {
-          picked = neighbors[i];
-          break;
-        }
-      }
-      if (picked == kInvalidVertex || (scratch.visited[picked] & bit) != 0) {
-        alive &= ~bit;  // no activator, or the walk closed a cycle
-        continue;
-      }
-      if (scratch.visited[picked] == 0) scratch.touched.push_back(picked);
-      scratch.visited[picked] |= bit;
-      scratch.current[l] = picked;
-    }
-  }
-}
-
-/// Shared front half of both entry points: validates, runs the model's
+/// Shared front half of both entry points: validates, runs the IC
 /// traversal, and leaves scratch.visited/touched describing the lane
 /// sets (touched sorted ascending, so every emit order is sorted too).
 void run_fused_traversal(const CSRGraph& reverse, DiffusionModel model,
                          std::uint64_t base_seed, std::uint64_t block,
                          unsigned lane_begin, unsigned lane_end,
                          FusedScratch& scratch) {
+  EIMM_CHECK(model == DiffusionModel::kIndependentCascade,
+             "fused sampling serves IC only; LT runs the scalar sampler");
   EIMM_CHECK(reverse.has_weights(), "reverse graph needs diffusion weights");
   EIMM_CHECK(reverse.num_vertices() > 0, "empty graph");
   EIMM_CHECK(lane_begin < lane_end && lane_end <= kFusedLanes,
@@ -206,17 +165,12 @@ void run_fused_traversal(const CSRGraph& reverse, DiffusionModel model,
   scratch.touched.clear();
   draw_roots(reverse, base_seed, block, lane_begin, lane_end, scratch);
 
-  if (model == DiffusionModel::kIndependentCascade) {
-    // The mask stream lives in its own split domain and is salted with
-    // (block, lane_begin): two traversals over different lane windows of
-    // the same block (a martingale round split) never share mask draws.
-    Xoshiro256 mask_rng =
-        rng_stream(rng_split(base_seed, rng_domain::kFusedMask),
-                   block * kFusedLanes + lane_begin);
-    traverse_ic(reverse, mask_rng, scratch);
-  } else {
-    traverse_lt(reverse, lane_begin, lane_end, scratch);
-  }
+  // The mask stream lives in its own split domain and is salted with
+  // (block, lane_begin): two traversals over different lane windows of
+  // the same block (a martingale round split) never share mask draws.
+  Xoshiro256 mask_rng = rng_stream(rng_split(base_seed, rng_domain::kFusedMask),
+                                   block * kFusedLanes + lane_begin);
+  traverse_ic(reverse, mask_rng, scratch);
   std::sort(scratch.touched.begin(), scratch.touched.end());
 }
 
@@ -241,7 +195,6 @@ FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
   for (const VertexId v : scratch.touched) {
     std::uint64_t word = scratch.visited[v];
     scratch.visited[v] = 0;
-    scratch.pending[v] = 0;  // LT roots park lanes here and never expand
     stats.members += static_cast<std::uint64_t>(std::popcount(word));
     for (; word != 0; word &= word - 1) {
       const unsigned l = static_cast<unsigned>(std::countr_zero(word));
@@ -301,7 +254,6 @@ FusedTraversalStats sample_rrr_fused_into(
   for (const VertexId v : scratch.touched) {
     const std::uint64_t word = scratch.visited[v];
     scratch.visited[v] = 0;
-    scratch.pending[v] = 0;  // LT roots park lanes here and never expand
     for (std::uint64_t w = word & ~bitmap_lanes; w != 0; w &= w - 1) {
       *dest[std::countr_zero(w)]++ = v;
     }

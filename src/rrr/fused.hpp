@@ -1,4 +1,4 @@
-// Fused 64-wide RRR sampling: one traversal produces 64 sets.
+// Fused 64-wide IC RRR sampling: one traversal produces 64 sets.
 //
 // The scalar kernels in rrr/generate.hpp pay one full BFS/walk per RRR
 // set, re-reading every frontier vertex's adjacency once per set. This
@@ -25,17 +25,15 @@
 //   lane still expands each vertex at most once and flips each edge at
 //   most once — the scalar IC live-edge semantics, 64-wide.
 //
-//   LT — every lane performs its own reverse random walk (one
-//   in-neighbor pick per step, lane falls out on no-pick or cycle), but
-//   all walks share the visited words, the touched list, and the emit
-//   pass. Because each lane draws from its own stream in scalar order,
-//   fused LT sets are bit-identical to their scalar counterparts; only
-//   the shared bookkeeping is fused.
+// LT is not fused: its lanes would be independent reverse walks that
+// share no traversal work, so fusion only adds bookkeeping. The sharded
+// sampler stages every LT set through its scalar loop, and both entry
+// points below reject LT with a CheckError.
 //
 // RNG contract (runtime/rng_stream.hpp): lane `l` of traversal block `b`
 // covers global RRR slot b*64+l and seeds from rng_stream(seed, b*64+l)
 // — the SAME stream the scalar sampler would use for that slot, so fused
-// roots (and whole LT sets) match scalar. The block-level IC mask stream
+// roots match scalar. The block-level IC mask stream
 // comes from an rng_split domain salted by (block, lane_begin): when a
 // martingale round boundary splits a block into two traversals, the two
 // lane windows draw from disjoint mask streams, so no randomness is ever
@@ -65,8 +63,8 @@ inline constexpr unsigned kFusedLanes = 64;
 /// explicit on/off wins, kAuto resolves the EIMM_FUSED environment
 /// variable (default ON; EIMM_FUSED=0 opts out). Fused IC output is
 /// statistically, not bitwise, equivalent to the scalar pipeline — the
-/// statcheck spread-ratio gate enforces it — while fused LT is
-/// bit-identical.
+/// statcheck spread-ratio gate enforces it. The mode applies to IC only;
+/// LT always samples scalar.
 enum class FusedSampling { kAuto, kOff, kOn };
 
 /// Applies the kAuto -> EIMM_FUSED defaulting; returns the final answer.
@@ -75,7 +73,7 @@ enum class FusedSampling { kAuto, kOff, kOn };
 [[nodiscard]] std::string_view to_string(FusedSampling mode) noexcept;
 
 /// Per-worker reusable state for fused traversals. `visited` and
-/// `pending` must be all-zero between traversals; the IC expansion
+/// `pending` must be all-zero between traversals; the expansion
 /// consumes every pending word it queues, and sample_rrr_fused clears
 /// the visited words it touched during its emit pass (O(touched), not
 /// O(|V|)), restoring the invariant without epoch stamps — a 64-bit
@@ -89,7 +87,7 @@ struct FusedScratch {
 
   std::vector<std::uint64_t> visited;  ///< lane bitset per vertex
   /// Lanes that reached the vertex but have not been expanded from it
-  /// yet; the coalescing accumulator (IC only).
+  /// yet; the coalescing accumulator.
   std::vector<std::uint64_t> pending;
   /// Work queue with index cursor; a vertex re-enters only on a
   /// pending 0 -> nonzero transition, so entries consume whole masks.
@@ -98,7 +96,6 @@ struct FusedScratch {
   /// Per-lane member output, sorted ascending after a traversal.
   std::array<std::vector<VertexId>, kFusedLanes> members;
   std::array<Xoshiro256, kFusedLanes> lane_rng;
-  std::array<VertexId, kFusedLanes> current;  ///< LT walk positions
 };
 
 /// Diagnostics from one traversal (feeds the sampler.fused metrics).
@@ -122,7 +119,8 @@ struct FusedTraversalStats {
 /// block `block` (global slots block*64+lane). On return
 /// scratch.members[l] holds lane l's sorted RRR set (root included) for
 /// every lane in the window, and scratch.visited is all-zero again.
-/// `reverse` must carry diffusion weights; lane_begin < lane_end <= 64.
+/// `reverse` must carry IC probabilities; lane_begin < lane_end <= 64.
+/// Throws CheckError for any model but IC.
 FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
                                      DiffusionModel model,
                                      std::uint64_t base_seed,

@@ -60,11 +60,12 @@ class VisitScratch {
   std::uint32_t epoch_ = 0;
 };
 
-/// Per-thread reusable buffers for one sampler.
+/// Per-thread reusable buffers for one sampler; reusing one scratch
+/// makes sampling allocation-free.
 struct SamplerScratch {
-  explicit SamplerScratch(std::size_t n) : visited(n) { frontier.reserve(256); }
+  explicit SamplerScratch(std::size_t n) : visited(n) { members.reserve(256); }
   VisitScratch visited;
-  std::vector<VertexId> frontier;  // BFS queue storage
+  std::vector<VertexId> members;  // last set, root first; IC's BFS queue
 };
 
 /// Null instrumentation: compiled away entirely. A probe observes every
@@ -75,25 +76,32 @@ struct NullProbe {
   static void on_visited_access(VertexId v) noexcept { EIMM_UNUSED(v); }
 };
 
-/// Samples one RRR set under the IC model. `reverse` must carry IC
-/// probabilities on its (in-)edges. Returns the member vertices
-/// (unsorted; root always included). Probe hooks bracket the
-/// visited-bitmap accesses for the Table II instrumentation; Scratch may
-/// be any type exposing `.visited` (new_round/visited/mark) and
-/// `.frontier`, so alternative visited-structure placements can be
-/// compared under identical sampling.
+/// Samples one RRR set under the IC model into scratch.members (unsorted;
+/// root first). `reverse` must carry IC probabilities on its (in-)edges.
+/// Returns the in-edges scanned. Probe hooks bracket the visited-bitmap
+/// accesses for the Table II instrumentation; Scratch may be any type
+/// exposing `.visited` (new_round/visited/mark) and `.members`, so
+/// alternative visited-structure placements can be compared under
+/// identical sampling.
 template <typename Probe = NullProbe, typename Scratch = SamplerScratch>
-std::vector<VertexId> sample_rrr_ic(const CSRGraph& reverse, VertexId root,
-                                    Xoshiro256& rng, Scratch& scratch);
+std::uint64_t sample_rrr_ic(const CSRGraph& reverse, VertexId root,
+                            Xoshiro256& rng, Scratch& scratch);
 
-/// Samples one RRR set under the LT model. `reverse` must carry
-/// normalized LT weights (Σ_u w(u,v) ≤ 1 per v).
+/// Samples one RRR set under the LT model into scratch.members. `reverse`
+/// must carry normalized LT weights (Σ_u w(u,v) ≤ 1 per v). Returns the
+/// walk steps taken.
 template <typename Probe = NullProbe, typename Scratch = SamplerScratch>
-std::vector<VertexId> sample_rrr_lt(const CSRGraph& reverse, VertexId root,
-                                    Xoshiro256& rng, Scratch& scratch);
+std::uint64_t sample_rrr_lt(const CSRGraph& reverse, VertexId root,
+                            Xoshiro256& rng, Scratch& scratch);
 
 /// Model dispatch with deterministic per-index stream: root is chosen
-/// uniformly from |V| using the stream's first draw.
+/// uniformly from |V| using the stream's first draw. Leaves the set in
+/// scratch.members; returns IC edges scanned or LT walk steps.
+std::uint64_t sample_rrr_into(const CSRGraph& reverse, DiffusionModel model,
+                              std::uint64_t base_seed, std::uint64_t index,
+                              SamplerScratch& scratch);
+
+/// sample_rrr_into returning a copy of the members (unsorted).
 std::vector<VertexId> sample_rrr(const CSRGraph& reverse, DiffusionModel model,
                                  std::uint64_t base_seed, std::uint64_t index,
                                  SamplerScratch& scratch);
@@ -101,22 +109,21 @@ std::vector<VertexId> sample_rrr(const CSRGraph& reverse, DiffusionModel model,
 // --- template definitions ---
 
 template <typename Probe, typename Scratch>
-std::vector<VertexId> sample_rrr_ic(const CSRGraph& reverse, VertexId root,
-                                    Xoshiro256& rng, Scratch& scratch) {
+std::uint64_t sample_rrr_ic(const CSRGraph& reverse, VertexId root,
+                            Xoshiro256& rng, Scratch& scratch) {
   scratch.visited.new_round();
-  scratch.frontier.clear();
-
-  std::vector<VertexId> result;
-  result.push_back(root);
+  std::vector<VertexId>& queue = scratch.members;
+  queue.assign(1, root);
   scratch.visited.mark(root);
-  scratch.frontier.push_back(root);
 
-  // BFS with an index cursor instead of pop_front (frontier doubles as
-  // the visit log).
-  for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
-    const VertexId u = scratch.frontier[head];
+  // BFS with an index cursor instead of pop_front: the queue doubles as
+  // the member list.
+  std::uint64_t scanned = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const VertexId u = queue[head];
     const auto neighbors = reverse.neighbors(u);
     const auto probs = reverse.weights(u);
+    scanned += neighbors.size();
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       const VertexId w = neighbors[i];
       Probe::on_visited_access(w);
@@ -124,23 +131,21 @@ std::vector<VertexId> sample_rrr_ic(const CSRGraph& reverse, VertexId root,
       if (!seen && rng.next_bool(probs[i])) {
         Probe::on_visited_access(w);
         scratch.visited.mark(w);
-        result.push_back(w);
-        scratch.frontier.push_back(w);
+        queue.push_back(w);
       }
     }
   }
-  return result;
+  return scanned;
 }
 
 template <typename Probe, typename Scratch>
-std::vector<VertexId> sample_rrr_lt(const CSRGraph& reverse, VertexId root,
-                                    Xoshiro256& rng, Scratch& scratch) {
+std::uint64_t sample_rrr_lt(const CSRGraph& reverse, VertexId root,
+                            Xoshiro256& rng, Scratch& scratch) {
   scratch.visited.new_round();
-
-  std::vector<VertexId> result;
-  result.push_back(root);
+  scratch.members.assign(1, root);
   scratch.visited.mark(root);
 
+  std::uint64_t steps = 0;
   VertexId current = root;
   for (;;) {
     const auto neighbors = reverse.neighbors(current);
@@ -149,6 +154,7 @@ std::vector<VertexId> sample_rrr_lt(const CSRGraph& reverse, VertexId root,
     // Pick in-neighbor i with probability weights[i]; the leftover
     // probability mass (1 - Σ w) selects "no activator".
     const double r = rng.next_double();
+    ++steps;
     double cumulative = 0.0;
     VertexId picked = kInvalidVertex;
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
@@ -164,10 +170,10 @@ std::vector<VertexId> sample_rrr_lt(const CSRGraph& reverse, VertexId root,
     if (seen) break;  // walk closed a cycle
     Probe::on_visited_access(picked);
     scratch.visited.mark(picked);
-    result.push_back(picked);
+    scratch.members.push_back(picked);
     current = picked;
   }
-  return result;
+  return steps;
 }
 
 }  // namespace eimm

@@ -89,8 +89,9 @@ std::uint64_t ShardArena::mapped_bytes() const noexcept {
 }
 
 void SegmentedPool::resize(std::size_t count) {
-  EIMM_CHECK(count >= entries_.size(), "SegmentedPool never shrinks");
-  entries_.resize(count);
+  EIMM_CHECK(count >= size_, "SegmentedPool never shrinks");
+  table_.grow(count * sizeof(Entry));
+  size_ = count;
 }
 
 void SegmentedPool::ensure_workers(std::size_t workers) {
@@ -110,7 +111,7 @@ std::uint64_t SegmentedPool::mapped_bytes() const noexcept {
 }
 
 std::uint64_t SegmentedPool::memory_bytes() const noexcept {
-  return mapped_bytes() + entries_.capacity() * sizeof(Entry);
+  return mapped_bytes() + table_.bytes();
 }
 
 std::uint64_t RRRPoolView::total_vertices() const noexcept {

@@ -15,7 +15,8 @@
 //                    instead of re-mapping fresh ones.
 //   SegmentedPool  — the shard-local pool format that survives into
 //                    selection: per-worker arenas owning the staged
-//                    slots, plus one 16-byte entry per global RRR slot.
+//                    slots, plus one 16-byte entry per global RRR slot
+//                    in a slot table that grows in place (mremap).
 //                    A slot is either a sorted vertex run or — the
 //                    paper's adaptive representation (§IV-C) — a
 //                    word-aligned bitmap over |V|. No contiguous image
@@ -38,6 +39,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -253,13 +255,22 @@ class SegmentedPool {
   SegmentedPool() = default;
   explicit SegmentedPool(VertexId num_vertices)
       : num_vertices_(num_vertices) {}
+  SegmentedPool(SegmentedPool&& other) noexcept { *this = std::move(other); }
+  SegmentedPool& operator=(SegmentedPool&& other) noexcept {
+    num_vertices_ = other.num_vertices_;
+    size_ = std::exchange(other.size_, 0);
+    table_ = std::move(other.table_);
+    arenas_ = std::move(other.arenas_);
+    return *this;
+  }
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
     return num_vertices_;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Grows the slot table to `count` entries (never shrinks).
+  /// Grows the slot table to `count` entries (never shrinks) in place:
+  /// no written entry is copied or re-zeroed; new ones read as empty.
   void resize(std::size_t count);
 
   /// Grows the per-worker arena set to at least `workers` arenas. Must
@@ -282,21 +293,21 @@ class SegmentedPool {
   /// pool's arenas and stay valid for the pool's lifetime (arenas are
   /// never reset while entries reference them).
   void set_run(std::size_t i, std::span<const VertexId> run) noexcept {
-    entries_[i] = Entry{run.data(), static_cast<std::uint64_t>(run.size())};
+    entries()[i] = Entry{run.data(), static_cast<std::uint64_t>(run.size())};
   }
   /// Records slot `i`'s staged bitmap (ceil(|V|/64) words, `count`
   /// members); same lifetime contract as set_run.
   void set_bitmap(std::size_t i, const std::uint64_t* words,
                   std::size_t count) noexcept {
-    entries_[i] = Entry{words, kBitmapFlag | count};
+    entries()[i] = Entry{words, kBitmapFlag | count};
   }
 
   [[nodiscard]] bool is_bitmap(std::size_t i) const noexcept {
-    return (entries_[i].len & kBitmapFlag) != 0;
+    return (entries()[i].len & kBitmapFlag) != 0;
   }
   /// Slot `i`, whichever kind it is.
   [[nodiscard]] RRRSetView slot(std::size_t i) const noexcept {
-    const Entry& e = entries_[i];
+    const Entry& e = entries()[i];
     if ((e.len & kBitmapFlag) == 0) {
       return RRRSetView(std::span<const VertexId>(
           static_cast<const VertexId*>(e.data), e.len));
@@ -310,7 +321,7 @@ class SegmentedPool {
   /// Cumulative payload / currently-mapped staging bytes over all arenas.
   [[nodiscard]] std::uint64_t staged_bytes() const noexcept;
   [[nodiscard]] std::uint64_t mapped_bytes() const noexcept;
-  /// Resident footprint: mapped arena bytes plus the slot entry table.
+  /// Resident footprint: mapped arena bytes plus the mapped slot table.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
   /// Rewinds every arena's write cursor (chunks and their NUMA placement
@@ -333,8 +344,13 @@ class SegmentedPool {
     std::uint64_t len = 0;
   };
 
+  [[nodiscard]] Entry* entries() const noexcept {
+    return static_cast<Entry*>(table_.data());
+  }
+
   VertexId num_vertices_ = 0;
-  std::vector<Entry> entries_;
+  std::size_t size_ = 0;
+  NumaBuffer table_;  ///< size_ Entry slots, then untouched capacity
   std::vector<ShardArena> arenas_;
 };
 

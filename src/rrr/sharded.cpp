@@ -79,6 +79,70 @@ void record_round(ShardStats& stats, const ShardPlan& plan,
   }
 }
 
+/// Records a staged arena slot as pool slot `i`.
+void record_slot(SegmentedPool& pool, std::uint64_t i,
+                 const RRRSetView& slot) noexcept {
+  if (slot.repr() == RRRRepr::kBitmap) {
+    pool.set_bitmap(i, slot.words().data(), slot.size());
+  } else {
+    pool.set_run(i, slot.vertices());
+  }
+}
+
+/// A worker's private base-counter tally for one round: shared atomic
+/// increments bounce counter cache lines between workers, so flush()
+/// adds each touched vertex's count once per round (same sums). A null
+/// `counters` makes both calls no-ops.
+class CounterTally {
+ public:
+  explicit CounterTally(CounterArray* counters, VertexId n)
+      : counters_(counters), counts_(counters != nullptr ? n : 0, 0) {}
+
+  void bump(VertexId v) {
+    if (counters_ != nullptr && counts_[v]++ == 0) touched_.push_back(v);
+  }
+  void flush() noexcept {
+    for (const VertexId v : touched_) {
+      counters_->add(v, counts_[v]);
+      counts_[v] = 0;
+    }
+    touched_.clear();
+  }
+
+ private:
+  CounterArray* counters_;
+  std::vector<std::uint32_t> counts_;
+  std::vector<VertexId> touched_;
+};
+
+/// Writes one sampled set into `arena` as pool slot `i`: a bitmap slot
+/// when it has at least `bitmap_min` members (the adaptive
+/// representation, §IV-C), otherwise a run sorted in place first, so
+/// selection can binary-search it. Tallies the base counters in the same
+/// pass (kernel fusion, Algorithm 3).
+void stage_members(SegmentedPool& pool, ShardArena& arena, std::uint64_t i,
+                   std::vector<VertexId>& members, std::size_t bitmap_min,
+                   std::size_t bitmap_words, CounterTally& tally) {
+  if (members.size() >= bitmap_min) {
+    std::span<std::uint64_t> words;
+    (void)arena.allocate_bitmap(bitmap_words, members.size(), words);
+    for (const VertexId v : members) {
+      words[v >> 6] |= std::uint64_t{1} << (v & 63);
+      tally.bump(v);
+    }
+    pool.set_bitmap(i, words.data(), members.size());
+    return;
+  }
+  std::sort(members.begin(), members.end());
+  std::span<VertexId> run;
+  (void)arena.allocate(members.size(), run);
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    run[j] = members[j];
+    tally.bump(members[j]);
+  }
+  pool.set_run(i, run);
+}
+
 }  // namespace
 
 int resolve_shards(int requested) {
@@ -137,142 +201,40 @@ std::vector<std::size_t> ShardPlan::shards_for_worker(std::size_t w) const {
 }
 
 ShardedSampler::ShardedSampler(const CSRGraph& reverse, ShardedConfig config)
-    : reverse_(reverse), config_(std::move(config)) {
+    : reverse_(reverse),
+      config_(std::move(config)),
+      merge_staging_(reverse.num_vertices()) {
   EIMM_CHECK(config_.shards >= 1, "shard count must be >= 1");
   EIMM_CHECK(config_.batch_size > 0, "batch size must be positive");
 }
 
-void ShardedSampler::stage(
-    std::vector<ShardArena>& arenas, std::uint64_t begin, std::uint64_t end,
-    CounterArray* counters, std::size_t bitmap_min,
-    std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs) {
-  if (config_.fused) {
-    stage_fused(arenas, begin, end, counters, bitmap_min, refs);
-    return;
-  }
-  const std::uint64_t count = end - begin;
+void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
+                           std::uint64_t end, CounterArray* counters,
+                           std::size_t bitmap_min) {
+  // Fusion pays only where lanes share traversal work: IC lanes coalesce
+  // onto common frontiers, while LT lanes are independent walks, so LT
+  // always takes the scalar loop.
+  const bool fused =
+      config_.fused && config_.model == DiffusionModel::kIndependentCascade;
+  // Fused plans in BLOCK units: block b owns global slots [b*64,
+  // (b+1)*64), and the round covers blocks [begin/64, ceil(end/64)). A
+  // block is one indivisible job, so shard boundaries never split a
+  // traversal and the pool stays identical for every shard count. Only
+  // the ROUND range can clip a block's lane window (martingale growth is
+  // in slots). Batch size is configured in slots either way.
+  const std::uint64_t unit = fused ? kFusedLanes : 1;
+  const std::uint64_t unit_begin = begin / unit;
+  const std::uint64_t unit_end = (end + unit - 1) / unit;
+  const std::size_t batch = std::max<std::size_t>(1, config_.batch_size / unit);
   const NumaTopology& topo = numa_topology();
-
-  // Pin the team before planning work onto it: ShardPlan hands shard s
-  // to a contiguous worker group, and the compact pin plan maps
-  // contiguous thread ids to one domain each — together they keep a
-  // shard's JobPool, scratch, and kLocal arena pages on one domain
-  // instead of relying on OMP_PROC_BIND (the ROADMAP placement gap).
-  // No-op on single-node hosts or under EIMM_PIN=none.
-  pin_openmp_team();
-
-  ShardPlan plan = ShardPlan::make(
-      begin, end, config_.shards,
-      static_cast<std::size_t>(omp_get_max_threads()), topo);
-  std::vector<std::unique_ptr<JobPool>> jobs;
-  refs.assign(count, {});
+  std::vector<ShardArena>& arenas = pool.arenas_for_staging();
+  const std::uint64_t runs_before = total_runs(arenas);
   const VertexId n = reverse_.num_vertices();
   const std::size_t bitmap_words = words_for_bits(n);
-  const std::uint64_t runs_before = total_runs(arenas);
 
-  if (count > 0) {
-#pragma omp parallel
-    {
-#pragma omp single
-      {
-        // The plan must describe the team that actually materialized:
-        // OMP_DYNAMIC, thread limits, or an enclosing parallel region
-        // can hand us fewer threads than omp_get_max_threads() promised,
-        // and a shard assigned to an absent worker would never drain.
-        const auto team = static_cast<std::size_t>(omp_get_num_threads());
-        if (team != plan.total_workers) {
-          plan = ShardPlan::make(begin, end, config_.shards, team, topo);
-        }
-        // One job pool per shard: stealing is confined to the shard's
-        // worker group, so the locality the plan establishes survives
-        // imbalance. Arenas are worker-private (single writer each) and
-        // PERSISTENT — growing rounds keep appending into the same
-        // chunk set instead of mapping fresh arenas per round.
-        make_jobs(plan, config_.batch_size, jobs);
-        if (arenas.size() < plan.total_workers) {
-          arenas.resize(plan.total_workers);
-        }
-      }  // implicit barrier: every worker sees the final plan
-
-      const auto wid = static_cast<std::size_t>(omp_get_thread_num());
-      if (wid < plan.total_workers) {
-        SamplerScratch scratch(n);
-        ShardArena& arena = arenas[wid];
-        for (const std::size_t s : plan.shards_for_worker(wid)) {
-          const ShardPlan::Shard& shard = plan.shards[s];
-          const std::size_t local = wid - shard.first_worker;
-          // One span per worker-shard region: the trace shows which
-          // domain each worker drained and for how long.
-          obs::TraceSpan span("sampler.shard", "shard",
-                              static_cast<std::int64_t>(s), "domain",
-                              shard.domain, "worker",
-                              static_cast<std::int64_t>(wid));
-          for (JobBatch batch = jobs[s]->next(local); !batch.empty();
-               batch = jobs[s]->next(local)) {
-            for (std::size_t j = batch.begin; j < batch.end; ++j) {
-              const std::uint64_t global = shard.begin + j;
-              std::vector<VertexId> verts = sample_rrr(
-                  reverse_, config_.model, config_.rng_seed, global,
-                  scratch);
-              if (counters != nullptr) {
-                for (const VertexId v : verts) counters->increment(v);
-              }
-              auto& slot = refs[global - begin];
-              slot.first = static_cast<std::uint32_t>(wid);
-              if (verts.size() >= bitmap_min) {
-                // Dense set: the adaptive bitmap slot (§IV-C).
-                std::span<std::uint64_t> words;
-                slot.second =
-                    arena.allocate_bitmap(bitmap_words, verts.size(), words);
-                for (const VertexId v : verts) {
-                  words[v >> 6] |= std::uint64_t{1} << (v & 63);
-                }
-              } else {
-                // Stage sorted: the run then IS the vector representation
-                // of the set, so selection can binary-search it in place.
-                std::sort(verts.begin(), verts.end());
-                slot.second = arena.append(verts);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  record_round(stats_, plan, jobs, arenas, begin, end, 1);
-  // Every slot must have been staged exactly once; a scheduling bug here
-  // would otherwise surface as silently-empty RRR sets far downstream.
-  EIMM_CHECK(total_runs(arenas) - runs_before == count,
-             "sharded generation lost RRR slots");
-}
-
-void ShardedSampler::stage_fused(
-    std::vector<ShardArena>& arenas, std::uint64_t begin, std::uint64_t end,
-    CounterArray* counters, std::size_t bitmap_min,
-    std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs) {
-  const std::uint64_t count = end - begin;
-  const NumaTopology& topo = numa_topology();
-  pin_openmp_team();
-
-  // Plan in BLOCK units: block b owns global slots [b*64, (b+1)*64), and
-  // the round covers blocks [begin/64, ceil(end/64)). A block is one
-  // indivisible job, so shard boundaries never split a traversal and the
-  // pool stays identical for every shard count. Only the ROUND range can
-  // clip a block's lane window (martingale growth is in slots).
-  const std::uint64_t block_begin = begin / kFusedLanes;
-  const std::uint64_t block_end = (end + kFusedLanes - 1) / kFusedLanes;
-  ShardPlan plan = ShardPlan::make(
-      block_begin, block_end, config_.shards,
-      static_cast<std::size_t>(omp_get_max_threads()), topo);
-  std::vector<std::unique_ptr<JobPool>> jobs;
-  refs.assign(count, {});
-  const VertexId n = reverse_.num_vertices();
-  // Batch size is configured in slots; convert to whole blocks.
-  const std::size_t block_batch =
-      std::max<std::size_t>(1, config_.batch_size / kFusedLanes);
-  const std::uint64_t runs_before = total_runs(arenas);
-
+  // Scalar work: LT walk steps plus IC in-edges scanned.
+  static const obs::Counter steps_counter =
+      obs::counter("sampler.scalar.steps_total");
   static const obs::Counter traversals_counter =
       obs::counter("sampler.fused.traversals_total");
   static const obs::Counter fused_sets_counter =
@@ -285,75 +247,117 @@ void ShardedSampler::stage_fused(
   static const obs::Histogram lane_occupancy =
       obs::histogram("sampler.fused.lane_occupancy");
 
-  if (count > 0) {
+  // Pin the team before planning work onto it: ShardPlan hands shard s
+  // to a contiguous worker group, and the compact pin plan maps
+  // contiguous thread ids to one domain each — together they keep a
+  // shard's JobPool, scratch, and kLocal arena pages on one domain
+  // instead of relying on OMP_PROC_BIND (the ROADMAP placement gap).
+  // No-op on single-node hosts or under EIMM_PIN=none.
+  pin_openmp_team();
+  ShardPlan plan = ShardPlan::make(
+      unit_begin, unit_end, config_.shards,
+      static_cast<std::size_t>(omp_get_max_threads()), topo);
+  std::vector<std::unique_ptr<JobPool>> jobs;
+
+  // Runs stage_unit(u) for every unit of worker `wid`'s shards. One span
+  // per worker-shard region: the trace shows which domain each worker
+  // drained and for how long.
+  auto drain = [&](std::size_t wid, const char* span_name, auto&& stage_unit) {
+    for (const std::size_t s : plan.shards_for_worker(wid)) {
+      const ShardPlan::Shard& shard = plan.shards[s];
+      const std::size_t local = wid - shard.first_worker;
+      obs::TraceSpan span(span_name, "shard", static_cast<std::int64_t>(s),
+                          "domain", shard.domain, "worker",
+                          static_cast<std::int64_t>(wid));
+      for (JobBatch b = jobs[s]->next(local); !b.empty();
+           b = jobs[s]->next(local)) {
+        for (std::size_t j = b.begin; j < b.end; ++j) {
+          stage_unit(shard.begin + j);
+        }
+      }
+    }
+  };
+
+  if (end > begin) {
 #pragma omp parallel
     {
 #pragma omp single
       {
+        // The plan must describe the team that actually materialized:
+        // OMP_DYNAMIC, thread limits, or an enclosing parallel region
+        // can hand us fewer threads than omp_get_max_threads() promised,
+        // and a shard assigned to an absent worker would never drain.
         const auto team = static_cast<std::size_t>(omp_get_num_threads());
         if (team != plan.total_workers) {
-          plan = ShardPlan::make(block_begin, block_end, config_.shards, team,
+          plan = ShardPlan::make(unit_begin, unit_end, config_.shards, team,
                                  topo);
         }
-        make_jobs(plan, block_batch, jobs);
-        if (arenas.size() < plan.total_workers) {
-          arenas.resize(plan.total_workers);
-        }
+        // One job pool per shard: stealing is confined to the shard's
+        // worker group, so the locality the plan establishes survives
+        // imbalance. Arenas are worker-private (single writer each) and
+        // PERSISTENT — growing rounds keep appending into the same
+        // chunk set instead of mapping fresh arenas per round.
+        make_jobs(plan, batch, jobs);
+        pool.ensure_workers(plan.total_workers);
       }  // implicit barrier: every worker sees the final plan
 
       const auto wid = static_cast<std::size_t>(omp_get_thread_num());
       if (wid < plan.total_workers) {
-        FusedScratch scratch(n);
         ShardArena& arena = arenas[wid];
-        std::uint64_t local_traversals = 0;
-        std::uint64_t local_sets = 0;
-        for (const std::size_t s : plan.shards_for_worker(wid)) {
-          const ShardPlan::Shard& shard = plan.shards[s];
-          const std::size_t local = wid - shard.first_worker;
-          obs::TraceSpan span("sampler.fused", "shard",
-                              static_cast<std::int64_t>(s), "domain",
-                              shard.domain, "worker",
-                              static_cast<std::int64_t>(wid));
-          for (JobBatch batch = jobs[s]->next(local); !batch.empty();
-               batch = jobs[s]->next(local)) {
-            for (std::size_t j = batch.begin; j < batch.end; ++j) {
-              const std::uint64_t block = shard.begin + j;
-              const std::uint64_t slot_lo =
-                  std::max(begin, block * kFusedLanes);
-              const std::uint64_t slot_hi =
-                  std::min(end, (block + 1) * kFusedLanes);
-              const auto lane_lo =
-                  static_cast<unsigned>(slot_lo - block * kFusedLanes);
-              const auto lane_hi =
-                  static_cast<unsigned>(slot_hi - block * kFusedLanes);
-              std::array<ShardArena::Ref, kFusedLanes> lane_refs;
-              const FusedTraversalStats tstats = sample_rrr_fused_into(
-                  reverse_, config_.model, config_.rng_seed, block, lane_lo,
-                  lane_hi, scratch, arena, lane_refs.data(), bitmap_min,
-                  counters);
-              for (unsigned l = lane_lo; l < lane_hi; ++l) {
-                auto& slot = refs[block * kFusedLanes + l - begin];
-                slot.first = static_cast<std::uint32_t>(wid);
-                slot.second = lane_refs[l - lane_lo];
-              }
-              ++local_traversals;
-              local_sets += tstats.lanes;
-              sets_per_traversal.observe(tstats.lanes);
-              if (tstats.touched > 0) {
-                lane_occupancy.observe(tstats.members / tstats.touched);
-              }
+        if (fused) {
+          FusedScratch scratch(n);
+          std::array<ShardArena::Ref, kFusedLanes> lane_refs;
+          std::uint64_t local_traversals = 0;
+          std::uint64_t local_sets = 0;
+          drain(wid, "sampler.fused", [&](std::uint64_t block) {
+            const std::uint64_t slot_lo = std::max(begin, block * kFusedLanes);
+            const std::uint64_t slot_hi =
+                std::min(end, (block + 1) * kFusedLanes);
+            const auto lane_lo =
+                static_cast<unsigned>(slot_lo - block * kFusedLanes);
+            const auto lane_hi =
+                static_cast<unsigned>(slot_hi - block * kFusedLanes);
+            const FusedTraversalStats tstats = sample_rrr_fused_into(
+                reverse_, config_.model, config_.rng_seed, block, lane_lo,
+                lane_hi, scratch, arena, lane_refs.data(), bitmap_min,
+                counters);
+            for (std::uint64_t i = slot_lo; i < slot_hi; ++i) {
+              record_slot(pool, i, arena.slot(lane_refs[i - slot_lo]));
             }
-          }
+            ++local_traversals;
+            local_sets += tstats.lanes;
+            sets_per_traversal.observe(tstats.lanes);
+            if (tstats.touched > 0) {
+              lane_occupancy.observe(tstats.members / tstats.touched);
+            }
+          });
+          traversals_counter.add(local_traversals);
+          fused_sets_counter.add(local_sets);
+        } else {
+          // Allocation-free: each set is walked into the reused scratch,
+          // sorted there in place, and written once into the worker's
+          // own arena and pool entry.
+          SamplerScratch scratch(n);
+          CounterTally tally(counters, n);
+          std::uint64_t steps = 0;
+          drain(wid, "sampler.shard", [&](std::uint64_t global) {
+            steps += sample_rrr_into(reverse_, config_.model, config_.rng_seed,
+                                     global, scratch);
+            stage_members(pool, arena, global, scratch.members, bitmap_min,
+                          bitmap_words, tally);
+          });
+          tally.flush();
+          steps_counter.add(steps);
         }
-        traversals_counter.add(local_traversals);
-        fused_sets_counter.add(local_sets);
       }
     }
   }
 
-  record_round(stats_, plan, jobs, arenas, begin, end, kFusedLanes);
-  EIMM_CHECK(total_runs(arenas) - runs_before == count,
-             "fused generation lost RRR slots");
+  record_round(stats_, plan, jobs, arenas, begin, end, unit);
+  // Every slot must have been staged exactly once; a scheduling bug here
+  // would otherwise surface as silently-empty RRR sets far downstream.
+  EIMM_CHECK(total_runs(arenas) - runs_before == end - begin,
+             "sharded generation lost RRR slots");
 }
 
 void ShardedSampler::generate(RRRPool& pool, std::uint64_t begin,
@@ -368,13 +372,14 @@ void ShardedSampler::generate(RRRPool& pool, std::uint64_t begin,
 
   // Merge rounds fully drain the staged data, so the arena chunks can be
   // rewound and reused — mapped_bytes plateaus at the largest round
-  // while staged_bytes keeps accumulating.
-  for (ShardArena& arena : merge_arenas_) arena.reset();
+  // while staged_bytes keeps accumulating. Earlier rounds' entries are
+  // left dangling in the staging table and never read again.
+  merge_staging_.reset_arenas();
+  if (end > merge_staging_.size()) merge_staging_.resize(end);
 
   // Staging keeps every set a run here: the merge applies the adaptive
   // representation itself when it builds the RRRSet slots.
-  std::vector<std::pair<std::uint32_t, ShardArena::Ref>> refs;
-  stage(merge_arenas_, begin, end, fused, kNoBitmaps, refs);
+  stage(merge_staging_, begin, end, fused, kNoBitmaps);
   if (count == 0) return;
 
   // Merge: copy every staged run into its RRRPool slot. Slot content is a
@@ -384,16 +389,13 @@ void ShardedSampler::generate(RRRPool& pool, std::uint64_t begin,
   const VertexId n = reverse_.num_vertices();
   std::uint64_t merged = 0;
 #pragma omp parallel for schedule(dynamic, 64) reduction(+ : merged)
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto& slot = refs[i];
-    const std::span<const VertexId> run =
-        merge_arenas_[slot.first].view(slot.second);
+  for (std::uint64_t i = begin; i < end; ++i) {
+    const std::span<const VertexId> run = merge_staging_.slot(i).vertices();
     std::vector<VertexId> verts(run.begin(), run.end());
     merged += run.size() * sizeof(VertexId);
-    pool[begin + i] =
-        adaptive ? RRRSet::make_adaptive(std::move(verts), n,
-                                         config_.bitmap_threshold)
-                 : RRRSet::make_vector(std::move(verts));
+    pool[i] = adaptive ? RRRSet::make_adaptive(std::move(verts), n,
+                                               config_.bitmap_threshold)
+                       : RRRSet::make_vector(std::move(verts));
   }
   stats_.merged_bytes += merged;
 }
@@ -408,30 +410,16 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
              "sampler already used for merge hand-off; one mode per "
              "sampler (byte accounting is per-mode)");
   mode_ = HandOff::kZeroCopy;
-  const std::uint64_t count = end - begin;
 
   // The pool owns the arenas on this path (the staged slots ARE the
   // pool, and must outlive the sampler), so stage() appends into them
   // without ever resetting — earlier rounds' entries stay valid.
-  std::vector<std::pair<std::uint32_t, ShardArena::Ref>> refs;
-  pool.ensure_workers(static_cast<std::size_t>(omp_get_max_threads()));
-  std::vector<ShardArena>& arenas = pool.arenas_for_staging();
   const std::size_t bitmap_min =
       config_.adaptive_representation
           ? bitmap_min_members(reverse_.num_vertices(),
                                config_.bitmap_threshold)
           : kNoBitmaps;
-  stage(arenas, begin, end, fused, bitmap_min, refs);
-
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto& [worker, ref] = refs[i];
-    const RRRSetView slot = arenas[worker].slot(ref);
-    if (slot.repr() == RRRRepr::kBitmap) {
-      pool.set_bitmap(begin + i, slot.words().data(), slot.size());
-    } else {
-      pool.set_run(begin + i, slot.vertices());
-    }
-  }
+  stage(pool, begin, end, fused, bitmap_min);
 }
 
 }  // namespace eimm

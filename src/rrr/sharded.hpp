@@ -10,9 +10,12 @@
 //   2. Each worker samples its shard's slots through a per-shard JobPool
 //      (runtime/work_queue) — stealing stays confined to the shard, so a
 //      thread never migrates its working set across domains — and stages
-//      the SORTED vertex runs in a worker-private ShardArena
-//      (rrr/pool_view.hpp) whose pages are mbind'd kLocal (numa/alloc):
-//      first touch by the sampling worker places them on its own domain.
+//      each set in a worker-private ShardArena (rrr/pool_view.hpp) whose
+//      pages are mbind'd kLocal (numa/alloc): first touch by the sampling
+//      worker places them on its own domain, and the worker writes each
+//      slot's SegmentedPool entry itself. Scalar staging (LT, and IC with
+//      fused off) walks each set into reused scratch and sorts it in
+//      place; fused IC staging emits 64-slot blocks (rrr/fused.hpp).
 //   3. Hand-off, two ways:
 //      * generate(SegmentedPool&, ...) — the zero-copy production path
 //        every EfficientIMM build takes: the staged slots ARE the pool
@@ -22,11 +25,12 @@
 //        second copy of the vertex payload; ShardStats::merged_bytes
 //        stays 0.
 //      * generate(RRRPool&, ...) — the legacy merge path (dist/imm's
-//        wire-format accounting and the flatten-identity tests): staged
-//        runs are copied into RRRSet slots, producing the exact CSR
-//        image the unsharded path builds. The sampler's arenas are
-//        reset() between rounds — mapped chunks are REUSED, so
-//        mapped_bytes plateaus while staged_bytes accumulates.
+//        wire-format accounting and the flatten-identity tests): runs
+//        are staged into the sampler's own SegmentedPool and copied into
+//        RRRSet slots, producing the exact CSR image the unsharded path
+//        builds. Its arenas are reset() between rounds — mapped chunks
+//        are REUSED, so mapped_bytes plateaus while staged_bytes
+//        accumulates.
 //
 // Determinism: slot i's content depends only on (rng_seed, i) — the same
 // per-index streams the unsharded path uses — so every shard count,
@@ -119,11 +123,12 @@ struct ShardedConfig {
   /// false keeps every set a sorted vector/run.
   bool adaptive_representation = true;
   double bitmap_threshold = kDefaultBitmapThreshold;
-  /// Fused 64-wide generation (rrr/fused.hpp): each traversal covers one
-  /// 64-slot block and emits up to 64 slots. Resolved already (use
+  /// Fused 64-wide IC generation (rrr/fused.hpp): each traversal covers
+  /// one 64-slot block and emits up to 64 slots. Resolved already (use
   /// resolve_fused_sampling()); slot contents depend only on
   /// (rng_seed, block, lane window), so every shard count still yields
-  /// identical pools — but IC contents differ from the scalar mode.
+  /// identical pools — but IC contents differ from the scalar mode. LT
+  /// ignores the flag (its walks share no traversal work).
   bool fused = false;
 };
 
@@ -158,30 +163,23 @@ class ShardedSampler {
   [[nodiscard]] const ShardStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Shared staging engine: plans the round, pins the team, samples every
-  /// slot into `arenas`, then records (worker, ref) pairs into `refs`.
-  /// Sets with at least `bitmap_min` members are staged as bitmap slots,
-  /// the rest as sorted runs. Delegates to stage_fused() when
-  /// config_.fused is set.
-  void stage(std::vector<ShardArena>& arenas, std::uint64_t begin,
-             std::uint64_t end, CounterArray* counters, std::size_t bitmap_min,
-             std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs);
-
-  /// Fused staging: plans in 64-slot block units (a block is never split
-  /// across shards, so pool content is invariant under the shard count)
-  /// and samples each block with one 64-wide traversal. Round boundaries
-  /// may still clip a block's lane window — content then depends on the
-  /// round schedule, which is itself deterministic in (params, seed).
-  void stage_fused(std::vector<ShardArena>& arenas, std::uint64_t begin,
-                   std::uint64_t end, CounterArray* counters,
-                   std::size_t bitmap_min,
-                   std::vector<std::pair<std::uint32_t, ShardArena::Ref>>& refs);
+  /// Shared staging engine: plans the round, pins the team, and has
+  /// every worker sample its slots into its own arena of `pool` and write
+  /// their entries (already resized to `end`). Sets with at least
+  /// `bitmap_min` members become bitmap slots, the rest sorted runs.
+  /// Fused IC plans in 64-slot block units (a block is never split
+  /// across shards, so pool content is invariant under the shard count);
+  /// round boundaries may still clip a block's lane window — content
+  /// then depends on the round schedule, which is itself deterministic
+  /// in (params, seed). Scalar staging plans in slots.
+  void stage(SegmentedPool& pool, std::uint64_t begin, std::uint64_t end,
+             CounterArray* counters, std::size_t bitmap_min);
 
   const CSRGraph& reverse_;
   ShardedConfig config_;
   ShardStats stats_;
-  /// Merge-path staging arenas, persistent so reset() can reuse chunks.
-  std::vector<ShardArena> merge_arenas_;
+  /// Merge-path staging, persistent so reset_arenas() reuses chunks.
+  SegmentedPool merge_staging_;
   /// Hand-off mode lock (see class comment).
   enum class HandOff { kUnset, kMerge, kZeroCopy };
   HandOff mode_ = HandOff::kUnset;

@@ -74,6 +74,28 @@ TEST(RunImm, LinearThresholdModelRuns) {
   EXPECT_GT(result.num_rrr_sets, 0u);
 }
 
+TEST(RunImm, FusedSamplingIsReportedOnlyWhenICRanFused) {
+  // Fusion serves IC only: an LT run asked for kOn samples scalar and
+  // must say so, with the very seeds its kOff run selects.
+  const auto lt = testing::make_weighted_graph(
+      gen_erdos_renyi(400, 2400, 21), DiffusionModel::kLinearThreshold);
+  auto opt = small_options(DiffusionModel::kLinearThreshold);
+  opt.fused_sampling = FusedSampling::kOn;
+  const auto lt_on = run_efficient_imm(lt, opt);
+  EXPECT_FALSE(lt_on.fused_sampling_used);
+  opt.fused_sampling = FusedSampling::kOff;
+  const auto lt_off = run_efficient_imm(lt, opt);
+  EXPECT_FALSE(lt_off.fused_sampling_used);
+  EXPECT_EQ(lt_on.seeds, lt_off.seeds);
+
+  const auto ic = testing::make_weighted_graph(
+      gen_erdos_renyi(400, 2400, 21), DiffusionModel::kIndependentCascade);
+  auto ic_opt = small_options(DiffusionModel::kIndependentCascade);
+  ic_opt.fused_sampling = FusedSampling::kOn;
+  EXPECT_TRUE(run_efficient_imm(ic, ic_opt).fused_sampling_used);
+  EXPECT_FALSE(run_baseline_imm(ic, ic_opt).fused_sampling_used);
+}
+
 TEST(RunImm, BaselineAndEfficientReturnIdenticalSeeds) {
   // Same RNG streams + deterministic tie-breaks => both engines must
   // produce the same seed set; only their execution strategy differs.

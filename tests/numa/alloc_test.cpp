@@ -41,6 +41,26 @@ TEST(NumaBuffer, MoveTransfersOwnership) {
   EXPECT_EQ(c.data(), original);
 }
 
+TEST(NumaBuffer, GrowKeepsContentsAndZeroFillsTheTail) {
+  NumaBuffer buf(4096, MemPolicy::kDefault);
+  auto* words = static_cast<std::uint64_t*>(buf.data());
+  for (std::size_t i = 0; i < 512; ++i) words[i] = i * 7 + 1;
+  buf.grow(10 * 4096 + 1);
+  EXPECT_EQ(buf.bytes(), 11u * 4096u);
+  words = static_cast<std::uint64_t*>(buf.data());
+  for (std::size_t i = 0; i < 512; ++i) EXPECT_EQ(words[i], i * 7 + 1);
+  for (std::size_t i = 512; i < buf.bytes() / 8; ++i) {
+    ASSERT_EQ(words[i], 0u) << i;
+  }
+  buf.grow(100);  // never shrinks
+  EXPECT_EQ(buf.bytes(), 11u * 4096u);
+
+  NumaBuffer empty;
+  empty.grow(5000);
+  ASSERT_NE(empty.data(), nullptr);
+  EXPECT_EQ(empty.bytes(), 2u * 4096u);
+}
+
 TEST(NumaBuffer, PolicyOnlyAppliesOnNumaMachines) {
   NumaBuffer buf(1 << 20, MemPolicy::kInterleave);
   if (!numa_topology().is_numa()) {

@@ -125,26 +125,25 @@ TEST(FusedSampling, ProbabilityZeroIsRootOnlyAndRootsMatchScalar) {
   expect_scratch_clean(scratch);
 }
 
-TEST(FusedSampling, LTSetsAreBitIdenticalToScalar) {
-  // LT lanes replay the scalar walk draw-for-draw from the same stream,
-  // so equivalence is exact, not statistical.
+TEST(FusedSampling, RejectsLinearThreshold) {
+  // LT lanes would be independent walks sharing no traversal work, so
+  // fusion serves IC only; both entry points refuse LT with a CheckError
+  // (the sharded sampler routes LT through its scalar staging instead).
   auto g = make_weighted_graph(gen_erdos_renyi(200, 1200, /*seed=*/11),
                                DiffusionModel::kLinearThreshold);
   FusedScratch scratch(g.num_vertices());
-  SamplerScratch scalar_scratch(g.num_vertices());
-  for (const std::uint64_t block : {0ull, 1ull, 9ull}) {
-    sample_rrr_fused(g.reverse, DiffusionModel::kLinearThreshold, kSeed, block,
-                     0, kFusedLanes, scratch);
-    for (unsigned l = 0; l < kFusedLanes; ++l) {
-      std::vector<VertexId> expected =
-          sample_rrr(g.reverse, DiffusionModel::kLinearThreshold, kSeed,
-                     block * kFusedLanes + l, scalar_scratch);
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(scratch.members[l], expected)
-          << "block " << block << " lane " << l;
-    }
-    expect_scratch_clean(scratch);
-  }
+  EXPECT_THROW(sample_rrr_fused(g.reverse, DiffusionModel::kLinearThreshold,
+                                kSeed, 0, 0, kFusedLanes, scratch),
+               CheckError);
+  ShardArena arena;
+  std::array<ShardArena::Ref, kFusedLanes> refs;
+  EXPECT_THROW(
+      sample_rrr_fused_into(g.reverse, DiffusionModel::kLinearThreshold,
+                            kSeed, 0, 0, kFusedLanes, scratch, arena,
+                            refs.data()),
+      CheckError);
+  EXPECT_EQ(arena.runs(), 0u);
+  expect_scratch_clean(scratch);
 }
 
 TEST(FusedSampling, PartialLaneWindowTouchesOnlyItsLanes) {
@@ -264,44 +263,42 @@ TEST(FusedSampling, ArenaVariantMatchesMembersVariant) {
   // written straight into arena slots (runs, or bitmaps at or above the
   // adaptive threshold) and base counters credited by lane popcount.
   // Slot contents and counters must match the members variant.
-  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
-                                     DiffusionModel::kLinearThreshold}) {
-    auto g = make_weighted_graph(gen_erdos_renyi(300, 2400, /*seed=*/17),
-                                 model);
-    const VertexId n = g.num_vertices();
-    const std::size_t bitmap_min =
-        bitmap_min_members(n, kDefaultBitmapThreshold);
-    FusedScratch a(n);
-    FusedScratch b(n);
-    ShardArena arena;
-    std::array<ShardArena::Ref, kFusedLanes> refs;
-    for (const std::uint64_t block : {0ull, 4ull}) {
-      CounterArray counters(n);
-      const FusedTraversalStats sa =
-          sample_rrr_fused(g.reverse, model, kSeed, block, 0, kFusedLanes, a);
-      const FusedTraversalStats sb = sample_rrr_fused_into(
-          g.reverse, model, kSeed, block, 0, kFusedLanes, b, arena,
-          refs.data(), bitmap_min, &counters);
-      EXPECT_EQ(sa.lanes, sb.lanes);
-      EXPECT_EQ(sa.touched, sb.touched);
-      EXPECT_EQ(sa.members, sb.members);
-      std::vector<std::uint64_t> expected_counts(n, 0);
-      for (unsigned l = 0; l < kFusedLanes; ++l) {
-        const RRRSetView slot = arena.slot(refs[l]);
-        EXPECT_EQ(slot.repr(), a.members[l].size() >= bitmap_min
-                                   ? RRRRepr::kBitmap
-                                   : RRRRepr::kVector)
-            << "block " << block << " lane " << l;
-        EXPECT_EQ(slot.size(), a.members[l].size());
-        std::vector<VertexId> got;
-        slot.for_each([&](VertexId v) { got.push_back(v); });
-        EXPECT_EQ(got, a.members[l]) << "block " << block << " lane " << l;
-        for (const VertexId v : a.members[l]) ++expected_counts[v];
-      }
-      EXPECT_EQ(counters.snapshot(), expected_counts) << "block " << block;
-      expect_scratch_clean(a);
-      expect_scratch_clean(b);
+  const auto model = DiffusionModel::kIndependentCascade;
+  auto g = make_weighted_graph(gen_erdos_renyi(300, 2400, /*seed=*/17),
+                               model);
+  const VertexId n = g.num_vertices();
+  const std::size_t bitmap_min =
+      bitmap_min_members(n, kDefaultBitmapThreshold);
+  FusedScratch a(n);
+  FusedScratch b(n);
+  ShardArena arena;
+  std::array<ShardArena::Ref, kFusedLanes> refs;
+  for (const std::uint64_t block : {0ull, 4ull}) {
+    CounterArray counters(n);
+    const FusedTraversalStats sa =
+        sample_rrr_fused(g.reverse, model, kSeed, block, 0, kFusedLanes, a);
+    const FusedTraversalStats sb = sample_rrr_fused_into(
+        g.reverse, model, kSeed, block, 0, kFusedLanes, b, arena,
+        refs.data(), bitmap_min, &counters);
+    EXPECT_EQ(sa.lanes, sb.lanes);
+    EXPECT_EQ(sa.touched, sb.touched);
+    EXPECT_EQ(sa.members, sb.members);
+    std::vector<std::uint64_t> expected_counts(n, 0);
+    for (unsigned l = 0; l < kFusedLanes; ++l) {
+      const RRRSetView slot = arena.slot(refs[l]);
+      EXPECT_EQ(slot.repr(), a.members[l].size() >= bitmap_min
+                                 ? RRRRepr::kBitmap
+                                 : RRRRepr::kVector)
+          << "block " << block << " lane " << l;
+      EXPECT_EQ(slot.size(), a.members[l].size());
+      std::vector<VertexId> got;
+      slot.for_each([&](VertexId v) { got.push_back(v); });
+      EXPECT_EQ(got, a.members[l]) << "block " << block << " lane " << l;
+      for (const VertexId v : a.members[l]) ++expected_counts[v];
     }
+    EXPECT_EQ(counters.snapshot(), expected_counts) << "block " << block;
+    expect_scratch_clean(a);
+    expect_scratch_clean(b);
   }
 }
 

@@ -81,7 +81,9 @@ TEST(SampleIC, ProbabilityOneCoversReverseReachableSet) {
   set_uniform_probability(g, 1.0f);
   SamplerScratch scratch(4);
   Xoshiro256 rng(1);
-  auto set = sample_rrr_ic(g.reverse, 3, rng, scratch);
+  // Work = in-edges scanned: vertices 3, 2 and 1 have one each, 0 none.
+  EXPECT_EQ(sample_rrr_ic(g.reverse, 3, rng, scratch), 3u);
+  auto set = scratch.members;
   std::sort(set.begin(), set.end());
   EXPECT_EQ(set, (std::vector<VertexId>{0, 1, 2, 3}));
 }
@@ -93,7 +95,8 @@ TEST(SampleIC, PathPrefixProperty) {
   SamplerScratch scratch(6);
   for (VertexId root = 0; root < 6; ++root) {
     Xoshiro256 rng(root);
-    auto set = sample_rrr_ic(g.reverse, root, rng, scratch);
+    sample_rrr_ic(g.reverse, root, rng, scratch);
+    auto set = scratch.members;
     EXPECT_EQ(set.size(), static_cast<std::size_t>(root) + 1);
     for (const VertexId v : set) EXPECT_LE(v, root);
   }
@@ -104,7 +107,8 @@ TEST(SampleIC, ProbabilityZeroIsRootOnly) {
   set_uniform_probability(g, 0.0f);
   SamplerScratch scratch(8);
   Xoshiro256 rng(2);
-  const auto set = sample_rrr_ic(g.reverse, 5, rng, scratch);
+  sample_rrr_ic(g.reverse, 5, rng, scratch);
+  const auto set = scratch.members;
   EXPECT_EQ(set, (std::vector<VertexId>{5}));
 }
 
@@ -114,7 +118,8 @@ TEST(SampleIC, RootAlwaysIncluded) {
   SamplerScratch scratch(50);
   for (VertexId root = 0; root < 50; root += 7) {
     Xoshiro256 rng(root);
-    const auto set = sample_rrr_ic(g.reverse, root, rng, scratch);
+    sample_rrr_ic(g.reverse, root, rng, scratch);
+    const auto set = scratch.members;
     EXPECT_NE(std::find(set.begin(), set.end(), root), set.end());
   }
 }
@@ -124,7 +129,8 @@ TEST(SampleIC, NoDuplicateMembers) {
       gen_erdos_renyi(100, 800, 5), DiffusionModel::kIndependentCascade);
   SamplerScratch scratch(100);
   Xoshiro256 rng(9);
-  auto set = sample_rrr_ic(g.reverse, 10, rng, scratch);
+  sample_rrr_ic(g.reverse, 10, rng, scratch);
+  auto set = scratch.members;
   std::sort(set.begin(), set.end());
   EXPECT_EQ(std::adjacent_find(set.begin(), set.end()), set.end());
 }
@@ -136,7 +142,9 @@ TEST(SampleLT, WalkOnPathReachesStart) {
   set_uniform_probability(g, 1.0f);
   SamplerScratch scratch(5);
   Xoshiro256 rng(3);
-  auto set = sample_rrr_lt(g.reverse, 4, rng, scratch);
+  // Work = walk steps: one draw at each of 4, 3, 2, 1; 0 has no in-edge.
+  EXPECT_EQ(sample_rrr_lt(g.reverse, 4, rng, scratch), 4u);
+  auto set = scratch.members;
   std::sort(set.begin(), set.end());
   EXPECT_EQ(set, (std::vector<VertexId>{0, 1, 2, 3, 4}));
 }
@@ -147,7 +155,8 @@ TEST(SampleLT, CycleTerminatesOnRevisit) {
   set_uniform_probability(g, 1.0f);
   SamplerScratch scratch(4);
   Xoshiro256 rng(3);
-  const auto set = sample_rrr_lt(g.reverse, 0, rng, scratch);
+  sample_rrr_lt(g.reverse, 0, rng, scratch);
+  const auto set = scratch.members;
   EXPECT_EQ(set.size(), 4u);  // visits each vertex once, then stops
 }
 

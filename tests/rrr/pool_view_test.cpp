@@ -289,6 +289,32 @@ TEST(SegmentedPool, TracksStagedAndMappedBytesAcrossWorkers) {
   EXPECT_GE(segments.mapped_bytes(), segments.staged_bytes());
 }
 
+TEST(SegmentedPool, GrowthKeepsWrittenEntriesAndAddsEmptySlots) {
+  // The slot table grows in place: entries written before a resize keep
+  // pointing at their runs, and every new slot reads as an empty run
+  // until staging writes it. Moving the pool carries the table along.
+  SegmentedPool segments(100);
+  segments.ensure_workers(1);
+  ShardArena& arena = segments.arena(0);
+  segments.resize(3);
+  const std::vector<VertexId> run = {4, 9, 17};
+  const ShardArena::Ref ref = arena.append(run);
+  segments.set_run(1, arena.view(ref));
+  for (const std::size_t count : {300u, 5000u, 70000u}) {
+    segments.resize(count);
+    ASSERT_EQ(segments.size(), count);
+    const auto view = segments.slot(1).vertices();
+    EXPECT_EQ(std::vector<VertexId>(view.begin(), view.end()), run);
+    EXPECT_EQ(segments.slot(0).size(), 0u);
+    EXPECT_EQ(segments.slot(count - 1).size(), 0u);
+    EXPECT_FALSE(segments.is_bitmap(count - 1));
+  }
+  SegmentedPool moved(std::move(segments));
+  EXPECT_EQ(moved.size(), 70000u);
+  EXPECT_EQ(segments.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.slot(1).size(), run.size());
+}
+
 TEST(SegmentedPool, NeverShrinks) {
   SegmentedPool segments(10);
   segments.resize(5);

@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "graph/generators.hpp"
+#include "rrr/generate.hpp"
 #include "rrr/sharded.hpp"
 #include "runtime/thread_info.hpp"
 #include "test_util.hpp"
@@ -392,6 +393,94 @@ TEST(ShardedSampler, ZeroCopyBitmapSlotsFollowTheAdaptiveThreshold) {
     EXPECT_LT(bitmaps, kSets);
     EXPECT_EQ(counters.snapshot(), expected) << "fused=" << fused;
   }
+}
+
+TEST(ShardedSampler, ScalarStagingMatchesPerSlotSamplerAcrossSplits) {
+  // The scalar staging loop (every LT build, and IC with fused off) must
+  // write each slot exactly as sample_rrr + sort would produce it, in the
+  // adaptive kind the parent rule picks, with base counters equal to the
+  // brute-force member counts — for every shard count, thread count, and
+  // uneven round split. The low threshold pushes LT paths into bitmaps.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> rounds = {
+      {0, 1000}, {1000, 1001}, {1001, 5000}};
+  constexpr std::uint64_t kSets = 5000;
+  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                                     DiffusionModel::kLinearThreshold}) {
+    const auto g = small_graph(model, 71);
+    const VertexId n = g.num_vertices();
+    const double threshold = 3.0 / static_cast<double>(n);
+    const std::size_t bitmap_min = bitmap_min_members(n, threshold);
+    ASSERT_EQ(bitmap_min, 3u);
+
+    SamplerScratch scratch(n);
+    std::vector<std::vector<VertexId>> expected(kSets);
+    std::vector<std::uint64_t> expected_counts(n, 0);
+    std::size_t expected_bitmaps = 0;
+    for (std::uint64_t i = 0; i < kSets; ++i) {
+      expected[i] = sample_rrr(g.reverse, model, 0xABCD, i, scratch);
+      std::sort(expected[i].begin(), expected[i].end());
+      for (const VertexId v : expected[i]) ++expected_counts[v];
+      expected_bitmaps += expected[i].size() >= bitmap_min ? 1 : 0;
+    }
+    ASSERT_GT(expected_bitmaps, 0u) << to_string(model);
+    ASSERT_LT(expected_bitmaps, kSets) << to_string(model);
+
+    for (const int shards : {1, 2, 3}) {
+      for (const int threads : {1, 2}) {
+        ThreadCountScope scope(threads);
+        ShardedConfig config = config_for(model, shards);
+        config.bitmap_threshold = threshold;
+        ShardedSampler sampler(g.reverse, config);
+        SegmentedPool pool(n);
+        CounterArray counters(n);
+        for (const auto& [begin, end] : rounds) {
+          pool.resize(end);
+          sampler.generate(pool, begin, end, &counters);
+        }
+        for (std::uint64_t i = 0; i < kSets; ++i) {
+          const RRRSetView slot = pool.slot(i);
+          std::vector<VertexId> got;
+          slot.for_each([&](VertexId v) { got.push_back(v); });
+          ASSERT_EQ(got, expected[i])
+              << to_string(model) << " shards=" << shards
+              << " threads=" << threads << " slot=" << i;
+          EXPECT_EQ(slot.size(), expected[i].size());
+          EXPECT_EQ(slot.repr(), expected[i].size() >= bitmap_min
+                                     ? RRRRepr::kBitmap
+                                     : RRRRepr::kVector)
+              << to_string(model) << " slot=" << i;
+        }
+        EXPECT_EQ(RRRPoolView(pool).bitmap_count(), expected_bitmaps);
+        EXPECT_EQ(counters.snapshot(), expected_counts)
+            << to_string(model) << " shards=" << shards
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(ShardedSampler, FusedRequestOnLTRunsTheScalarStaging) {
+  // LT never fuses: a fused request stages exactly the scalar slots
+  // (same members, same arena bytes).
+  const auto model = DiffusionModel::kLinearThreshold;
+  const auto g = small_graph(model, 73);
+  constexpr std::uint64_t kSets = 300;
+  SegmentedPool scalar(g.num_vertices());
+  SegmentedPool fused(g.num_vertices());
+  scalar.resize(kSets);
+  fused.resize(kSets);
+  ShardedConfig config = config_for(model, 2);
+  ShardedSampler scalar_sampler(g.reverse, config);
+  scalar_sampler.generate(scalar, 0, kSets, nullptr);
+  config.fused = true;
+  ShardedSampler fused_sampler(g.reverse, config);
+  fused_sampler.generate(fused, 0, kSets, nullptr);
+  const FlatPool a = RRRPoolView(scalar).flatten();
+  const FlatPool b = RRRPoolView(fused).flatten();
+  EXPECT_EQ(a.offsets, b.offsets);
+  EXPECT_EQ(a.vertices, b.vertices);
+  EXPECT_EQ(scalar_sampler.stats().staged_bytes,
+            fused_sampler.stats().staged_bytes);
 }
 
 TEST(ShardedSampler, MergePathReusesArenaChunksAcrossRounds) {

@@ -6,9 +6,8 @@
 //     compression backings (the bit-match check's replacement, see the
 //     statcheck.hpp preamble — this is exactly the "future optimizations
 //     may trade exact pool identity for speed" case it was built for);
-//   * fused LT output is BITWISE equivalent to scalar: each lane replays
-//     the scalar walk draw-for-draw from the same per-slot stream, so
-//     the whole build must produce the identical pool image;
+//   * LT never fuses: a fused request samples scalar, so the whole
+//     build must produce the identical pool image and seeds;
 //   * fused runs are deterministic: same (workload, seed, options) →
 //     bit-identical pool images across repeated runs and shard counts
 //     (a 64-slot block is never split across shards);
@@ -44,7 +43,8 @@ std::vector<VertexId> members(const RRRSetView& slot) {
 TEST(FusedStatistical, FusedSeedsMatchScalarSpreadAcrossShardsAndBackings) {
   // The headline contract: for IC and LT, across shard counts and pool
   // compression backings, seeds from a fused build must be as good as
-  // the scalar build's seeds under forward Monte-Carlo estimation.
+  // the scalar build's seeds under forward Monte-Carlo estimation. Only
+  // IC actually runs fused; an LT request samples scalar.
   for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                      DiffusionModel::kLinearThreshold}) {
     const DiffusionGraph g = statcheck_workload(
@@ -62,7 +62,8 @@ TEST(FusedStatistical, FusedSeedsMatchScalarSpreadAcrossShardsAndBackings) {
         opt.shards = shards;
         opt.pool_compress = compress;
         const ImmResult fused = run_imm(g, opt, Engine::kEfficient);
-        EXPECT_TRUE(fused.fused_sampling_used);
+        EXPECT_EQ(fused.fused_sampling_used,
+                  model == DiffusionModel::kIndependentCascade);
         const auto cmp =
             compare_spread(g, model, scalar.seeds, fused.seeds);
         EXPECT_TRUE(cmp.within(kSpreadTolerance))
@@ -115,24 +116,30 @@ TEST(FusedDeterminism, EveryShardCountProducesTheSameFusedImage) {
 }
 
 TEST(FusedDeterminism, FusedLTBuildBitMatchesScalarBuild) {
-  // LT lanes consume their per-slot streams in scalar draw order, so the
-  // equivalence is exact even at the whole-pipeline level: identical
-  // pool image, identical martingale schedule, identical seeds.
+  // LT samples scalar under every fused setting, so kOn and kOff must
+  // agree byte for byte: identical pool image and slot kinds, identical
+  // martingale schedule, identical seeds — and neither reports fusion.
   const DiffusionGraph g = statcheck_workload(
       "com-DBLP", DiffusionModel::kLinearThreshold, 0.03);
   auto opt = statcheck_imm_options(DiffusionModel::kLinearThreshold, 6);
   opt.shards = 2;
   opt.fused_sampling = FusedSampling::kOff;
   const PoolBuild scalar = build_rrr_pool(g, opt, Engine::kEfficient);
+  const ImmResult scalar_run = run_imm(g, opt, Engine::kEfficient);
   opt.fused_sampling = FusedSampling::kOn;
   const PoolBuild fused = build_rrr_pool(g, opt, Engine::kEfficient);
-  EXPECT_TRUE(fused.fused_sampling_used);
+  const ImmResult fused_run = run_imm(g, opt, Engine::kEfficient);
+  EXPECT_FALSE(fused.fused_sampling_used);
   EXPECT_FALSE(scalar.fused_sampling_used);
+  EXPECT_FALSE(fused_run.fused_sampling_used);
   ASSERT_EQ(scalar.size(), fused.size());
+  EXPECT_EQ(scalar.view().bitmap_count(), fused.view().bitmap_count());
   const FlatPool fs = scalar.view().flatten();
   const FlatPool ff = fused.view().flatten();
   EXPECT_EQ(fs.offsets, ff.offsets);
   EXPECT_EQ(fs.vertices, ff.vertices);
+  EXPECT_EQ(scalar_run.seeds, fused_run.seeds);
+  EXPECT_EQ(scalar_run.theta, fused_run.theta);
 }
 
 TEST(FusedDeterminism, TinyWorkloadsSurviveTheFullPipeline) {

@@ -31,10 +31,11 @@
 //   --pool-compress M   compressed RRR pool backing: off|varint|huffman
 //                       (default: EIMM_POOL_COMPRESS, then off); seeds
 //                       are bit-identical for every mode
-//   --fused             fused 64-wide RRR generation (default:
+//   --fused             fused 64-wide IC RRR generation (default:
 //                       EIMM_FUSED, then on); IC output is
 //                       statistically, not bitwise, equivalent to the
-//                       scalar pipeline (LT stays bit-identical)
+//                       scalar pipeline. LT always samples scalar, so
+//                       the flag leaves LT runs unchanged
 //   --simulate N        verify seeds with N Monte-Carlo cascades
 //   --log-dir DIR       write the artifact-style JSON log into DIR
 //   --metrics PATH      write the obs metrics-registry snapshot as JSON
