@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "core/martingale.hpp"
 #include "obs/metrics.hpp"
@@ -88,6 +89,7 @@ SelectionResult select_over_build(PoolBuild& build, const ImmOptions& options,
 /// process (the factories are idempotent anyway).
 struct CoreMetrics {
   obs::Counter runs = obs::counter("imm.runs_total");
+  obs::Counter final_reused = obs::counter("selection.final_reused_total");
   obs::Counter sets = obs::counter("sampling.sets_total");
   obs::Histogram generate_us = obs::histogram("sampling.generate_us");
   obs::Gauge pool_sets = obs::gauge("imm.pool_sets");
@@ -206,7 +208,8 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   auto probe_coverage = [&]() -> double {
     ScopedAccumulator acc(build.probing_selection_seconds);
     obs::TraceSpan span("selection.probe");
-    return select_over_build(build, options, engine).coverage_fraction();
+    build.last_probe = select_over_build(build, options, engine);
+    return build.last_probe->coverage_fraction();
   };
 
   // --- Sampling phase: probe OPT guesses x_i = n / 2^i, then Set Theta ---
@@ -236,12 +239,23 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   breakdown.selection_seconds = build.probing_selection_seconds;
 
   // --- Selection phase ---
+  // The last probe already ran this very greedy when no set was added
+  // since: same pool content, options, base counters and tie-break.
+  const bool reused = engine == Engine::kEfficient &&
+                      build.last_probe.has_value() &&
+                      build.last_probe->total_sets == view.size();
   SelectionResult final_selection;
   {
     ScopedAccumulator acc(breakdown.selection_seconds);
     obs::TraceSpan span("selection.final", "k",
-                        static_cast<std::int64_t>(options.k));
-    final_selection = select_over_build(build, options, engine);
+                        static_cast<std::int64_t>(options.k), "reused",
+                        reused ? 1 : 0);
+    if (reused) {
+      final_selection = std::move(*build.last_probe);
+      core_metrics().final_reused.add();
+    } else {
+      final_selection = select_over_build(build, options, engine);
+    }
   }
   core_metrics().runs.add();
 

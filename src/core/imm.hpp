@@ -12,16 +12,20 @@
 //     vertex-partitioned selection with thread-local counters and
 //     binary search over all sets, static scheduling.
 //
-// Both engines run the identical martingale workflow. With fused sampling
-// off (FusedSampling::kOff or EIMM_FUSED=0) they also build identical
-// RRR-set contents from the same seed, so runtime differences are purely
-// the parallelization strategy, exactly as the paper frames them. Fused
-// sampling — the EfficientIMM default, IC only — makes IC contents only
-// statistically equivalent (ctest -L statcheck); LT always samples scalar,
-// so LT contents are identical in every mode.
+// Both engines run the identical martingale workflow. EfficientIMM only
+// skips repeated work in it: when the top-up adds no set after the last
+// probe, that probe's selection is the final one (PoolBuild::last_probe),
+// so a typical run performs one selection per probe and none after.
+// With fused sampling off (FusedSampling::kOff or EIMM_FUSED=0) they also
+// build identical RRR-set contents from the same seed, so runtime
+// differences are purely the parallelization strategy, exactly as the
+// paper frames them. Fused sampling — the EfficientIMM default, IC only —
+// makes IC contents only statistically equivalent (ctest -L statcheck);
+// LT always samples scalar, so LT contents are identical in every mode.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -187,8 +191,9 @@ struct ImmResult {
 
 /// Everything the sampling phase produces: the frozen RRR state plus the
 /// provenance a consumer needs to reuse it without regenerating. run_imm
-/// performs its final selection over exactly this state, and the serve/
-/// subsystem freezes it into a queryable SketchStore.
+/// performs (or, via last_probe, reuses) its final selection over
+/// exactly this state, and the serve/ subsystem freezes it into a
+/// queryable SketchStore.
 ///
 /// Storage: the ripples engine fills `pool` (sorted-vector RRRSets);
 /// every EfficientIMM build stages straight into `segments` — sorted
@@ -225,6 +230,13 @@ struct PoolBuild {
   /// Selection time spent inside the probing iterations (the final
   /// selection happens outside this struct's lifetime).
   double probing_selection_seconds = 0.0;
+  /// The last probing iteration's selection, over the first
+  /// last_probe->total_sets sets. When the top-up added no set after it
+  /// (the usual case: the accepted probe's pool already exceeds θ),
+  /// run_imm returns it as the final selection instead of re-running
+  /// the identical greedy — Engine::kEfficient only; the Ripples
+  /// baseline always re-runs, as the paper's Algorithm 1 does.
+  std::optional<SelectionResult> last_probe;
   /// Resolved sampling shard count (always 1 for the ripples engine).
   int shards_used = 1;
   /// Whether generation went through the fused 64-wide sampler (IC only).

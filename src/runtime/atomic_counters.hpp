@@ -15,8 +15,8 @@
 // domain of the threads that write it. Updates go to the CALLER's home
 // replica (pure local traffic — the remote-write pattern the paper's
 // Table II NUMA bitmap analysis charges is gone); the logical value of a
-// vertex is the SUM over replicas, read at arg-max time by the
-// hierarchical reduction in runtime/reduction. Per-replica values may
+// vertex is the SUM over replicas, which get() returns wherever the
+// selection kernel reads a count. Per-replica values may
 // individually wrap below zero when a decrement lands on a different
 // replica than the increment it cancels — uint64 modular arithmetic
 // makes the sum exact regardless, so the summed view equals the flat

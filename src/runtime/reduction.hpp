@@ -1,4 +1,8 @@
-// The parallel arg-max reductions of Algorithm 2, line 9.
+// Parallel arg-max reductions over either counter layout, the
+// full-scan form of Algorithm 2, line 9. The efficient selection kernel
+// now takes its arg-max from a lazy max-heap (seedselect/select.hpp)
+// instead; these reductions remain as the reference the tests compare
+// against and for the bench/micro_* counter drivers.
 //
 // Flat layout (CounterArray): each thread scans a contiguous vertex
 // block for its regional maximum, then the regional maxima are reduced

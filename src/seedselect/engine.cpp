@@ -112,7 +112,10 @@ SelectionResult SelectionEngine::select_impl(
   pin_openmp_team(pin_);
 
   SelectionOptions sopt = options;
-  if (workspace != nullptr) sopt.alive_scratch = &workspace->alive_;
+  if (workspace != nullptr) {
+    sopt.alive_scratch = &workspace->alive_;
+    sopt.heap_scratch = &workspace->heap_;
+  }
 
   if (kernel == SelectionKernel::kRipples) {
     return ripples_select_t<NullMem>(pool, sopt);

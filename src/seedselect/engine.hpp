@@ -20,9 +20,13 @@
 //     rebuilt counter-update rounds to the obs counters
 //     selection.rounds_{indexed,scanned,rebuilt}.
 //
-// The efficient kernel's budgeted hot-vertex index (select.hpp) needs
-// no engine support: it is built inside every efficient selection, so
-// probing, final selection, dist/imm and SketchStore builds all use it.
+// The efficient kernel's budgeted hot-vertex index and lazy arg-max heap
+// (select.hpp) need no engine support beyond the heap storage a
+// workspace lends: both are built inside every efficient selection, so
+// probing, final selection, dist/imm and SketchStore builds all use
+// them. The engine never caches a result across calls — reusing the
+// last probe as the final selection is core/imm's decision, because
+// only the caller knows no set was added in between.
 //
 // Contract: the engine's seed sequences are bit-identical to the legacy
 // kernels for every shard count and pin mode (same lowest-vertex-id
@@ -62,7 +66,9 @@ enum class SelectionKernel { kEfficient, kRipples };
 /// The engine allocates the working counter layout (flat CounterArray or
 /// ShardedCounterArray replicas, matching its configuration) on FIRST
 /// use, then reset()s and reloads it from the fused base counters on
-/// every subsequent call; the per-set alive flags are likewise reused.
+/// every subsequent call; the per-set alive flags and the lazy arg-max
+/// heap's storage are likewise reused (each call builds its heap from
+/// its own counters).
 /// counter_allocations() is the regression hook: one run_imm performs
 /// exactly one layout allocation across all probes plus the final
 /// selection.
@@ -89,6 +95,7 @@ class SelectionWorkspace {
   CounterArray flat_;
   ShardedCounterArray sharded_;
   std::vector<std::uint8_t> alive_;
+  LazyArgMaxHeap heap_;
   std::uint64_t counter_allocations_ = 0;
   std::uint64_t reuses_ = 0;
 };

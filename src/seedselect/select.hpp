@@ -10,41 +10,57 @@
 //
 // efficient_select_t — EfficientIMM's Algorithm 2: RRR sets are
 // partitioned across threads; each member vertex increments one shared
-// 64-bit atomic counter; the arg-max is a two-step parallel reduction;
-// after each pick the counter is either decremented over covered sets or
-// rebuilt from the survivors — whichever touches fewer vertices
-// (§IV-C "Adaptive Vertex Occurrence Counter Update"). Decrement rounds
-// go through a budgeted hot-vertex index (HotVertexIndex below), built
-// once per selection from the initial counters: the highest-count
-// vertices whose counts sum to at most θ/8, each with the ascending ids
-// of the sets containing it. One parallel pass over the pool fills it;
-// a decrement whose seed is indexed then costs O(covered sets) — it
-// walks the seed's list — instead of a θ-wide scan that decodes every
+// 64-bit atomic counter; after each pick the counter is either
+// decremented over covered sets or rebuilt from the survivors —
+// whichever touches fewer vertices (§IV-C "Adaptive Vertex Occurrence
+// Counter Update").
+//
+// The arg-max is lazy (LazyArgMaxHeap below): a max-heap of (count, id),
+// count descending and id ascending, is built from the initial counters
+// and again after each rebuild round. Each pick re-reads the top's live
+// counter; a stale top is refreshed in place and sifted down, an exact
+// one is the seed. This is exact because no count rises inside a
+// selection: a decrement only lowers counts, and a rebuild recounts the
+// survivors, a subset of the sets counted before. Every other entry
+// therefore holds an upper bound of its live count, ordered after the
+// top, so a top whose stored count is still live beats every live
+// count, and an equal live count elsewhere must belong to a higher id.
+// Picks cost O(refreshed entries · log |V|) counter reads instead of a
+// |V|-wide scan per round.
+//
+// Decrement rounds go through a budgeted hot-vertex index
+// (HotVertexIndex below), built once per selection from the initial
+// counters: the highest-count vertices whose counts sum to at most θ/8,
+// each with the ascending ids of the sets containing it. One parallel
+// pass over the pool fills it, each worker bucketing the hits of its own
+// contiguous range of set ids privately, so no atomic or sort is
+// needed; a decrement whose seed is indexed then costs O(covered sets) —
+// it walks the seed's list — instead of a θ-wide scan that decodes every
 // alive set to test membership. A seed outside the index (or a pool
 // with no index: the top vertex alone exceeds the budget, or θ ≥ 2^32)
 // falls back to that scan unchanged. The kernel is
 // additionally templated on the Counters layout: the flat CounterArray
 // (the paper's shared atomic array) or the NUMA ShardedCounterArray
-// (per-domain replicas, updates to the caller's home replica, summed
-// hierarchical arg-max). Workers resolve a CounterSlab view once per
+// (per-domain replicas, updates to the caller's home replica, reads
+// summed over the replicas). Workers resolve a CounterSlab view once per
 // parallel region; both layouts produce bit-identical seed sequences.
 //
 // Both kernels are templated on a Mem policy that observes every data
-// access (counters, set payloads); NullMem compiles to nothing, and
-// src/cachesim provides a tracing policy that feeds the L1/L2 model for
-// the Table IV reproduction. They are additionally templated on the Pool
-// storage: the legacy RRRPool or an RRRPoolView (rrr/pool_view.hpp) over
-// shard-local arena segments — the zero-copy hand-off from the sharded
-// sampler. Both kernels break counter ties toward the lowest vertex id,
-// so they return identical seed sequences on the same pool content,
-// whichever storage backs it — a cross-validation the test suite
-// enforces.
+// access (counters, set payloads, heap entries, index lists); NullMem
+// compiles to nothing, and src/cachesim provides a tracing policy that
+// feeds the L1/L2 model for the Table IV reproduction — over the same
+// heap and bucketed fill production runs. They are additionally
+// templated on the Pool storage: the legacy RRRPool or an RRRPoolView
+// (rrr/pool_view.hpp) over shard-local arena segments — the zero-copy
+// hand-off from the sharded sampler. Both kernels break counter ties
+// toward the lowest vertex id, so they return identical seed sequences
+// on the same pool content, whichever storage backs it — a
+// cross-validation the test suite enforces.
 #pragma once
 
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -57,6 +73,7 @@
 #include "runtime/work_queue.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
+#include "support/aligned.hpp"
 #include "support/bits.hpp"
 #include "support/macros.hpp"
 
@@ -69,6 +86,95 @@ struct NullMem {
     EIMM_UNUSED(addr);
     EIMM_UNUSED(bytes);
   }
+};
+
+/// The efficient kernel's lazy arg-max (see the file comment for why it
+/// is exact): a binary max-heap of (count, id) ordered by count
+/// descending, then id ascending, whose stored counts may lag the live
+/// counters from above. Valid only while no counter rises between
+/// build() and the last pop() — true for one greedy selection.
+class LazyArgMaxHeap {
+ public:
+  /// Heaps every eligible slot of `counters` with a non-zero count
+  /// (`eligible`: nullptr, or counters.size() bytes; a zero skips the
+  /// slot). O(|V|): one read per counter plus a bottom-up heapify.
+  template <typename Mem, typename Counters>
+  void build(const Counters& counters, const std::uint8_t* eligible) {
+    heap_.clear();
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      if (eligible != nullptr && eligible[i] == 0) continue;
+      Mem::touch(counters.slot(i), sizeof(std::uint64_t));
+      const std::uint64_t count = counters.get(i);
+      if (count != 0) heap_.push_back({count, static_cast<VertexId>(i)});
+    }
+    Mem::touch(heap_.data(), heap_.size() * sizeof(Entry));
+    for (std::size_t at = heap_.size() / 2; at-- > 0;) sift_down<Mem>(at);
+  }
+
+  /// Removes and returns the vertex with the highest live count (lowest
+  /// id on ties); {0, 0} once every heaped count has reached 0. Stale
+  /// tops are refreshed from `counters` and sifted down on the way.
+  template <typename Mem, typename Counters>
+  ArgMaxResult pop(const Counters& counters) {
+    while (!heap_.empty()) {
+      Entry& top = heap_.front();
+      Mem::touch(&top, sizeof(Entry));
+      Mem::touch(counters.slot(top.id), sizeof(std::uint64_t));
+      const std::uint64_t live = counters.get(top.id);
+      if (live == top.count) {
+        const ArgMaxResult best{top.id, live};
+        remove_top<Mem>();
+        return best;
+      }
+      if (live == 0) {
+        remove_top<Mem>();
+      } else {
+        top.count = live;
+        sift_down<Mem>(0);
+      }
+    }
+    return {};
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+
+ private:
+  struct Entry {
+    std::uint64_t count;
+    VertexId id;
+  };
+
+  /// Heap order: `a` above `b` (ids are unique, so this is total).
+  static bool above(const Entry& a, const Entry& b) noexcept {
+    return a.count > b.count || (a.count == b.count && a.id < b.id);
+  }
+
+  template <typename Mem>
+  void remove_top() {
+    Mem::touch(&heap_.back(), sizeof(Entry));
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down<Mem>(0);
+  }
+
+  template <typename Mem>
+  void sift_down(std::size_t at) {
+    const std::size_t size = heap_.size();
+    const Entry moving = heap_[at];
+    for (std::size_t child = 2 * at + 1; child < size;
+         at = child, child = 2 * at + 1) {
+      const bool pair = child + 1 < size;
+      Mem::touch(&heap_[child], (pair ? 2 : 1) * sizeof(Entry));
+      if (pair && above(heap_[child + 1], heap_[child])) ++child;
+      if (!above(heap_[child], moving)) break;
+      Mem::touch(&heap_[at], sizeof(Entry));
+      heap_[at] = heap_[child];
+    }
+    Mem::touch(&heap_[at], sizeof(Entry));
+    heap_[at] = moving;
+  }
+
+  std::vector<Entry> heap_;
 };
 
 struct SelectionOptions {
@@ -96,6 +202,9 @@ struct SelectionOptions {
   /// own — the SelectionWorkspace reuse path for the martingale probe
   /// loop. Contents on return are the final alive flags.
   std::vector<std::uint8_t>* alive_scratch = nullptr;
+  /// Reusable storage for the efficient kernel's lazy arg-max heap, on
+  /// the same terms as alive_scratch (rebuilt by every call).
+  LazyArgMaxHeap* heap_scratch = nullptr;
 };
 
 struct SelectionResult {
@@ -183,30 +292,6 @@ bool contains_traced(const SetT& set, VertexId v) {
     }
   }
   return set.contains(v);
-}
-
-/// Arg-max over either counter layout. The production path uses the
-/// layout's parallel reduction (two-step flat, hierarchical sharded);
-/// the traced path scans serially so every counter read reaches the
-/// cache model.
-template <typename Mem, typename Counters>
-ArgMaxResult argmax_counters(const Counters& counters,
-                             const std::uint8_t* eligible = nullptr) {
-  if constexpr (!Mem::kTracing) {
-    return parallel_argmax(counters, eligible);
-  } else {
-    ArgMaxResult best{0, 0};
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-      if (eligible != nullptr && eligible[i] == 0) continue;
-      Mem::touch(counters.slot(i), sizeof(std::uint64_t));
-      const std::uint64_t v = counters.get(i);
-      if (v > best.value) {
-        best.value = v;
-        best.index = i;
-      }
-    }
-    return best;
-  }
 }
 
 }  // namespace detail
@@ -300,51 +385,87 @@ class HotVertexIndex {
     return ranks_[w] + static_cast<std::size_t>(popcount64(below));
   }
 
-  /// One parallel pass over the pool: every member of an indexed vertex
-  /// claims the next slot of that vertex's list through an atomic cursor
-  /// starting at its offset. Lists are then sorted, so their content
-  /// (and a traced walk) does not depend on the schedule. A count that
-  /// disagrees with the pool empties the index instead of overrunning.
+  /// One parallel pass over the pool. Worker t of the team owns the
+  /// contiguous, ascending set ids block_range(θ, team, t) and buckets
+  /// its hits privately: the (rank, set id) pairs in set-id order plus a
+  /// per-rank count. The counts then give every worker its own cursor
+  /// into each list, after the cursors of the workers before it, and the
+  /// buckets are scattered — so each list comes out ascending with no
+  /// atomic, no sort, and a content independent of the team size. Counts
+  /// that disagree with the pool empty the index instead of overrunning.
   template <typename Mem, typename PoolT>
   void fill(const PoolT& pool) {
+    struct Hit {
+      std::uint32_t rank;
+      std::uint32_t set;
+    };
+    // Padded: every hit grows its worker's vector header.
+    struct alignas(kCacheLineSize) Bucket {
+      std::vector<Hit> hits;
+      std::vector<std::uint32_t> cursor;  // per-rank hits, then positions
+      bool overrun = false;
+    };
     const std::size_t m = num_indexed();
-    std::vector<std::atomic<std::uint32_t>> cursor(m);
-    for (std::size_t r = 0; r < m; ++r) cursor[r] = offsets_[r];
-    std::atomic<bool> overrun{false};
-    const auto num_sets = static_cast<std::int64_t>(pool.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < num_sets; ++i) {
-      detail::for_each_traced<Mem>(pool[static_cast<std::size_t>(i)],
-                                   [&](VertexId v) {
-        const std::size_t w = v >> 6;
-        Mem::touch(&words_[w], sizeof(std::uint64_t));
-        if (((words_[w] >> (v & 63)) & 1) == 0) return;
-        const std::size_t r = rank<Mem>(v);
-        Mem::touch(&cursor[r], sizeof(std::uint32_t));
-        const std::uint32_t at =
-            cursor[r].fetch_add(1, std::memory_order_relaxed);
-        if (at >= offsets_[r + 1]) {
-          overrun.store(true, std::memory_order_relaxed);
-          return;
-        }
-        Mem::touch(&sets_[at], sizeof(std::uint32_t));
-        sets_[at] = static_cast<std::uint32_t>(i);
-      });
+    const std::size_t entries = sets_.size();
+    const std::size_t num_sets = pool.size();
+    std::vector<Bucket> buckets(
+        static_cast<std::size_t>(omp_get_max_threads()));
+    std::size_t team = 1;
+#pragma omp parallel
+    {
+      const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+      const auto nthreads = static_cast<std::size_t>(omp_get_num_threads());
+      if (tid == 0) team = nthreads;
+      Bucket& mine = buckets[tid];
+      mine.cursor.assign(m, 0);
+      const auto [begin, end] = block_range(num_sets, nthreads, tid);
+      for (std::size_t i = begin; i < end; ++i) {
+        detail::for_each_traced<Mem>(pool[i], [&](VertexId v) {
+          const std::size_t w = v >> 6;
+          Mem::touch(&words_[w], sizeof(std::uint64_t));
+          if (((words_[w] >> (v & 63)) & 1) == 0) return;
+          // More hits than the index holds: the counts are wrong.
+          if (mine.hits.size() == entries) {
+            mine.overrun = true;
+            return;
+          }
+          const auto r = static_cast<std::uint32_t>(rank<Mem>(v));
+          Mem::touch(&mine.cursor[r], sizeof(std::uint32_t));
+          ++mine.cursor[r];
+          mine.hits.push_back({r, static_cast<std::uint32_t>(i)});
+          Mem::touch(&mine.hits.back(), sizeof(Hit));
+        });
+      }
     }
-    bool exact = !overrun.load();
+    // Turn the per-worker counts into cursors, worker by worker within
+    // each list; every list must end exactly at the next one's offset.
+    bool exact = std::none_of(buckets.begin(), buckets.begin() + team,
+                              [](const Bucket& b) { return b.overrun; });
     for (std::size_t r = 0; exact && r < m; ++r) {
-      exact = cursor[r].load(std::memory_order_relaxed) == offsets_[r + 1];
+      std::uint64_t at = offsets_[r];
+      for (std::size_t t = 0; t < team; ++t) {
+        Mem::touch(&buckets[t].cursor[r], sizeof(std::uint32_t));
+        const std::uint32_t count = buckets[t].cursor[r];
+        buckets[t].cursor[r] = static_cast<std::uint32_t>(at);
+        at += count;
+      }
+      exact = at == offsets_[r + 1];
     }
     if (!exact) {
       *this = HotVertexIndex();
       return;
     }
-    const auto lists = static_cast<std::int64_t>(m);
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::int64_t r = 0; r < lists; ++r) {
-      Mem::touch(sets_.data() + offsets_[r],
-                 (offsets_[r + 1] - offsets_[r]) * sizeof(std::uint32_t));
-      std::sort(sets_.begin() + offsets_[r], sets_.begin() + offsets_[r + 1]);
+    const auto workers = static_cast<std::int64_t>(team);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t t = 0; t < workers; ++t) {
+      Bucket& bucket = buckets[static_cast<std::size_t>(t)];
+      for (const Hit& hit : bucket.hits) {
+        Mem::touch(&hit, sizeof(Hit));
+        Mem::touch(&bucket.cursor[hit.rank], sizeof(std::uint32_t));
+        const std::uint32_t at = bucket.cursor[hit.rank]++;
+        Mem::touch(&sets_[at], sizeof(std::uint32_t));
+        sets_[at] = hit.set;
+      }
     }
   }
 
@@ -368,7 +489,7 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
   EIMM_CHECK(options.k > 0, "k must be positive");
   const std::uint8_t* eligible = nullptr;
   if (options.eligible != nullptr) {
-    // The arg-max scans the whole counter array, so the mask must cover
+    // The arg-max heaps the whole counter array, so the mask must cover
     // every counter slot, not just |V|.
     EIMM_CHECK(options.eligible->size() >= counters.size(),
                "eligibility mask smaller than counter array");
@@ -422,14 +543,19 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
     }
   }
 
-  // Built from the initial counts, before the first pick changes them.
+  // Both built from the initial counts, before the first pick changes
+  // them (the heap is rebuilt after each rebuild round).
   const HotVertexIndex index =
       HotVertexIndex::build<Mem>(pool, std::as_const(counters));
+  LazyArgMaxHeap own_heap;
+  LazyArgMaxHeap& heap =
+      options.heap_scratch != nullptr ? *options.heap_scratch : own_heap;
+  heap.build<Mem>(counters, eligible);
 
   std::uint64_t alive_count = num_sets;
   const std::size_t rounds = std::min<std::size_t>(options.k, n);
   for (std::size_t round = 0; round < rounds; ++round) {
-    const ArgMaxResult best = detail::argmax_counters<Mem>(counters, eligible);
+    const ArgMaxResult best = heap.pop<Mem>(counters);
     if (best.value == 0) break;  // no eligible vertex covers an alive set
     const auto seed = static_cast<VertexId>(best.index);
     result.seeds.push_back(seed);
@@ -468,6 +594,11 @@ SelectionResult efficient_select_t(const PoolT& pool, Counters& counters,
           });
         }
       }
+      // Every count was just recounted, and on the dense pools that
+      // rebuild most of them dropped: re-heaping the fresh counts costs
+      // O(|V|), where refreshing the stale entries one by one would cost
+      // O(|V| log |V|).
+      heap.build<Mem>(counters, eligible);
     } else if (const auto covering = index.covering<Mem>(seed);
                !covering.empty()) {
       ++result.indexed_rounds;

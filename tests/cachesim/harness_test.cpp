@@ -28,6 +28,30 @@ TEST(TracedSelection, SeedsMatchUntracedKernels) {
   EXPECT_EQ(traced.selection.seeds, untraced.seeds);
 }
 
+TEST(TracedSelection, SparsePoolTracesTheIndexAndHeapProductionRuns) {
+  // Small LT sets keep the top counts under the θ/8 budget, so the
+  // traced kernel fills the hot-vertex index and walks it, as the
+  // production kernel does on the same pool.
+  const DiffusionGraph g = make_workload_with_weights(
+      "as-Skitter", DiffusionModel::kLinearThreshold, 0.2, 17);
+  const RRRPool pool = testing::sample_pool(
+      g, DiffusionModel::kLinearThreshold, 4000, 99);
+  SelectionOptions options;
+  options.k = 20;
+  options.dynamic_balance = false;
+  CounterArray counters(pool.num_vertices());
+  const auto untraced = efficient_select(pool, counters, options);
+  ASSERT_GT(untraced.indexed_rounds, 0u);
+  for (const int threads : {1, 3}) {
+    const auto traced =
+        run_traced_selection(Engine::kEfficient, pool, 20, threads);
+    EXPECT_EQ(traced.selection.seeds, untraced.seeds) << threads;
+    EXPECT_EQ(traced.selection.marginal_coverage, untraced.marginal_coverage);
+    EXPECT_EQ(traced.selection.indexed_rounds, untraced.indexed_rounds);
+    EXPECT_GT(traced.cache.accesses, 0u);
+  }
+}
+
 TEST(TracedSelection, RipplesSeedsMatchToo) {
   const RRRPool pool = dense_pool();
   SelectionOptions options;

@@ -7,7 +7,9 @@
 
 #include "diffusion/weights.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
+#include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
@@ -205,6 +207,101 @@ TEST(RunImm, TelemetryIdenticalAcrossEngines) {
     EXPECT_EQ(efficient.iterations[i].accepted,
               baseline.iterations[i].accepted);
   }
+}
+
+/// A fresh SelectionEngine::select over `build` with run_imm's final
+/// selection inputs (fresh layout, no workspace).
+SelectionResult fresh_selection(const PoolBuild& build, const ImmOptions& opt,
+                                Engine engine) {
+  SelectionOptions sopt;
+  sopt.k = opt.k;
+  SelectionEngineConfig config;
+  config.pin = PinMode::kNone;
+  if (engine == Engine::kRipples) {
+    sopt.adaptive_update = false;
+    sopt.dynamic_balance = false;
+    return SelectionEngine(config).select(SelectionKernel::kRipples,
+                                          build.view(), sopt);
+  }
+  return SelectionEngine(config).select(
+      SelectionKernel::kEfficient, build.view(), sopt,
+      build.counters_prebuilt ? &build.base_counters : nullptr);
+}
+
+std::uint64_t counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  const obs::MetricValue* metric = snap.find(name);
+  return metric != nullptr ? metric->value : 0;
+}
+
+/// Runs run_imm and reports how many selections it ran and whether it
+/// reused the last probe as its final selection, from the obs counters.
+struct CountedRun {
+  ImmResult result;
+  std::uint64_t selections = 0;
+  std::uint64_t reused = 0;
+};
+
+CountedRun counted_run_imm(const DiffusionGraph& g, const ImmOptions& opt,
+                           Engine engine) {
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const std::uint64_t runs = counter_value("selection.runs_total");
+  const std::uint64_t reused = counter_value("selection.final_reused_total");
+  CountedRun run;
+  run.result = run_imm(g, opt, engine);
+  run.selections = counter_value("selection.runs_total") - runs;
+  run.reused = counter_value("selection.final_reused_total") - reused;
+  obs::set_metrics_enabled(metrics_were_enabled);
+  return run;
+}
+
+TEST(RunImm, FinalSelectionEqualsAFreshSelectWithOrWithoutATopUp) {
+  // com-Amazon IC at this scale accepts a probe whose pool already
+  // exceeds θ (no top-up); its LT twin tops up after the last probe.
+  for (const auto model : {DiffusionModel::kIndependentCascade,
+                           DiffusionModel::kLinearThreshold}) {
+    const bool top_up = model == DiffusionModel::kLinearThreshold;
+    const auto g = make_workload_with_weights("com-Amazon", model, 0.05, 17);
+    const ImmOptions opt = small_options(model);
+    const PoolBuild build = build_rrr_pool(g, opt, Engine::kEfficient);
+    ASSERT_TRUE(build.last_probe.has_value());
+    ASSERT_EQ(build.size() > build.last_probe->total_sets, top_up)
+        << "the fixture no longer exercises this case";
+    const SelectionResult fresh =
+        fresh_selection(build, opt, Engine::kEfficient);
+    if (!top_up) {
+      EXPECT_EQ(build.last_probe->seeds, fresh.seeds);
+      EXPECT_EQ(build.last_probe->marginal_coverage, fresh.marginal_coverage);
+      EXPECT_EQ(build.last_probe->covered_sets, fresh.covered_sets);
+      EXPECT_EQ(build.last_probe->rebuild_rounds, fresh.rebuild_rounds);
+    }
+
+    const CountedRun run = counted_run_imm(g, opt, Engine::kEfficient);
+    EXPECT_EQ(run.result.seeds, fresh.seeds) << "top-up " << top_up;
+    EXPECT_DOUBLE_EQ(run.result.coverage_fraction, fresh.coverage_fraction());
+    EXPECT_EQ(run.result.num_rrr_sets, build.size());
+    EXPECT_EQ(run.result.rebuild_rounds, fresh.rebuild_rounds);
+    EXPECT_EQ(run.result.counter_layout_allocations, 1u);
+    EXPECT_EQ(run.selections, run.result.iterations.size() + (top_up ? 1 : 0));
+    EXPECT_EQ(run.reused, top_up ? 0u : 1u);
+  }
+}
+
+TEST(RunImm, RipplesAlwaysRerunsTheFinalSelection) {
+  // The same no-top-up fixture: the baseline still selects once more.
+  const auto g = make_workload_with_weights(
+      "com-Amazon", DiffusionModel::kIndependentCascade, 0.05, 17);
+  const ImmOptions opt = small_options(DiffusionModel::kIndependentCascade);
+  const PoolBuild build = build_rrr_pool(g, opt, Engine::kRipples);
+  ASSERT_TRUE(build.last_probe.has_value());
+  ASSERT_EQ(build.size(), build.last_probe->total_sets);
+
+  const CountedRun run = counted_run_imm(g, opt, Engine::kRipples);
+  EXPECT_EQ(run.result.seeds,
+            fresh_selection(build, opt, Engine::kRipples).seeds);
+  EXPECT_EQ(run.selections, run.result.iterations.size() + 1);
+  EXPECT_EQ(run.reused, 0u);
 }
 
 TEST(EngineToString, Names) {

@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "rrr/compressed_pool.hpp"
 #include "rrr/pool_view.hpp"
+#include "runtime/reduction.hpp"
+#include "runtime/thread_info.hpp"
 #include "seedselect/select.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
@@ -164,6 +168,25 @@ std::uint32_t scanned_rounds(const SelectionResult& r) {
          r.rebuild_rounds;
 }
 
+/// Each indexed vertex's list is exactly the ascending ids of the sets
+/// containing it (brute force over `sets`).
+void expect_brute_force_lists(const HotVertexIndex& index, const Sets& sets,
+                              const char* what) {
+  for (VertexId v = 0; v < kN; ++v) {
+    const auto covering = index.covering(v);
+    if (covering.empty()) continue;
+    std::vector<std::uint32_t> expected;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      if (std::binary_search(sets[i].begin(), sets[i].end(), v)) {
+        expected.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    EXPECT_EQ(std::vector<std::uint32_t>(covering.begin(), covering.end()),
+              expected)
+        << what << ": vertex " << v;
+  }
+}
+
 CounterArray initial_counts(const RRRPool& pool) {
   CounterArray counters(pool.num_vertices());
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -201,21 +224,57 @@ TEST(HotVertexIndex, ListsAreTheBudgetedTopPrefix) {
   EXPECT_GT(sum + counters.get(order[indexed]),
             pool.size() / HotVertexIndex::kBudgetDivisor);
 
-  // Each list is exactly the ascending ids of the sets containing v.
-  for (VertexId v = 0; v < kN; ++v) {
-    const auto covering = index.covering(v);
-    if (covering.empty()) continue;
-    std::vector<std::uint32_t> expected;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      if (std::binary_search(sets[i].begin(), sets[i].end(), v)) {
-        expected.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    EXPECT_EQ(std::vector<std::uint32_t>(covering.begin(), covering.end()),
-              expected)
-        << "vertex " << v;
-  }
+  expect_brute_force_lists(index, sets, "flat pool");
   EXPECT_TRUE(index.covering(kN + 100).empty());
+}
+
+TEST(HotVertexIndex, BucketedListsMatchBruteForceForAnyTeamAndStorage) {
+  const Sets sets = skewed_sets(8000, /*dense_every=*/50);
+  const RRRPool pool = adaptive_pool(sets);
+  const SegmentedPool segments = segmented_pool(pool);
+  ASSERT_GT(RRRPoolView(segments).bitmap_count(), 0u);
+  CompressedPool varint(kN, PoolCodec::kVarint);
+  varint.append(segments, 0, segments.size());
+  CompressedPool huffman(kN, PoolCodec::kHuffman);
+  huffman.append(segments, 0, segments.size());
+  const CounterArray counters = initial_counts(pool);
+  for (const int threads : {1, 2, 3}) {
+    const ThreadCountScope scope(threads);
+    for (const auto& [view, what] :
+         {std::pair{RRRPoolView(pool), "flat"},
+          std::pair{RRRPoolView(segments), "segmented"},
+          std::pair{RRRPoolView(varint), "varint"},
+          std::pair{RRRPoolView(huffman), "huffman"}}) {
+      const HotVertexIndex index =
+          HotVertexIndex::build<NullMem>(view, counters);
+      ASSERT_FALSE(index.empty()) << what << ", " << threads << " threads";
+      expect_brute_force_lists(index, sets, what);
+    }
+  }
+}
+
+TEST(HotVertexIndex, MoreThreadsThanSetsStillFillEveryList) {
+  // 16 sets, budget 2: vertex 7 (in sets 3 and 12) is the only vertex
+  // that fits, so 20 workers leave most ranges empty and two of them
+  // each contribute one entry to the same list.
+  Sets sets(16);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    sets[i] = {static_cast<VertexId>(100 + i)};
+  }
+  sets[3] = {7, 103};
+  sets[12] = {7, 112};
+  const RRRPool pool = testing::make_pool(kN, sets);
+  const CounterArray counters = initial_counts(pool);
+  for (const int threads : {1, 2, 3, 20}) {
+    const ThreadCountScope scope(threads);
+    const HotVertexIndex index =
+        HotVertexIndex::build<NullMem>(RRRPoolView(pool), counters);
+    ASSERT_EQ(index.num_indexed(), 1u) << threads << " threads";
+    expect_brute_force_lists(index, sets, "tiny pool");
+    const auto covering = index.covering(7);
+    EXPECT_EQ(std::vector<std::uint32_t>(covering.begin(), covering.end()),
+              (std::vector<std::uint32_t>{3, 12}));
+  }
 }
 
 TEST(HotVertexIndex, CountsThatDisagreeWithThePoolBuildNoIndex) {
@@ -357,6 +416,143 @@ TEST(HotVertexIndexSelection, PoolBelowTheBudgetBuildsNoIndex) {
   const SelectionResult r = check_efficient(pool, sets, options);
   EXPECT_EQ(r.indexed_rounds, 0u);
   EXPECT_EQ(scanned_rounds(r), r.seeds.size());
+}
+
+/// Drives LazyArgMaxHeap the way a selection does — pop, zero the
+/// winner, lower some other counts — and checks every pop against the
+/// serial arg-max over the live counters, down to the {0, 0} that ends a
+/// selection. Counts are drawn from a small range so ties are common.
+/// `counters` holds the live values; `lower(v, by)` lowers one of them.
+template <typename Counters, typename Lower>
+void expect_heap_matches_serial_argmax(const Counters& counters,
+                                       const std::uint8_t* eligible,
+                                       Lower&& lower, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  LazyArgMaxHeap heap;
+  heap.build<NullMem>(counters, eligible);
+  for (std::size_t pops = 0;; ++pops) {
+    ASSERT_LE(pops, counters.size());
+    const ArgMaxResult expected = serial_argmax(counters, eligible);
+    const ArgMaxResult best = heap.pop<NullMem>(counters);
+    ASSERT_EQ(best.value, expected.value) << "pop " << pops;
+    if (expected.value == 0) break;
+    ASSERT_EQ(best.index, expected.index) << "pop " << pops;
+    lower(best.index, best.value);
+    for (int j = 0; j < 20; ++j) {
+      const std::size_t v = rng.next_bounded(counters.size());
+      const std::uint64_t live = counters.get(v);
+      if (live != 0) lower(v, 1 + rng.next_bounded(live));
+    }
+  }
+  EXPECT_EQ(heap.pop<NullMem>(counters).value, 0u) << "heap kept a live entry";
+}
+
+TEST(LazyArgMaxHeap, MatchesSerialArgMaxOnFlatCounters) {
+  constexpr std::size_t kSlots = 500;
+  Xoshiro256 rng(11);
+  std::vector<std::uint8_t> eligible(kSlots, 1);
+  for (std::size_t v = 0; v < kSlots; v += 7) eligible[v] = 0;
+  const std::uint8_t* masks[] = {nullptr, eligible.data()};
+  for (const std::uint8_t* mask : masks) {
+    CounterArray counters(kSlots);
+    for (std::size_t v = 0; v < kSlots; ++v) {
+      counters.set(v, rng.next_bounded(6));  // many ties, some zeros
+    }
+    expect_heap_matches_serial_argmax(
+        counters, mask,
+        [&](std::size_t v, std::uint64_t by) {
+          counters.set(v, counters.get(v) - by);
+        },
+        mask == nullptr ? 1 : 2);
+  }
+}
+
+TEST(LazyArgMaxHeap, MatchesSerialArgMaxOnShardedCounters) {
+  // Each count is split over the replicas and lowered through a
+  // different replica than it was raised on, so single replica slots
+  // wrap; only the summed view is meaningful.
+  constexpr std::size_t kSlots = 300;
+  for (const int shards : {1, 2, 3}) {
+    Xoshiro256 rng(40 + shards);
+    ShardedCounterArray counters(kSlots, shards);
+    for (std::size_t v = 0; v < kSlots; ++v) {
+      const std::uint64_t count = rng.next_bounded(6);
+      for (std::uint64_t c = 0; c < count; ++c) {
+        counters.local(static_cast<int>((v + c) % shards)).increment(v);
+      }
+    }
+    std::size_t lowered = 0;
+    expect_heap_matches_serial_argmax(
+        counters, nullptr,
+        [&](std::size_t v, std::uint64_t by) {
+          CounterSlab slab =
+              counters.local(static_cast<int>(++lowered % shards));
+          for (std::uint64_t c = 0; c < by; ++c) slab.decrement(v);
+        },
+        shards);
+  }
+}
+
+TEST(LazyArgMaxHeap, EqualCountsGoToTheLowestId) {
+  const std::uint64_t counts[] = {2, 5, 3, 5, 0, 5};
+  CounterArray counters(std::size(counts));
+  for (std::size_t v = 0; v < std::size(counts); ++v) {
+    counters.set(v, counts[v]);
+  }
+  LazyArgMaxHeap heap;
+  heap.build<NullMem>(counters, nullptr);
+  EXPECT_EQ(heap.size(), 5u);  // the zero count is never heaped
+  std::vector<std::size_t> order;
+  for (ArgMaxResult best = heap.pop<NullMem>(counters); best.value != 0;
+       best = heap.pop<NullMem>(counters)) {
+    order.push_back(best.index);
+  }
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 5, 2, 0}));
+}
+
+TEST(HotVertexIndexSelection, RebuildRoundsKeepTheHeapExact) {
+  // Vertex 5 joins two sets in three, so the first pick covers most of
+  // the pool and the adaptive update rebuilds: every count drops at
+  // once, the heap is rebuilt from the fresh counts, and the later
+  // decrement rounds refresh it lazily again.
+  Sets sets = skewed_sets(4000);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    auto& set = sets[i];
+    if (i % 3 != 0 && !std::binary_search(set.begin(), set.end(), 5)) {
+      set.insert(std::lower_bound(set.begin(), set.end(), 5), 5);
+    }
+  }
+  const RRRPool pool = testing::make_pool(kN, sets);
+  SelectionOptions options;
+  options.k = 40;
+  const SelectionResult r = check_efficient(pool, sets, options);
+  ASSERT_FALSE(r.seeds.empty());
+  EXPECT_EQ(r.seeds.front(), 5u);
+  EXPECT_GT(r.rebuild_rounds, 0u);
+  EXPECT_LT(r.rebuild_rounds, r.seeds.size());
+}
+
+TEST(HotVertexIndexSelection, StopsOnceEveryEligibleCountIsZero) {
+  // Five distinct members in all: k = 20 stops after 5 picks, and after
+  // 3 when only three of them are eligible.
+  Sets sets(400);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    sets[i] = {static_cast<VertexId>(10 * (i % 5) + 3)};
+    if (i % 3 == 0) sets[i].push_back(43);
+  }
+  for (auto& set : sets) {
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+  }
+  const RRRPool pool = testing::make_pool(kN, sets);
+  SelectionOptions options;
+  options.k = 20;
+  EXPECT_EQ(check_efficient(pool, sets, options).seeds.size(), 5u);
+
+  std::vector<std::uint8_t> eligible(kN, 0);
+  eligible[3] = eligible[13] = eligible[43] = 1;
+  options.eligible = &eligible;
+  EXPECT_EQ(check_efficient(pool, sets, options).seeds.size(), 3u);
 }
 
 }  // namespace
