@@ -1,8 +1,10 @@
 #include "io/edgelist.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "support/macros.hpp"
@@ -56,7 +58,12 @@ std::vector<WeightedEdge> read_edge_list(std::istream& is,
     EIMM_CHECK(parse_field_u64(sv, src) && parse_field_u64(sv, dst),
                "malformed edge-list line");
     float w = options.default_weight;
-    parse_field_float(sv, w);  // optional third column
+    // Optional third column. from_chars accepts "nan" and "inf", which
+    // no diffusion model can use as a probability or threshold weight.
+    if (parse_field_float(sv, w) && !std::isfinite(w)) {
+      throw CheckError("edge-list line " + std::to_string(lineno) +
+                       ": non-finite weight");
+    }
     if (options.one_based) {
       EIMM_CHECK(src >= 1 && dst >= 1, "one-based file contains id 0");
       --src;

@@ -25,6 +25,29 @@
 //   lane still expands each vertex at most once and flips each edge at
 //   most once — the scalar IC live-edge semantics, 64-wide.
 //
+// The hot loop is branch-light and sort-free:
+//   * candidate compaction — expanding v first writes, without a
+//     branch, the indices of the in-edges whose `m & ~visited[w]` is
+//     non-zero into a reused buffer; coins are flipped for those edges
+//     only, re-reading visited[w] (it only grows while v is expanded,
+//     so a duplicate in-edge or a self-loop flips exactly what it did
+//     in a single test-every-edge pass);
+//   * branchless coins — bernoulli_mask's bit-serial step is one
+//     formula for both values of q's bit, the density test clears bits
+//     instead of calling popcount, per-lane flips OR in
+//     `next_bool(p) << l`, and the frontier commit stores without
+//     testing whether any lane got through;
+//   * touched bitmap — one bit per visited vertex replaces a vertex
+//     list and its sort. The emit pass walks it group by group (64
+//     vertices per bitmap word), transposes each touched group's
+//     visited words into per-lane words in place, and writes a bitmap
+//     slot word-for-word or expands a run in ascending order:
+//     O(|V|/64 + members) per traversal.
+// Bit-identity contract: none of this changes which RNG values are
+// drawn or their order, so pools, seeds and snapshots are bit-identical
+// to the straightforward kernel. The golden digests in
+// tests/statcheck/fused_determinism_test.cpp pin that.
+//
 // LT is not fused: its lanes would be independent reverse walks that
 // share no traversal work, so fusion only adds bookkeeping. The sharded
 // sampler stages every LT set through its scalar loop, and both entry
@@ -52,6 +75,7 @@
 #include "graph/csr.hpp"
 #include "rrr/pool_view.hpp"
 #include "runtime/atomic_counters.hpp"
+#include "support/bits.hpp"
 #include "support/rng.hpp"
 
 namespace eimm {
@@ -72,27 +96,43 @@ enum class FusedSampling { kAuto, kOff, kOn };
 
 [[nodiscard]] std::string_view to_string(FusedSampling mode) noexcept;
 
-/// Per-worker reusable state for fused traversals. `visited` and
-/// `pending` must be all-zero between traversals; the expansion
-/// consumes every pending word it queues, and sample_rrr_fused clears
-/// the visited words it touched during its emit pass (O(touched), not
-/// O(|V|)), restoring the invariant without epoch stamps — a 64-bit
-/// lane word has no spare room for an epoch, and the touched list
-/// already names every dirty word.
+/// Per-worker reusable state for fused traversals. `visited`,
+/// `pending` and `touched` must be all-zero between traversals; the
+/// expansion consumes every pending word it queues, and both entry
+/// points' emit passes walk the touched bitmap and clear the visited
+/// words and bitmap words they read (O(|V|/64 + members), not O(|V|)),
+/// restoring the invariant without epoch stamps — a 64-bit lane word
+/// has no spare room for an epoch, and the bitmap already names every
+/// dirty word.
 struct FusedScratch {
-  explicit FusedScratch(VertexId n) : visited(n, 0), pending(n, 0) {
+  explicit FusedScratch(VertexId n)
+      : visited(words_for_bits(n) * kFusedLanes, 0),
+        pending(n, 0),
+        touched(words_for_bits(n), 0) {
     queue.reserve(256);
-    touched.reserve(256);
+    candidates.reserve(256);
   }
 
-  std::vector<std::uint64_t> visited;  ///< lane bitset per vertex
+  /// Lane bitset per vertex during the traversal, padded to whole
+  /// 64-vertex groups. The emit pass transposes each touched group in
+  /// place, so that visited[64j + l] briefly holds lane l's bits for
+  /// vertices [64j, 64j + 64).
+  std::vector<std::uint64_t> visited;
   /// Lanes that reached the vertex but have not been expanded from it
   /// yet; the coalescing accumulator.
   std::vector<std::uint64_t> pending;
+  /// One bit per vertex, set once any lane visits it; walking it word
+  /// by word yields the touched vertices in ascending order, so no
+  /// emit pass sorts. Holds each group's lane mask while the group is
+  /// transposed.
+  std::vector<std::uint64_t> touched;
   /// Work queue with index cursor; a vertex re-enters only on a
   /// pending 0 -> nonzero transition, so entries consume whole masks.
   std::vector<VertexId> queue;
-  std::vector<VertexId> touched;  ///< distinct vertices with visited != 0
+  /// Adjacency indices of the popped vertex's in-edges that still lead
+  /// to an unvisited lane (the compaction pass's output); grows to the
+  /// largest in-degree expanded and is reused.
+  std::vector<std::uint32_t> candidates;
   /// Per-lane member output, sorted ascending after a traversal.
   std::array<std::vector<VertexId>, kFusedLanes> members;
   std::array<Xoshiro256, kFusedLanes> lane_rng;
@@ -103,6 +143,10 @@ struct FusedTraversalStats {
   unsigned lanes = 0;            ///< sets emitted (= lane window width)
   std::uint64_t touched = 0;     ///< distinct vertices any lane visited
   std::uint64_t members = 0;     ///< Σ set sizes across the window
+  std::uint64_t edges_scanned = 0;  ///< in-edges read, Σ popped degrees
+  /// Scanned edges that flipped coins for at least one lane: the edges
+  /// whose target still had an unvisited popped lane when reached.
+  std::uint64_t coin_edges = 0;
 };
 
 /// Draws 64 iid Bernoulli(p) bits in ~8 uniform draws (expected) via a
@@ -112,7 +156,8 @@ struct FusedTraversalStats {
 /// q's. Every draw halves the undecided lanes in expectation, so the
 /// loop runs ~log2(64)+2 rounds regardless of p's precision. The mask
 /// is EXACTLY Bernoulli(q/2^32) per bit; quantization error vs p is
-/// < 2^-33 — far below anything the statcheck harness can see.
+/// < 2^-33 — far below anything the statcheck harness can see. NaN and
+/// p <= 0 give 0 with no draw, matching next_bool's "NaN is never live".
 [[nodiscard]] std::uint64_t bernoulli_mask(Xoshiro256& rng, double p) noexcept;
 
 /// Runs one fused traversal for lanes [lane_begin, lane_end) of traversal
@@ -128,10 +173,10 @@ FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
                                      unsigned lane_end, FusedScratch& scratch);
 
 /// The staging-path variant: identical traversal, but each lane's set is
-/// written STRAIGHT into `arena` (no intermediate per-lane buffer, one
-/// write per member): a lane with at least `bitmap_min` members becomes
-/// a bitmap slot (the adaptive representation, §IV-C), every other lane
-/// a sorted run. refs_out must have room for lane_end - lane_begin
+/// written STRAIGHT into `arena` (no intermediate per-lane buffer): a
+/// lane with at least `bitmap_min` members becomes a bitmap slot (the
+/// adaptive representation, §IV-C) written one word per touched vertex
+/// group, every other lane a sorted run written one store per member. refs_out must have room for lane_end - lane_begin
 /// entries; refs_out[l - lane_begin] receives lane l's slot. When
 /// `counters` is non-null the emit pass also builds the base counters
 /// (kernel fusion, Algorithm 3) as counters[v] += popcount(visited[v]) —

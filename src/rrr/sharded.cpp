@@ -239,6 +239,12 @@ void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
       obs::counter("sampler.fused.traversals_total");
   static const obs::Counter fused_sets_counter =
       obs::counter("sampler.fused.sets_total");
+  // Fused kernel work: in-edges read by the compaction pass, and the
+  // subset that went on to flip coins for at least one lane.
+  static const obs::Counter fused_edges_counter =
+      obs::counter("sampler.fused.edges_scanned_total");
+  static const obs::Counter coin_edges_counter =
+      obs::counter("sampler.fused.coin_edges_total");
   static const obs::Histogram sets_per_traversal =
       obs::histogram("sampler.fused.sets_per_traversal");
   // Average lanes per touched vertex: 64 means every lane shares every
@@ -309,6 +315,8 @@ void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
           std::array<ShardArena::Ref, kFusedLanes> lane_refs;
           std::uint64_t local_traversals = 0;
           std::uint64_t local_sets = 0;
+          std::uint64_t local_edges = 0;
+          std::uint64_t local_coin_edges = 0;
           drain(wid, "sampler.fused", [&](std::uint64_t block) {
             const std::uint64_t slot_lo = std::max(begin, block * kFusedLanes);
             const std::uint64_t slot_hi =
@@ -326,6 +334,8 @@ void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
             }
             ++local_traversals;
             local_sets += tstats.lanes;
+            local_edges += tstats.edges_scanned;
+            local_coin_edges += tstats.coin_edges;
             sets_per_traversal.observe(tstats.lanes);
             if (tstats.touched > 0) {
               lane_occupancy.observe(tstats.members / tstats.touched);
@@ -333,6 +343,8 @@ void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
           });
           traversals_counter.add(local_traversals);
           fused_sets_counter.add(local_sets);
+          fused_edges_counter.add(local_edges);
+          coin_edges_counter.add(local_coin_edges);
         } else {
           // Allocation-free: each set is walked into the reused scratch,
           // sorted there in place, and written once into the worker's

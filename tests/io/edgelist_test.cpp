@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/macros.hpp"
 
@@ -69,6 +70,25 @@ TEST(EdgeList, MalformedLineThrows) {
   EXPECT_THROW(read_edge_list(is), CheckError);
   std::istringstream is2("a b\n");
   EXPECT_THROW(read_edge_list(is2), CheckError);
+}
+
+TEST(EdgeList, NonFiniteWeightThrowsWithLineNumber) {
+  // from_chars parses "nan" and "inf"; the reader must stop them before
+  // a sampler reads them as probabilities.
+  for (const char* weight : {"nan", "inf", "-inf", "NaN", "INF"}) {
+    std::istringstream is(std::string("# header\n0 1 0.5\n\n2 3 ") + weight +
+                          "\n4 5 0.25\n");
+    try {
+      (void)read_edge_list(is);
+      ADD_FAILURE() << "accepted weight " << weight;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Finite extremes stay accepted.
+  std::istringstream ok("0 1 0\n1 2 1e-30\n2 3 3.4e38\n");
+  EXPECT_EQ(read_edge_list(ok).size(), 3u);
 }
 
 TEST(EdgeList, MissingFileThrows) {

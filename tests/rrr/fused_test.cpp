@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -27,6 +29,7 @@ constexpr std::uint64_t kSeed = 0xBE9C;
 void expect_scratch_clean(const FusedScratch& scratch) {
   for (const std::uint64_t w : scratch.visited) EXPECT_EQ(w, 0u);
   for (const std::uint64_t w : scratch.pending) EXPECT_EQ(w, 0u);
+  for (const std::uint64_t w : scratch.touched) EXPECT_EQ(w, 0u);
 }
 
 TEST(ResolveFusedSampling, ExplicitWinsEnvFillsAuto) {
@@ -46,6 +49,80 @@ TEST(BernoulliMask, DegenerateProbabilities) {
   EXPECT_EQ(bernoulli_mask(rng, 2.0), ~std::uint64_t{0});
   // Below the 2^-32 quantization grid rounds to never.
   EXPECT_EQ(bernoulli_mask(rng, 1e-12), 0u);
+}
+
+// Reference: the bit-serial loop written the obvious way, with llround
+// and a branch on each bit of q. bernoulli_mask must reproduce it mask
+// for mask and draw for draw, or fused pools would change.
+std::uint64_t reference_bernoulli_mask(Xoshiro256& rng, double p) {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return ~std::uint64_t{0};
+  const auto q = static_cast<std::uint64_t>(std::llround(p * 4294967296.0));
+  if (q == 0) return 0;
+  if (q >= (std::uint64_t{1} << 32)) return ~std::uint64_t{0};
+  std::uint64_t result = 0;
+  std::uint64_t undecided = ~std::uint64_t{0};
+  for (int k = 31; k >= 0; --k) {
+    if ((q & ((std::uint64_t{1} << (k + 1)) - 1)) == 0) break;
+    const std::uint64_t r = rng();
+    if (((q >> k) & 1) != 0) {
+      result |= undecided & ~r;
+      undecided &= r;
+    } else {
+      undecided &= ~r;
+    }
+    if (undecided == 0) break;
+  }
+  return result;
+}
+
+TEST(BernoulliMask, MatchesReferenceLoopMaskAndDraws) {
+  // Same mask AND same generator state afterwards: a mask that matched
+  // but consumed a different number of draws would shift every later
+  // coin of the traversal.
+  std::vector<double> ps = {0.5,
+                            0.25,
+                            0.75,
+                            0.125,
+                            0x1.0p-32,
+                            0x1.0p-33,
+                            0x1.8p-34,
+                            1e-10,
+                            1.0 - 0x1.0p-32,
+                            1.0 - 0x1.0p-33,
+                            1.0 - 1e-12,
+                            std::nextafter(1.0, 0.0)};
+  // Quantization ties: p·2^32 exactly k + 1/2 rounds away from zero, and
+  // its neighbours one ulp either side must round the way llround does.
+  for (const double tie : {0.5, 12345.5, 2147483647.5, 4294967295.5}) {
+    const double p = tie * 0x1.0p-32;
+    ps.push_back(p);
+    ps.push_back(std::nextafter(p, 0.0));
+    ps.push_back(std::nextafter(p, 1.0));
+  }
+  Xoshiro256 pick = rng_stream(kSeed, 5);
+  for (int i = 0; i < 2000; ++i) ps.push_back(pick.next_double());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    Xoshiro256 a = rng_stream(kSeed, 1000 + i);
+    Xoshiro256 b = a;
+    for (int rep = 0; rep < 8; ++rep) {
+      ASSERT_EQ(bernoulli_mask(a, ps[i]), reference_bernoulli_mask(b, ps[i]))
+          << "p = " << ps[i] << " rep " << rep;
+      ASSERT_EQ(a(), b()) << "draw count differs at p = " << ps[i];
+    }
+  }
+}
+
+TEST(BernoulliMask, NaNNeverCrossesLikeScalarCoin) {
+  // next_bool(NaN) is always false (NaN < x is false); the mask must
+  // agree, or the fused and scalar IC kernels would read a NaN weight
+  // as "never" and "always" respectively.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Xoshiro256 rng = rng_stream(kSeed, 7);
+  Xoshiro256 untouched = rng;
+  EXPECT_EQ(bernoulli_mask(rng, nan), 0u);
+  EXPECT_EQ(rng(), untouched());  // no draws spent on a dead edge
+  EXPECT_FALSE(rng.next_bool(nan));
 }
 
 TEST(BernoulliMask, MatchesProbabilityStatistically) {
@@ -111,9 +188,11 @@ TEST(FusedSampling, ProbabilityZeroIsRootOnlyAndRootsMatchScalar) {
   auto g = make_graph(gen_path(8));
   set_uniform_probability(g, 0.0f);
   FusedScratch scratch(g.num_vertices());
-  sample_rrr_fused(g.reverse, DiffusionModel::kIndependentCascade, kSeed,
-                   /*block=*/3, 0, kFusedLanes, scratch);
+  const FusedTraversalStats stats =
+      sample_rrr_fused(g.reverse, DiffusionModel::kIndependentCascade, kSeed,
+                       /*block=*/3, 0, kFusedLanes, scratch);
   SamplerScratch scalar_scratch(g.num_vertices());
+  std::vector<bool> is_root(g.num_vertices(), false);
   for (unsigned l = 0; l < kFusedLanes; ++l) {
     // Lane l of block 3 is global slot 3*64+l — same root as scalar.
     const auto expected = sample_rrr(
@@ -121,7 +200,18 @@ TEST(FusedSampling, ProbabilityZeroIsRootOnlyAndRootsMatchScalar) {
         scalar_scratch);
     ASSERT_EQ(scratch.members[l].size(), 1u);
     EXPECT_EQ(scratch.members[l][0], expected[0]);
+    is_root[expected[0]] = true;
   }
+  // Only roots expand, each once (lanes sharing a root coalesce), and
+  // every root but vertex 0 has one in-edge whose coins all come up 0.
+  std::uint64_t roots_with_in_edge = 0;
+  for (VertexId v = 1; v < g.num_vertices(); ++v) {
+    roots_with_in_edge += is_root[v] ? 1 : 0;
+  }
+  EXPECT_EQ(stats.touched,
+            roots_with_in_edge + (is_root[0] ? 1 : 0));
+  EXPECT_EQ(stats.edges_scanned, roots_with_in_edge);
+  EXPECT_EQ(stats.coin_edges, roots_with_in_edge);
   expect_scratch_clean(scratch);
 }
 

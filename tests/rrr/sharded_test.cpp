@@ -11,6 +11,8 @@
 #include <numeric>
 
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "rrr/fused.hpp"
 #include "rrr/generate.hpp"
 #include "rrr/sharded.hpp"
 #include "runtime/thread_info.hpp"
@@ -481,6 +483,60 @@ TEST(ShardedSampler, FusedRequestOnLTRunsTheScalarStaging) {
   EXPECT_EQ(a.vertices, b.vertices);
   EXPECT_EQ(scalar_sampler.stats().staged_bytes,
             fused_sampler.stats().staged_bytes);
+}
+
+std::uint64_t counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  const obs::MetricValue* metric = snap.find(name);
+  return metric != nullptr ? metric->value : 0;
+}
+
+TEST(ShardedSampler, FusedKernelCountersAddUpTheTraversals) {
+  // sampler.fused.edges_scanned_total / coin_edges_total are the sums of
+  // the per-traversal kernel stats, repeat exactly across runs, and do
+  // not depend on the shard count.
+  const auto model = DiffusionModel::kIndependentCascade;
+  const auto g = small_graph(model, 31);
+  constexpr std::uint64_t kSets = 150;  // two full blocks + a 22-lane tail
+  ShardedConfig config = config_for(model, 1);
+  config.fused = true;
+
+  std::uint64_t edges = 0;
+  std::uint64_t coin_edges = 0;
+  FusedScratch scratch(g.num_vertices());
+  for (std::uint64_t block = 0; block * kFusedLanes < kSets; ++block) {
+    const auto lane_end = static_cast<unsigned>(
+        std::min<std::uint64_t>(kFusedLanes, kSets - block * kFusedLanes));
+    const FusedTraversalStats stats =
+        sample_rrr_fused(g.reverse, model, config.rng_seed, block, 0,
+                         lane_end, scratch);
+    EXPECT_LE(stats.coin_edges, stats.edges_scanned);
+    edges += stats.edges_scanned;
+    coin_edges += stats.coin_edges;
+  }
+  ASSERT_GT(coin_edges, 0u);
+
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  for (const int shards : {1, 3, 1}) {
+    config.shards = shards;
+    const std::uint64_t edges_before =
+        counter_value("sampler.fused.edges_scanned_total");
+    const std::uint64_t coins_before =
+        counter_value("sampler.fused.coin_edges_total");
+    SegmentedPool pool(g.num_vertices());
+    pool.resize(kSets);
+    ShardedSampler sampler(g.reverse, config);
+    sampler.generate(pool, 0, kSets, nullptr);
+    EXPECT_EQ(counter_value("sampler.fused.edges_scanned_total") -
+                  edges_before,
+              edges)
+        << "shards=" << shards;
+    EXPECT_EQ(counter_value("sampler.fused.coin_edges_total") - coins_before,
+              coin_edges)
+        << "shards=" << shards;
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 TEST(ShardedSampler, MergePathReusesArenaChunksAcrossRounds) {

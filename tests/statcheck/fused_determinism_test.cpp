@@ -13,15 +13,24 @@
 //     (a 64-slot block is never split across shards);
 //   * lane-window edge cases survive the full pipeline: workloads with
 //     fewer vertices than lanes, set counts that end mid-block, and
-//     more shards than blocks.
+//     more shards than blocks;
+//   * golden images: digests of fused IC output pinned for two registry
+//     workloads and a hand-built multigraph (duplicate in-edges and a
+//     self-loop), so any kernel rewrite that promises the same pools bit
+//     for bit — same RNG draws in the same order — is checked against
+//     the kernel it replaces. The seed is a literal, not
+//     statcheck_seed(), so EIMM_STATCHECK_SEED cannot move the pins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rrr/fused.hpp"
 #include "rrr/sharded.hpp"
+#include "runtime/atomic_counters.hpp"
 #include "statcheck.hpp"
 #include "test_util.hpp"
 
@@ -33,6 +42,14 @@ using statcheck::statcheck_imm_options;
 using statcheck::statcheck_workload;
 
 constexpr double kSpreadTolerance = 0.05;
+
+// Golden digests (see the FusedGolden tests at the end of this file).
+constexpr std::size_t kAmazonSets = 704;
+constexpr std::uint64_t kAmazonDigest = 0x8ec2b974cc3367f7;
+constexpr std::size_t kLJSets = 1088;
+constexpr std::uint64_t kLJDigest = 0x399f9579761f7220;
+constexpr std::uint64_t kMultigraphMembersDigest = 0x6ca0dcb394086a2d;
+constexpr std::uint64_t kMultigraphArenaDigest = 0xcfe0b812cf61f69b;
 
 std::vector<VertexId> members(const RRRSetView& slot) {
   std::vector<VertexId> out;
@@ -209,6 +226,156 @@ TEST(FusedDeterminism, RoundSplitWindowsComposeToTheFullRange) {
     ASSERT_EQ(a.size(), b.size()) << "slot=" << i;
     EXPECT_EQ(a, b) << "slot=" << i;
   }
+}
+
+
+// ---------------------------------------------------------------------
+// Golden fused-IC images. A digest mismatch means the kernel no longer
+// draws the same coins in the same order; if that is intended (a new
+// RNG contract), re-pin the digests in the same change and say so.
+
+constexpr std::uint64_t kGoldenSeed = 20240924;
+
+/// FNV-1a over 64-bit words: a stable, dependency-free image digest.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (word >> (8 * b)) & 0xFF;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  template <typename T>
+  void add_all(std::span<const T> words) {
+    add(words.size());
+    for (const T w : words) add(static_cast<std::uint64_t>(w));
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+std::uint64_t image_digest(const PoolBuild& build) {
+  const FlatPool flat = build.view().flatten();
+  Digest d;
+  d.add_all(std::span<const std::uint64_t>(flat.offsets));
+  d.add_all(std::span<const VertexId>(flat.vertices));
+  d.add(build.view().bitmap_count());
+  return d.value();
+}
+
+std::uint64_t registry_image_digest(const char* workload, double scale,
+                                    std::size_t* sets_out) {
+  const auto model = DiffusionModel::kIndependentCascade;
+  const DiffusionGraph g =
+      make_workload_with_weights(workload, model, scale, kGoldenSeed);
+  ImmOptions opt;
+  opt.k = 6;
+  opt.epsilon = 0.5;
+  opt.model = model;
+  opt.rng_seed = kGoldenSeed;
+  opt.max_rrr_sets = 100'000;
+  opt.fused_sampling = FusedSampling::kOn;
+  opt.shards = 1;
+  const PoolBuild build = build_rrr_pool(g, opt, Engine::kEfficient);
+  EXPECT_TRUE(build.fused_sampling_used);
+  *sets_out = build.size();
+  return image_digest(build);
+}
+
+TEST(FusedGolden, ComAmazonICPoolImage) {
+  std::size_t sets = 0;
+  const std::uint64_t digest = registry_image_digest("com-Amazon", 0.02, &sets);
+  EXPECT_EQ(sets, kAmazonSets);
+  EXPECT_EQ(digest, kAmazonDigest) << std::hex << "0x" << digest;
+}
+
+TEST(FusedGolden, ComLJICPoolImage) {
+  std::size_t sets = 0;
+  const std::uint64_t digest = registry_image_digest("com-LJ", 0.05, &sets);
+  EXPECT_EQ(sets, kLJSets);
+  EXPECT_EQ(digest, kLJDigest) << std::hex << "0x" << digest;
+}
+
+/// A reverse-CSR multigraph the registry never builds: every vertex has
+/// a duplicated in-edge (the second copy must see the lanes the first
+/// one already delivered), a self-loop (never a candidate, since the
+/// popped lanes are visited there already), and a mix of weights from
+/// near-0 to 1 so both the per-lane and the Bernoulli-mask coin paths
+/// run. 40 vertices < 64 lanes, so roots collide and masks get dense.
+CSRGraph golden_multigraph() {
+  constexpr VertexId kN = 40;
+  std::vector<EdgeId> offsets{0};
+  std::vector<VertexId> targets;
+  std::vector<float> weights;
+  constexpr std::array<float, 5> kWeights = {0.05f, 0.3f, 0.5f, 0.77f, 1.0f};
+  for (VertexId v = 0; v < kN; ++v) {
+    const std::array<VertexId, 6> in = {
+        (v + 1) % kN, (v * 7 + 3) % kN, (v + 1) % kN,
+        v,            (v * 13 + 5) % kN, (v * 7 + 3) % kN};
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      targets.push_back(in[i]);
+      weights.push_back(kWeights[(v + i) % kWeights.size()]);
+    }
+    offsets.push_back(targets.size());
+  }
+  return CSRGraph(std::move(offsets), std::move(targets), std::move(weights));
+}
+
+struct LaneWindow {
+  std::uint64_t block;
+  unsigned begin;
+  unsigned end;
+};
+
+constexpr std::array<LaneWindow, 4> kGoldenWindows = {
+    {{0, 0, kFusedLanes}, {7, 0, kFusedLanes}, {3, 5, 41}, {3, 41, 64}}};
+
+TEST(FusedGolden, MultigraphMembersVariant) {
+  const CSRGraph reverse = golden_multigraph();
+  FusedScratch scratch(reverse.num_vertices());
+  Digest d;
+  for (const LaneWindow& win : kGoldenWindows) {
+    const FusedTraversalStats stats = sample_rrr_fused(
+        reverse, DiffusionModel::kIndependentCascade, kGoldenSeed, win.block,
+        win.begin, win.end, scratch);
+    d.add(stats.lanes);
+    d.add(stats.touched);
+    d.add(stats.members);
+    for (unsigned l = win.begin; l < win.end; ++l) {
+      d.add_all(std::span<const VertexId>(scratch.members[l]));
+    }
+  }
+  EXPECT_EQ(d.value(), kMultigraphMembersDigest)
+      << std::hex << "0x" << d.value();
+}
+
+TEST(FusedGolden, MultigraphArenaVariant) {
+  const CSRGraph reverse = golden_multigraph();
+  const VertexId n = reverse.num_vertices();
+  FusedScratch scratch(n);
+  ShardArena arena;
+  std::array<ShardArena::Ref, kFusedLanes> refs;
+  Digest d;
+  for (const LaneWindow& win : kGoldenWindows) {
+    CounterArray counters(n);
+    const FusedTraversalStats stats = sample_rrr_fused_into(
+        reverse, DiffusionModel::kIndependentCascade, kGoldenSeed, win.block,
+        win.begin, win.end, scratch, arena, refs.data(), /*bitmap_min=*/12,
+        &counters);
+    d.add(stats.lanes);
+    d.add(stats.touched);
+    d.add(stats.members);
+    for (unsigned i = 0; i < win.end - win.begin; ++i) {
+      const RRRSetView slot = arena.slot(refs[i]);
+      d.add(slot.repr() == RRRRepr::kBitmap ? 1 : 0);
+      d.add_all(std::span<const VertexId>(members(slot)));
+    }
+    d.add_all(std::span<const std::uint64_t>(counters.snapshot()));
+  }
+  EXPECT_EQ(d.value(), kMultigraphArenaDigest)
+      << std::hex << "0x" << d.value();
 }
 
 }  // namespace
