@@ -3,9 +3,10 @@
 // varying densities — the data behind the representation threshold.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
-#include "rrr/compressed.hpp"
+#include "rrr/gap_codec.hpp"
 #include "rrr/set.hpp"
 #include "support/rng.hpp"
 
@@ -87,42 +88,59 @@ void BM_AdaptiveConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveConstruction)->Arg(1)->Arg(100)->Arg(500);
 
-// HBMax-style compression (rrr/compressed.hpp): smaller storage, but
-// membership pays a linear decode — the codec overhead §IV-C cites as
-// the reason EfficientIMM prefers the adaptive scheme.
+// HBMax-style compression (the rrr/gap_codec stream CompressedPool
+// stores): smaller storage, but membership pays a linear decode — the
+// codec overhead §IV-C cites as the reason EfficientIMM prefers the
+// adaptive scheme. members_with_density() is already sorted and unique.
+std::vector<std::uint8_t> gap_encode(const std::vector<VertexId>& members) {
+  std::vector<std::uint8_t> bytes;
+  append_gap_stream(bytes, members);
+  return bytes;
+}
+
+GapRun run_of(const std::vector<std::uint8_t>& bytes,
+              const std::vector<VertexId>& members) {
+  return GapRun{bytes.data(), bytes.size(),
+                static_cast<std::uint32_t>(members.size())};
+}
+
 void BM_CompressedContains(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 1000.0;
-  const CompressedSet set =
-      CompressedSet::encode(members_with_density(density, 1));
+  const auto members = members_with_density(density, 1);
+  const std::vector<std::uint8_t> bytes = gap_encode(members);
+  const GapRun run = run_of(bytes, members);
   Xoshiro256 rng(2);
   for (auto _ : state) {
     const auto v = static_cast<VertexId>(rng.next_bounded(kVertices));
-    benchmark::DoNotOptimize(set.contains(v));
+    benchmark::DoNotOptimize(run.contains(v));
   }
 }
 BENCHMARK(BM_CompressedContains)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_CompressedIterate(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 1000.0;
-  const CompressedSet set =
-      CompressedSet::encode(members_with_density(density, 1));
+  const auto members = members_with_density(density, 1);
+  const std::vector<std::uint8_t> bytes = gap_encode(members);
+  const GapRun run = run_of(bytes, members);
   for (auto _ : state) {
     std::uint64_t sum = 0;
-    set.for_each([&](VertexId v) { sum += v; });
+    run.for_each([&](VertexId v) { sum += v; });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(set.size()));
+                          static_cast<std::int64_t>(members.size()));
 }
 BENCHMARK(BM_CompressedIterate)->Arg(10)->Arg(100)->Arg(500);
 
 void BM_CompressedEncode(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 1000.0;
   const auto members = members_with_density(density, 1);
+  std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
-    auto copy = members;
-    const CompressedSet set = CompressedSet::encode(std::move(copy));
-    benchmark::DoNotOptimize(set.size());
+    bytes.clear();
+    append_gap_stream(bytes, members);
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CompressedEncode)->Arg(1)->Arg(100)->Arg(500);

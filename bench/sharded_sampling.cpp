@@ -80,7 +80,7 @@ int main() {
     shard_config.rng_seed = options.rng_seed;
     shard_config.batch_size = options.batch_size;
     ShardedSampler sampler(graph.reverse, shard_config);
-    RRRPool probe(graph.num_vertices());
+    SegmentedPool probe(graph.num_vertices());
     probe.resize(reference.size());
     sampler.generate(probe, 0, reference.size(), nullptr);
     std::uint64_t steals = 0;

@@ -221,6 +221,21 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   return build;
 }
 
+SelectionResult final_selection(PoolBuild& build, const ImmOptions& options,
+                                Engine engine) {
+  // The last probe already ran this very greedy when no set was added
+  // since: same pool content, options, base counters and tie-break.
+  const bool reused = engine == Engine::kEfficient &&
+                      build.last_probe.has_value() &&
+                      build.last_probe->total_sets == build.size();
+  obs::TraceSpan span("selection.final", "k",
+                      static_cast<std::int64_t>(options.k), "reused",
+                      reused ? 1 : 0);
+  if (!reused) return select_over_build(build, options, engine);
+  core_metrics().final_reused.add();
+  return std::move(*build.last_probe);
+}
+
 ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
                   Engine engine) {
   ThreadCountScope thread_scope(options.threads);
@@ -239,30 +254,17 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   breakdown.selection_seconds = build.probing_selection_seconds;
 
   // --- Selection phase ---
-  // The last probe already ran this very greedy when no set was added
-  // since: same pool content, options, base counters and tie-break.
-  const bool reused = engine == Engine::kEfficient &&
-                      build.last_probe.has_value() &&
-                      build.last_probe->total_sets == view.size();
-  SelectionResult final_selection;
+  SelectionResult selection;
   {
     ScopedAccumulator acc(breakdown.selection_seconds);
-    obs::TraceSpan span("selection.final", "k",
-                        static_cast<std::int64_t>(options.k), "reused",
-                        reused ? 1 : 0);
-    if (reused) {
-      final_selection = std::move(*build.last_probe);
-      core_metrics().final_reused.add();
-    } else {
-      final_selection = select_over_build(build, options, engine);
-    }
+    selection = final_selection(build, options, engine);
   }
   core_metrics().runs.add();
 
   ImmResult result;
   result.iterations = std::move(build.iterations);
-  result.seeds = final_selection.seeds;
-  result.coverage_fraction = final_selection.coverage_fraction();
+  result.seeds = selection.seeds;
+  result.coverage_fraction = selection.coverage_fraction();
   result.estimated_spread =
       static_cast<double>(n) * result.coverage_fraction;
   result.theta = build.theta;
@@ -270,7 +272,7 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   result.theta_capped = build.theta_capped;
   result.rrr_memory_bytes = view.memory_bytes();
   result.bitmap_sets = view.bitmap_count();
-  result.rebuild_rounds = final_selection.rebuild_rounds;
+  result.rebuild_rounds = selection.rebuild_rounds;
   result.threads_used = omp_get_max_threads();
   result.shards_used = build.shards_used;
   result.fused_sampling_used = build.fused_sampling_used;
@@ -278,7 +280,6 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   result.counter_layout_allocations = build.workspace.counter_allocations();
   result.staged_bytes = build.shard_stats.staged_bytes;
   result.mapped_bytes = build.shard_stats.mapped_bytes;
-  result.merged_bytes = build.shard_stats.merged_bytes;
   if (build.compressed) {
     result.pool_compression_used = build.cpool.codec() == PoolCodec::kHuffman
                                        ? PoolCompression::kHuffman

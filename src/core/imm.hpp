@@ -167,12 +167,10 @@ struct ImmResult {
   /// test pins it); the ripples kernel owns its thread-local counters
   /// internally, so kRipples runs report 0.
   std::uint64_t counter_layout_allocations = 0;
-  /// Sharded-pipeline byte accounting (all zero for the ripples engine):
-  /// payload staged into arenas, arena bytes mapped, and payload copied
-  /// at merge — the zero-copy view path keeps merged_bytes at 0.
+  /// Sharded-pipeline byte accounting (both zero for the ripples
+  /// engine): payload staged into arenas and arena bytes mapped.
   std::uint64_t staged_bytes = 0;
   std::uint64_t mapped_bytes = 0;
-  std::uint64_t merged_bytes = 0;
   /// Whether the build sampled through the fused 64-wide generator
   /// (resolved from the option and EIMM_FUSED; false for LT).
   bool fused_sampling_used = false;
@@ -261,6 +259,14 @@ struct PoolBuild {
 /// same pool contents regardless of thread count.
 PoolBuild build_rrr_pool(const DiffusionGraph& graph,
                          const ImmOptions& options, Engine engine);
+
+/// The selection run_imm returns over `build`: the last probe's, moved
+/// out of build.last_probe, when no set was added after it (Engine::
+/// kEfficient only), otherwise a fresh greedy over build.view() that
+/// reuses the build's base counters and workspace. Emits the
+/// "selection.final" span with its `reused` arg.
+SelectionResult final_selection(PoolBuild& build, const ImmOptions& options,
+                                Engine engine);
 
 /// Runs the full IMM workflow with the chosen engine. The reverse graph
 /// must already carry diffusion weights (see diffusion/weights.hpp).

@@ -1,12 +1,7 @@
 #include "dist/imm.hpp"
 
-#include "core/martingale.hpp"
-#include "runtime/atomic_counters.hpp"
+#include "core/imm.hpp"
 #include "runtime/partition.hpp"
-#include "rrr/fused.hpp"
-#include "rrr/pool.hpp"
-#include "rrr/sharded.hpp"
-#include "seedselect/engine.hpp"
 #include "support/macros.hpp"
 
 namespace eimm {
@@ -23,7 +18,7 @@ std::uint64_t allreduce_bytes(int ranks, std::uint64_t words) {
 
 /// Wire size of one RRR set shipped as a sorted vertex vector plus a
 /// length header (the Ripples-MPI gather format).
-std::uint64_t set_wire_bytes(const RRRSet& set) {
+std::uint64_t set_wire_bytes(const RRRSetView& set) {
   return 8ull + static_cast<std::uint64_t>(set.size()) * sizeof(VertexId);
 }
 
@@ -31,67 +26,39 @@ std::uint64_t set_wire_bytes(const RRRSet& set) {
 
 DistImmResult run_distributed_imm(const DiffusionGraph& graph,
                                   const DistImmOptions& options) {
-  EIMM_CHECK(graph.reverse.has_weights(),
-             "assign diffusion weights before run_distributed_imm");
   EIMM_CHECK(options.ranks >= 1, "ranks must be >= 1");
-  const VertexId n = graph.num_vertices();
-  EIMM_CHECK(n >= 2, "graph too small");
 
-  const MartingaleParams params =
-      compute_martingale_params(n, options.k, options.epsilon, options.ell);
-
-  RRRPool pool(n);
-  std::uint64_t generated = 0;
-  bool capped = false;
-
-  // Each simulated rank is one shard of the NUMA-sharded pipeline: the
-  // shard slices ARE the rank-owned pool slices, and stream keying by
-  // global index keeps pool contents independent of the rank count.
-  ShardedConfig shard_config;
-  shard_config.shards = options.ranks;
-  shard_config.model = options.model;
-  shard_config.rng_seed = options.rng_seed;
-  shard_config.adaptive_representation = false;  // wire format: raw vectors
-  // Same sampler mode as the single-node driver, so both build the same
-  // pool from the same seed.
-  shard_config.fused = resolve_fused_sampling(FusedSampling::kAuto);
-  ShardedSampler sampler(graph.reverse, shard_config);
-
-  auto generate_to = [&](std::uint64_t target) {
-    target = cap_theta_request(target, options.max_rrr_sets, capped);
-    if (target <= generated) return;
-    pool.resize(target);
-    sampler.generate(pool, generated, target, nullptr);
-    generated = target;
-  };
-
-  // Selection routes through the same engine as the single-node driver:
-  // the cluster simulation only changes where sets LIVE, and the
-  // pinned/sharded counter machinery applies on the simulating host too.
-  const SelectionEngine selection_engine;
-  auto select = [&]() -> SelectionResult {
-    SelectionOptions sopt;
-    sopt.k = options.k;
-    return selection_engine.select(SelectionKernel::kEfficient, pool, sopt);
-  };
-
-  // Martingale probing, shared with the single-node driver: the cluster
-  // simulation only changes where sets LIVE, never which sets exist.
-  const std::uint64_t theta = run_martingale_probing(
-      params, generate_to, [&] { return select().coverage_fraction(); });
-
-  const SelectionResult selection = select();
+  // The cluster simulation only changes where sets LIVE, never which
+  // sets exist: each simulated rank is one shard of the single-node
+  // EfficientIMM build (the shard slices ARE the rank-owned pool
+  // slices), so the pool, θ and seeds are the single-node driver's.
+  ImmOptions imm;
+  imm.k = options.k;
+  imm.epsilon = options.epsilon;
+  imm.ell = options.ell;
+  imm.model = options.model;
+  imm.rng_seed = options.rng_seed;
+  imm.max_rrr_sets = options.max_rrr_sets;
+  imm.shards = options.ranks;
+  // The wire formats below are raw vertex vectors; a gap-coded pool
+  // would only add decode work to the set-size reads.
+  imm.pool_compress = PoolCompression::kNone;
+  PoolBuild build = build_rrr_pool(graph, imm, Engine::kEfficient);
+  const SelectionResult selection =
+      final_selection(build, imm, Engine::kEfficient);
+  const RRRPoolView view = build.view();
+  const VertexId n = view.num_vertices();
 
   DistImmResult result;
   result.seeds = selection.seeds;
   result.coverage_fraction = selection.coverage_fraction();
-  result.theta = theta;
-  result.num_rrr_sets = pool.size();
-  result.theta_capped = capped;
+  result.theta = build.theta;
+  result.num_rrr_sets = view.size();
+  result.theta_capped = build.theta_capped;
 
   // Block-partition the pool across ranks and charge the strategy.
   const auto ranks = static_cast<std::size_t>(options.ranks);
-  const auto rank_slices = split_ranges(pool.size(), ranks);
+  const auto rank_slices = split_ranges(view.size(), ranks);
   result.sets_per_rank.resize(ranks, 0);
   for (std::size_t r = 0; r < ranks; ++r) {
     result.sets_per_rank[r] = rank_slices[r].second - rank_slices[r].first;
@@ -116,7 +83,7 @@ DistImmResult run_distributed_imm(const DiffusionGraph& graph,
     for (std::size_t r = 1; r < ranks; ++r) {
       const auto [lo, hi] = rank_slices[r];
       for (std::size_t i = lo; i < hi; ++i) {
-        result.comm.bytes_moved += set_wire_bytes(pool[i]);
+        result.comm.bytes_moved += set_wire_bytes(view[i]);
       }
       if (hi > lo) ++result.comm.messages;
     }

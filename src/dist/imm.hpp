@@ -1,18 +1,19 @@
 // Simulated distributed IMM (paper §VI future work).
 //
-// Models an MPI-style cluster of `ranks` processes on one node: RRR-set
-// indices are block-partitioned across ranks (streams are keyed by
-// (seed, index), so partitioning never changes pool contents), and the
-// two communication strategies the bench compares are charged an
-// analytic byte count:
+// Models an MPI-style cluster of `ranks` processes on one node. The pool
+// is the single-node EfficientIMM build (core/imm build_rrr_pool) with
+// one sampling shard per rank, so rank r owns the r-th contiguous block
+// of RRR-set indices and pool contents, θ and seeds never depend on the
+// rank count. The two communication strategies the bench compares are
+// then charged an analytic byte count over that build's RRRPoolView:
 //
 //   kCounterReduce — EfficientIMM's partitioning: sketches stay on the
 //     rank that sampled them; each selection round allreduces the |V|
 //     vertex-occurrence counters (ring allreduce cost model, so volume
 //     is independent of sketch density).
 //   kSetGather — Ripples-MPI-style: every non-root rank ships its raw
-//     RRR payloads to rank 0 once, then rank 0 selects locally; volume
-//     scales with total sketch size.
+//     RRR payloads to rank 0 once (8 + 4·|set| bytes per set), then
+//     rank 0 selects locally; volume scales with total sketch size.
 //
 // Both strategies see identical global counters, so they return
 // identical seed sequences — the bench asserts this.
@@ -68,8 +69,9 @@ struct DistImmResult {
   DistCommStats comm;
 };
 
-/// Runs the martingale IMM workflow and charges the chosen strategy's
-/// communication. The reverse graph must carry diffusion weights.
+/// Runs build_rrr_pool plus final_selection (the single-node workflow,
+/// shards = ranks) and charges the chosen strategy's communication. The
+/// reverse graph must carry diffusion weights.
 DistImmResult run_distributed_imm(const DiffusionGraph& graph,
                                   const DistImmOptions& options);
 

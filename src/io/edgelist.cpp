@@ -26,16 +26,36 @@ bool parse_field_u64(std::string_view& sv, std::uint64_t& out) {
   return true;
 }
 
-bool parse_field_float(std::string_view& sv, float& out) {
+bool is_field_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Parses the optional weight column of line `lineno` into `out`; leaves
+/// `out` alone when the line has no third field. A present field must be
+/// one complete, finite, non-negative number — anything else throws
+/// CheckError naming the line, since no diffusion model can use it as a
+/// probability or threshold weight.
+void parse_weight_field(std::string_view sv, std::size_t lineno, float& out) {
   std::size_t i = 0;
-  while (i < sv.size() && (sv[i] == ' ' || sv[i] == '\t' || sv[i] == '\r')) ++i;
+  while (i < sv.size() && is_field_space(sv[i])) ++i;
   sv.remove_prefix(i);
-  if (sv.empty()) return false;
-  // std::from_chars<float> is available in GCC 12.
-  const auto [ptr, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), out);
-  if (ec != std::errc{}) return false;
-  sv.remove_prefix(static_cast<std::size_t>(ptr - sv.data()));
-  return true;
+  if (sv.empty()) return;
+  std::size_t len = 0;
+  while (len < sv.size() && !is_field_space(sv[len])) ++len;
+  const std::string_view field = sv.substr(0, len);
+  auto fail = [&](const char* what) {
+    throw CheckError("edge-list line " + std::to_string(lineno) + ": " +
+                     what + " weight '" + std::string(field) + "'");
+  };
+  float w = 0.0f;
+  // std::from_chars<float> is available in GCC 12. It accepts "nan" and
+  // "inf", and reports overflow as result_out_of_range.
+  const auto [ptr, ec] =
+      std::from_chars(field.data(), field.data() + field.size(), w);
+  if (ec != std::errc{} || ptr != field.data() + field.size()) {
+    fail("malformed");
+  }
+  if (!std::isfinite(w)) fail("non-finite");
+  if (w < 0.0f) fail("negative");
+  out = w;
 }
 
 }  // namespace
@@ -58,12 +78,7 @@ std::vector<WeightedEdge> read_edge_list(std::istream& is,
     EIMM_CHECK(parse_field_u64(sv, src) && parse_field_u64(sv, dst),
                "malformed edge-list line");
     float w = options.default_weight;
-    // Optional third column. from_chars accepts "nan" and "inf", which
-    // no diffusion model can use as a probability or threshold weight.
-    if (parse_field_float(sv, w) && !std::isfinite(w)) {
-      throw CheckError("edge-list line " + std::to_string(lineno) +
-                       ": non-finite weight");
-    }
+    parse_weight_field(sv, lineno, w);
     if (options.one_based) {
       EIMM_CHECK(src >= 1 && dst >= 1, "one-based file contains id 0");
       --src;

@@ -20,8 +20,10 @@ struct EdgeListParseOptions {
   float default_weight = 1.0f;
 };
 
-/// Parses an edge-list stream. Throws CheckError on malformed lines
-/// (a message includes the line number).
+/// Parses an edge-list stream. Throws CheckError on malformed lines; a
+/// weight column that is present must be one complete, finite,
+/// non-negative number, or the message names its line number. Fields
+/// after the weight are ignored.
 std::vector<WeightedEdge> read_edge_list(std::istream& is,
                                          const EdgeListParseOptions& options = {});
 

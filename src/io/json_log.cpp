@@ -170,48 +170,6 @@ std::string write_counter_bench_json_file(
   return path;
 }
 
-void write_pipeline_bench_json(
-    std::ostream& os, int numa_domains,
-    const std::vector<PipelineBenchResult>& results) {
-  JsonWriter w(os);
-  w.begin_object()
-      .kv("Bench", "fused_pipeline")
-      .kv("NumaDomains", static_cast<std::int64_t>(numa_domains));
-  w.key("Results").begin_array();
-  for (const PipelineBenchResult& r : results) {
-    w.begin_object()
-        .kv("Workload", r.workload)
-        .kv("Path", r.path)
-        .kv("Shards", r.shards)
-        .kv("Threads", r.threads)
-        .kv("TotalSeconds", r.total_seconds)
-        .kv("SamplingSeconds", r.sampling_seconds)
-        .kv("SelectionSeconds", r.selection_seconds)
-        .kv("NumRRRSets", r.num_rrr_sets)
-        .kv("StagedBytes", r.staged_bytes)
-        .kv("MappedBytes", r.mapped_bytes)
-        .kv("MergedBytes", r.merged_bytes)
-        .kv("WorkspaceCounterAllocs", r.workspace_counter_allocs)
-        .kv("SeedsMatchFlat", r.seeds_match_flat)
-        .end_object();
-  }
-  w.end_array().end_object();
-  os << '\n';
-}
-
-std::string write_pipeline_bench_json_file(
-    const std::string& path, int numa_domains,
-    const std::vector<PipelineBenchResult>& results) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open bench result file for writing");
-  write_pipeline_bench_json(os, numa_domains, results);
-  EIMM_CHECK(os.good(), "bench result write failed");
-  return path;
-}
-
 void write_latency_bench_json(std::ostream& os,
                               const std::vector<LatencyBenchResult>& results) {
   JsonWriter w(os);

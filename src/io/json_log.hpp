@@ -105,41 +105,6 @@ std::string write_counter_bench_json_file(
     const std::string& path, int numa_domains,
     const std::vector<CounterBenchResult>& results);
 
-/// One row of the fused-pipeline bench (BENCH_pipeline.json schema):
-/// end-to-end sampling+selection wall time of one data-path variant,
-/// with the byte accounting that shows the zero-copy hand-off working —
-/// merged_bytes drops to 0 on the view path — and the workspace reuse
-/// keeping counter-layout allocations at one per run.
-struct PipelineBenchResult {
-  std::string workload;
-  std::string path;  // "flat" | "sharded-merge" | "sharded-view"
-  int shards = 1;
-  int threads = 1;
-  double total_seconds = 0.0;
-  double sampling_seconds = 0.0;
-  double selection_seconds = 0.0;
-  std::uint64_t num_rrr_sets = 0;
-  /// Payload bytes staged into arenas / arena bytes mapped / payload
-  /// bytes copied at merge (merged is 0 on every zero-copy row).
-  std::uint64_t staged_bytes = 0;
-  std::uint64_t mapped_bytes = 0;
-  std::uint64_t merged_bytes = 0;
-  /// Working counter-layout allocations across the whole run.
-  std::uint64_t workspace_counter_allocs = 0;
-  /// Seed sequence bit-matches the flat reference run.
-  bool seeds_match_flat = true;
-};
-
-/// Serializes the sweep as one document:
-/// {"Bench": "fused_pipeline", "NumaDomains": N, "Results": [...]}.
-void write_pipeline_bench_json(std::ostream& os, int numa_domains,
-                               const std::vector<PipelineBenchResult>& results);
-
-/// Writes to `path` (parent directories created). Returns `path`.
-std::string write_pipeline_bench_json_file(
-    const std::string& path, int numa_domains,
-    const std::vector<PipelineBenchResult>& results);
-
 /// One row of the serve-latency bench (BENCH_serve_latency.json schema):
 /// request-latency percentiles at one offered load against a store
 /// loaded one way (mmap vs stream), plus the cold-start cost and the

@@ -1,5 +1,5 @@
-// The shared delta-varint gap codec every compressed RRR surface builds
-// on (CompressedSet, HuffmanSet, and the pool-scale CompressedPool).
+// The delta-varint gap codec the compressed RRR pool (rrr/compressed_pool)
+// stores every slot in, and bench/micro_rrr measures per set.
 //
 // Stream layout, fixed across all producers so their encodings are
 // bit-identical: a sorted, deduplicated member list {v0 < v1 < ...}
@@ -77,7 +77,7 @@ inline std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
 
 /// Appends the canonical gap stream of `sorted` (strictly ascending,
 /// deduplicated) to `out`; returns the bytes appended. The ONE encoder
-/// every compressed representation shares, so their streams never drift.
+/// of the format, so every producer's streams are bit-identical.
 std::size_t append_gap_stream(std::vector<std::uint8_t>& out,
                               std::span<const VertexId> sorted);
 

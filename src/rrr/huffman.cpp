@@ -4,8 +4,6 @@
 #include <queue>
 #include <string>
 
-#include "rrr/gap_codec.hpp"
-
 namespace eimm {
 
 namespace detail {
@@ -210,40 +208,6 @@ std::vector<std::uint8_t> HuffmanCodec::decode(const Encoded& encoded) {
                                    cursor));
   }
   return out;
-}
-
-HuffmanSet HuffmanSet::encode(std::vector<VertexId> vertices) {
-  std::sort(vertices.begin(), vertices.end());
-  vertices.erase(std::unique(vertices.begin(), vertices.end()),
-                 vertices.end());
-
-  // The shared gap-stream encoder IS the byte stream to compress — no
-  // CompressedSet round trip; every producer of the format emits the
-  // same bytes by construction.
-  std::vector<std::uint8_t> gap_bytes;
-  gap_bytes.reserve(vertices.size() * 2);
-  append_gap_stream(gap_bytes, vertices);
-
-  HuffmanSet set;
-  set.count_ = vertices.size();
-  set.encoded_ = HuffmanCodec::encode(gap_bytes);
-  return set;
-}
-
-std::vector<VertexId> HuffmanSet::decode() const {
-  std::vector<VertexId> out;
-  out.reserve(count_);
-  const std::vector<std::uint8_t> gap_bytes = HuffmanCodec::decode(encoded_);
-  const GapRun run{gap_bytes.data(), gap_bytes.size(),
-                   static_cast<std::uint32_t>(count_)};
-  run.for_each([&](VertexId v) { out.push_back(v); });
-  return out;
-}
-
-bool HuffmanSet::contains(VertexId v) const {
-  // Full decode per lookup: deliberately exposes the codec overhead.
-  const std::vector<VertexId> members = decode();
-  return std::binary_search(members.begin(), members.end(), v);
 }
 
 }  // namespace eimm

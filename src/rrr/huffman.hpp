@@ -2,30 +2,28 @@
 // (Chen et al., PACT'22; cited as [2] in the paper) applies to RRR-set
 // storage. EfficientIMM's §IV-C argues the codec overhead is why it
 // prefers the adaptive vector/bitmap scheme; this module implements the
-// contrasted technique so the trade-off is concrete:
-//
-//   HuffmanSet = canonical-Huffman(varint gap stream of the sorted set)
+// contrasted technique so the trade-off is concrete. The optional second
+// stage of the pool-scale CompressedPool (rrr/compressed_pool.hpp) runs
+// it over the varint gap stream of every slot (rrr/gap_codec.hpp).
 //
 // Gap bytes of social-graph sketches are heavily skewed toward small
 // values, which is exactly where Huffman shines — typically another
 // 1.3-2x over the plain varint encoding — at the price of bit-serial
 // decode on every membership test or iteration.
 //
-// The codec is factored into reusable stages so the pool-scale
-// CompressedPool (rrr/compressed_pool.hpp) can share ONE codebook across
-// millions of slots: lengths_from_frequencies() turns a byte histogram
-// into deterministic canonical code lengths, HuffmanEncodeTable /
-// HuffmanDecodeTable materialize the per-symbol codes and the canonical
-// decode tables from those lengths, and decode_one() is the bounds-
-// checked bit-serial inner step (CheckError on truncated or invalid
-// streams — never an out-of-bounds read).
+// The codec is factored into reusable stages so CompressedPool can share
+// ONE codebook across millions of slots: lengths_from_frequencies()
+// turns a byte histogram into deterministic canonical code lengths,
+// HuffmanEncodeTable / HuffmanDecodeTable materialize the per-symbol
+// codes and the canonical decode tables from those lengths, and
+// decode_one() is the bounds-checked bit-serial inner step (CheckError
+// on truncated or invalid streams — never an out-of-bounds read).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "graph/types.hpp"
 #include "support/macros.hpp"
 
 namespace eimm {
@@ -137,39 +135,6 @@ class HuffmanCodec {
   /// Decodes a payload produced by encode(). Throws CheckError on a
   /// corrupt stream (invalid prefix or truncated bits).
   static std::vector<std::uint8_t> decode(const Encoded& encoded);
-};
-
-/// An RRR set stored as Huffman-compressed varint gaps (HBMax style).
-class HuffmanSet {
- public:
-  HuffmanSet() = default;
-
-  /// Builds from member vertices (any order; duplicates removed). The
-  /// gap stream is produced directly by the shared rrr/gap_codec
-  /// encoder — bit-identical to compressing CompressedSet's bytes, a
-  /// coupling tests/rrr/huffman_test pins.
-  static HuffmanSet encode(std::vector<VertexId> vertices);
-
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::uint64_t memory_bytes() const noexcept {
-    return encoded_.memory_bytes();
-  }
-
-  /// The underlying Huffman payload (bit-identity tests and diagnostics).
-  [[nodiscard]] const HuffmanCodec::Encoded& encoded() const noexcept {
-    return encoded_;
-  }
-
-  /// Membership via full decode — the codec overhead §IV-C refers to.
-  [[nodiscard]] bool contains(VertexId v) const;
-
-  /// Decodes back to the sorted member list.
-  [[nodiscard]] std::vector<VertexId> decode() const;
-
- private:
-  std::size_t count_ = 0;
-  HuffmanCodec::Encoded encoded_;
 };
 
 }  // namespace eimm

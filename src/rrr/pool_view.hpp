@@ -1,9 +1,9 @@
 // Zero-copy hand-off between the sampling and selection kernels.
 //
 // The paper's Table II / §IV analysis puts the win in keeping the
-// sampling working set domain-local; the PR 3 pipeline achieved that but
-// paid a full extra copy of every vertex payload rebuilding the flat
-// RRRPool image at merge time. This layer removes the copy:
+// sampling working set domain-local. Rebuilding the flat RRRPool image
+// from the staged runs would cost a full extra copy of every vertex
+// payload; this layer lets selection read the staged runs instead:
 //
 //   RRRSetView     — one RRR set, whichever storage backs it: a legacy
 //                    RRRSet (vector or bitmap), a sorted arena run, an

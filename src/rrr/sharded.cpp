@@ -201,16 +201,17 @@ std::vector<std::size_t> ShardPlan::shards_for_worker(std::size_t w) const {
 }
 
 ShardedSampler::ShardedSampler(const CSRGraph& reverse, ShardedConfig config)
-    : reverse_(reverse),
-      config_(std::move(config)),
-      merge_staging_(reverse.num_vertices()) {
+    : reverse_(reverse), config_(std::move(config)) {
   EIMM_CHECK(config_.shards >= 1, "shard count must be >= 1");
   EIMM_CHECK(config_.batch_size > 0, "batch size must be positive");
 }
 
-void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
-                           std::uint64_t end, CounterArray* counters,
-                           std::size_t bitmap_min) {
+void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
+                              std::uint64_t end, CounterArray* counters) {
+  EIMM_CHECK(end >= begin, "invalid generation range");
+  EIMM_CHECK(pool.size() >= end, "pool not resized for generation range");
+  EIMM_CHECK(pool.num_vertices() == reverse_.num_vertices(),
+             "segmented pool sized for a different graph");
   // Fusion pays only where lanes share traversal work: IC lanes coalesce
   // onto common frontiers, while LT lanes are independent walks, so LT
   // always takes the scalar loop.
@@ -231,6 +232,10 @@ void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
   const std::uint64_t runs_before = total_runs(arenas);
   const VertexId n = reverse_.num_vertices();
   const std::size_t bitmap_words = words_for_bits(n);
+  const std::size_t bitmap_min =
+      config_.adaptive_representation
+          ? bitmap_min_members(n, config_.bitmap_threshold)
+          : kNoBitmaps;
 
   // Scalar work: LT walk steps plus IC in-edges scanned.
   static const obs::Counter steps_counter =
@@ -370,68 +375,6 @@ void ShardedSampler::stage(SegmentedPool& pool, std::uint64_t begin,
   // would otherwise surface as silently-empty RRR sets far downstream.
   EIMM_CHECK(total_runs(arenas) - runs_before == end - begin,
              "sharded generation lost RRR slots");
-}
-
-void ShardedSampler::generate(RRRPool& pool, std::uint64_t begin,
-                              std::uint64_t end, CounterArray* fused) {
-  EIMM_CHECK(end >= begin, "invalid generation range");
-  EIMM_CHECK(pool.size() >= end, "pool not resized for generation range");
-  EIMM_CHECK(mode_ != HandOff::kZeroCopy,
-             "sampler already used for zero-copy hand-off; one mode per "
-             "sampler (byte accounting is per-mode)");
-  mode_ = HandOff::kMerge;
-  const std::uint64_t count = end - begin;
-
-  // Merge rounds fully drain the staged data, so the arena chunks can be
-  // rewound and reused — mapped_bytes plateaus at the largest round
-  // while staged_bytes keeps accumulating. Earlier rounds' entries are
-  // left dangling in the staging table and never read again.
-  merge_staging_.reset_arenas();
-  if (end > merge_staging_.size()) merge_staging_.resize(end);
-
-  // Staging keeps every set a run here: the merge applies the adaptive
-  // representation itself when it builds the RRRSet slots.
-  stage(merge_staging_, begin, end, fused, kNoBitmaps);
-  if (count == 0) return;
-
-  // Merge: copy every staged run into its RRRPool slot. Slot content is a
-  // pure function of the global index, so the image bit-matches the
-  // unsharded build no matter how the runs were staged.
-  const bool adaptive = config_.adaptive_representation;
-  const VertexId n = reverse_.num_vertices();
-  std::uint64_t merged = 0;
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : merged)
-  for (std::uint64_t i = begin; i < end; ++i) {
-    const std::span<const VertexId> run = merge_staging_.slot(i).vertices();
-    std::vector<VertexId> verts(run.begin(), run.end());
-    merged += run.size() * sizeof(VertexId);
-    pool[i] = adaptive ? RRRSet::make_adaptive(std::move(verts), n,
-                                               config_.bitmap_threshold)
-                       : RRRSet::make_vector(std::move(verts));
-  }
-  stats_.merged_bytes += merged;
-}
-
-void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
-                              std::uint64_t end, CounterArray* fused) {
-  EIMM_CHECK(end >= begin, "invalid generation range");
-  EIMM_CHECK(pool.size() >= end, "pool not resized for generation range");
-  EIMM_CHECK(pool.num_vertices() == reverse_.num_vertices(),
-             "segmented pool sized for a different graph");
-  EIMM_CHECK(mode_ != HandOff::kMerge,
-             "sampler already used for merge hand-off; one mode per "
-             "sampler (byte accounting is per-mode)");
-  mode_ = HandOff::kZeroCopy;
-
-  // The pool owns the arenas on this path (the staged slots ARE the
-  // pool, and must outlive the sampler), so stage() appends into them
-  // without ever resetting — earlier rounds' entries stay valid.
-  const std::size_t bitmap_min =
-      config_.adaptive_representation
-          ? bitmap_min_members(reverse_.num_vertices(),
-                               config_.bitmap_threshold)
-          : kNoBitmaps;
-  stage(pool, begin, end, fused, bitmap_min);
 }
 
 }  // namespace eimm

@@ -16,29 +16,21 @@
 //      slot's SegmentedPool entry itself. Scalar staging (LT, and IC with
 //      fused off) walks each set into reused scratch and sorts it in
 //      place; fused IC staging emits 64-slot blocks (rrr/fused.hpp).
-//   3. Hand-off, two ways:
-//      * generate(SegmentedPool&, ...) — the zero-copy production path
-//        every EfficientIMM build takes: the staged slots ARE the pool
-//        (slot entries point straight into the arena pages; dense sets
-//        are bitmap slots under the adaptive representation) and
-//        selection consumes them through RRRPoolView. No merge, no
-//        second copy of the vertex payload; ShardStats::merged_bytes
-//        stays 0.
-//      * generate(RRRPool&, ...) — the legacy merge path (dist/imm's
-//        wire-format accounting and the flatten-identity tests): runs
-//        are staged into the sampler's own SegmentedPool and copied into
-//        RRRSet slots, producing the exact CSR image the unsharded path
-//        builds. Its arenas are reset() between rounds — mapped chunks
-//        are REUSED, so mapped_bytes plateaus while staged_bytes
-//        accumulates.
+//   3. Hand-off: the staged slots ARE the pool. generate() writes into a
+//      caller-owned SegmentedPool whose slot entries point straight into
+//      the arena pages (dense sets are bitmap slots under the adaptive
+//      representation), and selection consumes them in place through
+//      RRRPoolView. No merge, no second copy of the vertex payload;
+//      RRRPoolView::flatten() builds the contiguous CSR image only for
+//      the consumers that need one (snapshots, tests).
 //
-// Determinism: slot i's content depends only on (rng_seed, i) — the same
-// per-index streams the unsharded path uses — so every shard count,
-// worker count, steal schedule, and hand-off mode yields bit-identical
-// pool content (tests/statcheck enforces this). On single-node hosts the
-// kLocal policy falls back to first-touch and the pipeline degrades to
-// plain batched generation — at shards == 1 the scalar mode bit-matches
-// a serial per-index loop.
+// Determinism: a scalar slot's content depends only on (rng_seed, i) —
+// the same per-index streams the serial sampler uses — and a fused slot's
+// only on (rng_seed, block, lane window), so every shard count, worker
+// count, and steal schedule yields bit-identical pool content
+// (tests/statcheck enforces this). On single-node hosts the kLocal
+// policy falls back to first-touch and the pipeline degrades to plain
+// batched generation.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +41,6 @@
 #include "graph/csr.hpp"
 #include "numa/alloc.hpp"
 #include "numa/topology.hpp"
-#include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "rrr/set.hpp"
 #include "runtime/atomic_counters.hpp"
@@ -93,9 +84,7 @@ struct ShardPlan {
 };
 
 /// Pipeline diagnostics. The per-shard vectors describe the most recent
-/// round; the byte counters are CUMULATIVE over the sampler's lifetime so
-/// benches can see chunk reuse (staged grows past mapped) and the merge
-/// copy disappearing (merged stays 0 on the zero-copy path).
+/// round; staged_bytes is CUMULATIVE over the sampler's lifetime.
 struct ShardStats {
   std::vector<std::uint64_t> sets_per_shard;
   std::vector<std::uint64_t> steals_per_shard;
@@ -104,9 +93,6 @@ struct ShardStats {
   std::uint64_t staged_bytes = 0;
   /// Arena chunk bytes currently mapped (plateaus under reset() reuse).
   std::uint64_t mapped_bytes = 0;
-  /// Payload bytes copied out of the arenas into RRRPool slots at merge,
-  /// cumulative. Zero on the generate(SegmentedPool&) zero-copy path.
-  std::uint64_t merged_bytes = 0;
   int numa_domains = 1;  ///< detected domains when the plan was made
 };
 
@@ -118,9 +104,8 @@ struct ShardedConfig {
   std::uint64_t rng_seed = 0;
   std::size_t batch_size = 64;
   /// Adaptive vector/bitmap representation (§IV-C): sets with at least
-  /// bitmap_min_members(|V|, bitmap_threshold) members become RRRSet
-  /// bitmaps on the merge path and bitmap slots on the zero-copy path;
-  /// false keeps every set a sorted vector/run.
+  /// bitmap_min_members(|V|, bitmap_threshold) members become bitmap
+  /// slots; false keeps every set a sorted run.
   bool adaptive_representation = true;
   double bitmap_threshold = kDefaultBitmapThreshold;
   /// Fused 64-wide IC generation (rrr/fused.hpp): each traversal covers
@@ -134,55 +119,32 @@ struct ShardedConfig {
 
 /// One sharded generation pipeline over a fixed reverse graph. generate()
 /// may be called repeatedly with growing ranges (the martingale rounds);
-/// stats() describes the most recent round plus cumulative bytes. A
-/// sampler instance must stick to ONE hand-off mode (enforced): the
-/// byte accounting is per-mode — each mode stages through its own arena
-/// set, so alternating modes would make staged/mapped/merged totals
-/// describe a mix of the two, breaking the "merged_bytes == 0 proves
-/// zero-copy" contract the bench and CI check.
+/// stats() describes the most recent round plus cumulative bytes.
 class ShardedSampler {
  public:
   ShardedSampler(const CSRGraph& reverse, ShardedConfig config);
 
-  /// Legacy merge path: samples global slots [begin, end) into `pool`
-  /// (already resized to at least `end`), staging through the sampler's
-  /// own arenas (chunks reused across calls via reset()). When `fused`
-  /// is non-null every sampled vertex also increments the counter in
-  /// place (kernel fusion, Algorithm 3).
-  void generate(RRRPool& pool, std::uint64_t begin, std::uint64_t end,
-                CounterArray* fused);
-
-  /// Zero-copy path: samples global slots [begin, end) straight into
-  /// `pool`'s arenas (already resized to at least `end`); slot entries
-  /// point at the staged runs, which selection consumes in place via
-  /// RRRPoolView. No payload is ever copied out (merged_bytes stays 0).
+  /// Samples global slots [begin, end) straight into `pool`'s arenas
+  /// (already resized to at least `end`). Plans the round, pins the team,
+  /// and has every worker stage its slots into its own arena and write
+  /// their entries; earlier rounds' slots stay valid. Fused IC plans in
+  /// 64-slot block units (a block is never split across shards, so pool
+  /// content is invariant under the shard count); round boundaries may
+  /// still clip a block's lane window — content then depends on the
+  /// round schedule, which is itself deterministic in (params, seed).
+  /// Scalar staging plans in slots. When `counters` is non-null every
+  /// sampled vertex also increments its counter (kernel fusion,
+  /// Algorithm 3).
   void generate(SegmentedPool& pool, std::uint64_t begin, std::uint64_t end,
-                CounterArray* fused);
+                CounterArray* counters);
 
   [[nodiscard]] int num_shards() const noexcept { return config_.shards; }
   [[nodiscard]] const ShardStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Shared staging engine: plans the round, pins the team, and has
-  /// every worker sample its slots into its own arena of `pool` and write
-  /// their entries (already resized to `end`). Sets with at least
-  /// `bitmap_min` members become bitmap slots, the rest sorted runs.
-  /// Fused IC plans in 64-slot block units (a block is never split
-  /// across shards, so pool content is invariant under the shard count);
-  /// round boundaries may still clip a block's lane window — content
-  /// then depends on the round schedule, which is itself deterministic
-  /// in (params, seed). Scalar staging plans in slots.
-  void stage(SegmentedPool& pool, std::uint64_t begin, std::uint64_t end,
-             CounterArray* counters, std::size_t bitmap_min);
-
   const CSRGraph& reverse_;
   ShardedConfig config_;
   ShardStats stats_;
-  /// Merge-path staging, persistent so reset_arenas() reuses chunks.
-  SegmentedPool merge_staging_;
-  /// Hand-off mode lock (see class comment).
-  enum class HandOff { kUnset, kMerge, kZeroCopy };
-  HandOff mode_ = HandOff::kUnset;
 };
 
 }  // namespace eimm

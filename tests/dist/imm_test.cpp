@@ -1,9 +1,9 @@
 // Guards the invariant src/dist/imm.hpp documents: the simulated cluster
 // only changes where RRR sets LIVE, never which sets exist — so the seed
-// sequence must match the single-node EfficientIMM driver exactly. Both
-// drivers run the shared run_martingale_probing loop; these tests catch
-// any divergence in their generate/select plumbing before it ships
-// silently inside bench tables.
+// sequence must match the single-node EfficientIMM driver exactly, and
+// the charged communication must be the documented cost model over the
+// single-node build's pool. These tests catch any divergence before it
+// ships silently inside bench tables.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -13,6 +13,7 @@
 #include "dist/imm.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "runtime/partition.hpp"
 
 namespace eimm {
 namespace {
@@ -89,6 +90,57 @@ TEST_P(DistImm, CappedThetaIsReported) {
   EXPECT_EQ(dist.num_rrr_sets, 64u);
   EXPECT_GT(dist.theta, dist.num_rrr_sets);
   EXPECT_EQ(dist.seeds.size(), opt.k);
+}
+
+TEST_P(DistImm, CommVolumeMatchesTheCostModel) {
+  // Recomputes both strategies' charges from a fresh single-node build
+  // (shards = ranks) without going through run_distributed_imm: set-gather
+  // ships 8 + 4·|set| bytes per set of every non-root rank's block, one
+  // message per non-empty block; counter-reduce runs 1 + k ring
+  // allreduces of |V| 8-byte counters, each 2·(R-1)·R messages.
+  const DiffusionGraph g = tiny_graph(GetParam());
+  const auto n = static_cast<std::uint64_t>(g.num_vertices());
+  for (const int ranks : {1, 3, 4}) {
+    DistImmOptions opt = dist_options(GetParam());
+    opt.ranks = ranks;
+    opt.max_rrr_sets = 4096;  // the cost model holds for capped pools too
+    ImmOptions core = core_options(opt);
+    core.shards = ranks;
+    const PoolBuild build = build_rrr_pool(g, core, Engine::kEfficient);
+    const RRRPoolView view = build.view();
+    const auto r = static_cast<std::uint64_t>(ranks);
+
+    std::uint64_t gather_bytes = 0;
+    std::uint64_t gather_messages = 0;
+    const auto slices = split_ranges(view.size(), r);
+    for (std::size_t rank = 1; rank < slices.size(); ++rank) {
+      const auto [lo, hi] = slices[rank];
+      for (std::size_t i = lo; i < hi; ++i) {
+        gather_bytes += 8 + 4 * static_cast<std::uint64_t>(view[i].size());
+      }
+      gather_messages += hi > lo ? 1 : 0;
+    }
+
+    opt.strategy = DistStrategy::kSetGather;
+    const DistImmResult gather = run_distributed_imm(g, opt);
+    EXPECT_EQ(gather.num_rrr_sets, view.size()) << "ranks=" << ranks;
+    EXPECT_EQ(gather.comm.rounds, 1u) << "ranks=" << ranks;
+    EXPECT_EQ(gather.comm.bytes_moved, gather_bytes) << "ranks=" << ranks;
+    EXPECT_EQ(gather.comm.messages, gather_messages) << "ranks=" << ranks;
+
+    opt.strategy = DistStrategy::kCounterReduce;
+    const DistImmResult reduce = run_distributed_imm(g, opt);
+    const std::uint64_t rounds = 1 + reduce.seeds.size();
+    EXPECT_EQ(reduce.seeds.size(), opt.k) << "ranks=" << ranks;
+    EXPECT_EQ(reduce.comm.rounds, rounds) << "ranks=" << ranks;
+    EXPECT_EQ(reduce.comm.bytes_moved, rounds * 2 * (r - 1) * n * 8)
+        << "ranks=" << ranks;
+    EXPECT_EQ(reduce.comm.messages, rounds * 2 * (r - 1) * r)
+        << "ranks=" << ranks;
+    if (ranks > 1) {
+      EXPECT_GT(gather.comm.bytes_moved, 0u) << "ranks=" << ranks;
+    }
+  }
 }
 
 std::string model_name(const ::testing::TestParamInfo<DiffusionModel>& info) {

@@ -91,6 +91,31 @@ TEST(EdgeList, NonFiniteWeightThrowsWithLineNumber) {
   EXPECT_EQ(read_edge_list(ok).size(), 3u);
 }
 
+TEST(EdgeList, MalformedWeightThrowsWithLineNumber) {
+  // Garbage, overflow, trailing text and negative weights are no usable
+  // probability or threshold: each must fail naming its line, never
+  // load as the default weight, a truncated number or a negative one.
+  for (const char* weight :
+       {"abc", "1e999", "-1e999", "0.5x", "0.5.5", "-3", "-0.25"}) {
+    std::istringstream is(std::string("# header\n0 1 0.5\n\n2 3 ") + weight +
+                          "\n4 5 0.25\n");
+    try {
+      (void)read_edge_list(is);
+      ADD_FAILURE() << "accepted weight " << weight;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Finite non-negative weights, with fields after them ignored.
+  std::istringstream ok("0 1 0\n1 2 1e-30\n2 3 3.4e38\n3 4 0.5 1700\n");
+  const auto edges = read_edge_list(ok);
+  ASSERT_EQ(edges.size(), 4u);
+  EXPECT_FLOAT_EQ(edges[0].weight, 0.0f);
+  EXPECT_FLOAT_EQ(edges[2].weight, 3.4e38f);
+  EXPECT_FLOAT_EQ(edges[3].weight, 0.5f);
+}
+
 TEST(EdgeList, MissingFileThrows) {
   EXPECT_THROW(read_edge_list_file("/nonexistent/path/graph.txt"),
                CheckError);

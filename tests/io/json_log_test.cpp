@@ -60,45 +60,5 @@ TEST(JsonLog, WritesFileWithConventionalName) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(JsonLog, PipelineBenchSchemaCarriesZeroCopyAccounting) {
-  PipelineBenchResult row;
-  row.workload = "com-DBLP";
-  row.path = "sharded-view";
-  row.shards = 4;
-  row.threads = 8;
-  row.total_seconds = 1.5;
-  row.sampling_seconds = 1.1;
-  row.selection_seconds = 0.3;
-  row.num_rrr_sets = 2048;
-  row.staged_bytes = 777;
-  row.mapped_bytes = 4096;
-  row.merged_bytes = 0;
-  row.workspace_counter_allocs = 1;
-  row.seeds_match_flat = true;
-
-  std::ostringstream os;
-  write_pipeline_bench_json(os, 2, {row});
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"Bench\": \"fused_pipeline\""), std::string::npos);
-  EXPECT_NE(out.find("\"NumaDomains\": 2"), std::string::npos);
-  EXPECT_NE(out.find("\"Path\": \"sharded-view\""), std::string::npos);
-  EXPECT_NE(out.find("\"StagedBytes\": 777"), std::string::npos);
-  EXPECT_NE(out.find("\"MergedBytes\": 0"), std::string::npos);
-  EXPECT_NE(out.find("\"WorkspaceCounterAllocs\": 1"), std::string::npos);
-  EXPECT_NE(out.find("\"SeedsMatchFlat\": true"), std::string::npos);
-}
-
-TEST(JsonLog, PipelineBenchFileRoundTrips) {
-  const std::string dir = ::testing::TempDir() + "/eimm_pipeline";
-  std::filesystem::remove_all(dir);
-  PipelineBenchResult row;
-  row.workload = "w";
-  row.path = "flat";
-  const std::string path =
-      write_pipeline_bench_json_file(dir + "/BENCH_pipeline.json", 1, {row});
-  EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace eimm

@@ -78,6 +78,8 @@ TEST(GapCodec, OverlongContinuationChainThrows) {
     EXPECT_NE(std::string(e.what()).find("wider than 64 bits"),
               std::string::npos);
   }
+  // A run whose head is that varint fails the same way.
+  EXPECT_THROW((void)run_of(bytes, 1).decode(), CheckError);
 }
 
 TEST(GapCodec, EmptyRun) {
@@ -142,6 +144,15 @@ TEST(GapCodec, RandomRoundTripAgainstReference) {
     std::vector<VertexId> seen;
     run.for_each([&](VertexId v) { seen.push_back(v); });
     EXPECT_EQ(seen, members) << "trial " << trial;
+    for (const VertexId v : members) {
+      EXPECT_TRUE(run.contains(v)) << "trial " << trial << " v=" << v;
+    }
+    for (int probe = 0; probe < 50; ++probe) {
+      const auto v = static_cast<VertexId>(rng.next_bounded(1u << 26));
+      EXPECT_EQ(run.contains(v),
+                std::binary_search(members.begin(), members.end(), v))
+          << "trial " << trial << " v=" << v;
+    }
   }
 }
 
@@ -164,6 +175,133 @@ TEST(GapCodec, TruncatedRunThrowsInsteadOfOverreading) {
   EXPECT_THROW((void)run.decode(), CheckError);
   EXPECT_THROW(run.for_each([](VertexId) {}), CheckError);
   EXPECT_THROW((void)run.contains(kInvalidVertex - 1), CheckError);
+}
+
+TEST(GapCodec, UndercountedRunThrows) {
+  // A run claiming more members than its payload encodes must hit the
+  // truncation guard, not read past the buffer.
+  const std::vector<VertexId> members{1, 2};
+  const std::vector<std::uint8_t> bytes = encode(members);
+  const GapRun run = run_of(bytes, 5);
+  EXPECT_THROW((void)run.decode(), CheckError);
+  EXPECT_THROW((void)run.contains(kInvalidVertex - 1), CheckError);
+}
+
+
+// The member-set view of a gap run: encode an unsorted member list, then
+// answer size/contains/decode/for_each through GapRun, as a compressed
+// pool slot does.
+struct CodedSet {
+  std::vector<std::uint8_t> bytes;
+  std::uint32_t count = 0;
+
+  [[nodiscard]] GapRun run() const { return run_of(bytes, count); }
+};
+
+CodedSet code_set(std::vector<VertexId> members) {
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return CodedSet{encode(members), static_cast<std::uint32_t>(members.size())};
+}
+
+TEST(CompressedSet, EmptySet) {
+  const CodedSet set = code_set({});
+  EXPECT_EQ(set.count, 0u);
+  EXPECT_TRUE(set.bytes.empty());
+  EXPECT_FALSE(set.run().contains(0));
+  EXPECT_TRUE(set.run().decode().empty());
+}
+
+TEST(CompressedSet, SingleElement) {
+  const CodedSet set = code_set({42});
+  EXPECT_EQ(set.count, 1u);
+  EXPECT_TRUE(set.run().contains(42));
+  EXPECT_FALSE(set.run().contains(41));
+  EXPECT_FALSE(set.run().contains(43));
+}
+
+TEST(CompressedSet, ElementZero) {
+  const CodedSet set = code_set({0, 5});
+  EXPECT_TRUE(set.run().contains(0));
+  EXPECT_TRUE(set.run().contains(5));
+  EXPECT_EQ(set.run().decode(), (std::vector<VertexId>{0, 5}));
+}
+
+TEST(CompressedSet, RoundTripRandomSets) {
+  Xoshiro256 rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<VertexId> members;
+    const std::size_t count = 1 + rng.next_bounded(500);
+    for (std::size_t i = 0; i < count; ++i) {
+      members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 24)));
+    }
+    const CodedSet set = code_set(members);
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    EXPECT_EQ(set.count, members.size()) << "trial " << trial;
+    EXPECT_EQ(set.run().decode(), members) << "trial " << trial;
+  }
+}
+
+TEST(CompressedSet, ContainsAgreesWithDecode) {
+  Xoshiro256 rng(13);
+  std::vector<VertexId> members;
+  for (int i = 0; i < 200; ++i) {
+    members.push_back(static_cast<VertexId>(rng.next_bounded(10'000)));
+  }
+  const CodedSet set = code_set(members);
+  const auto decoded = set.run().decode();
+  for (VertexId v = 0; v < 10'000; v += 7) {
+    const bool expected =
+        std::binary_search(decoded.begin(), decoded.end(), v);
+    EXPECT_EQ(set.run().contains(v), expected) << v;
+  }
+}
+
+TEST(CompressedSet, ForEachAscending) {
+  const CodedSet set = code_set({100, 5, 2000, 64, 65});
+  std::vector<VertexId> seen;
+  set.run().for_each([&](VertexId v) { seen.push_back(v); });
+  EXPECT_EQ(seen, (std::vector<VertexId>{5, 64, 65, 100, 2000}));
+}
+
+TEST(CompressedSet, LargeVertexIds) {
+  const VertexId big = kInvalidVertex - 1;
+  const CodedSet set = code_set({big, 0});
+  EXPECT_TRUE(set.run().contains(big));
+  EXPECT_TRUE(set.run().contains(0));
+  EXPECT_EQ(set.run().decode(), (std::vector<VertexId>{0, big}));
+}
+
+TEST(CompressedSet, DenseRunsCompressWell) {
+  // Consecutive ids: every gap is 1 -> one byte each (plus the head).
+  std::vector<VertexId> run;
+  for (VertexId v = 1000; v < 2000; ++v) run.push_back(v);
+  const CodedSet set = code_set(run);
+  EXPECT_LE(set.bytes.size(), 1024u + 16u);
+  // Versus 4 bytes/entry for the plain vector representation.
+  EXPECT_LT(set.bytes.size(), run.size() * sizeof(VertexId) / 3);
+}
+
+TEST(CompressedSet, FromEncodedRoundTrips) {
+  std::vector<std::uint8_t> bytes;
+  append_gap_stream(bytes, std::vector<VertexId>{3, 8, 8000});
+  EXPECT_EQ(run_of(bytes, 3).decode(), (std::vector<VertexId>{3, 8, 8000}));
+}
+
+TEST(CompressedSet, FromEncodedTruncatedPayloadThrows) {
+  std::vector<std::uint8_t> bytes;
+  append_gap_stream(bytes, std::vector<VertexId>{100, 50'000, 9'000'000});
+  bytes.pop_back();
+  const GapRun run = run_of(bytes, 3);
+  EXPECT_THROW((void)run.decode(), CheckError);
+  EXPECT_THROW((void)run.contains(9'000'000), CheckError);
+}
+
+TEST(CompressedSet, FromEncodedOverlongVarintThrows) {
+  // 11 continuation bytes: wider than any 64-bit value can need.
+  const std::vector<std::uint8_t> bytes(11, 0xFF);
+  EXPECT_THROW((void)run_of(bytes, 1).decode(), CheckError);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
-#include "rrr/compressed.hpp"
 #include "rrr/gap_codec.hpp"
 #include "support/macros.hpp"
 #include "support/rng.hpp"
@@ -74,16 +74,84 @@ TEST(HuffmanCodec, CorruptStreamDetected) {
   EXPECT_THROW(HuffmanCodec::decode(encoded), CheckError);
 }
 
+std::vector<std::uint8_t> gap_stream(std::vector<VertexId> members) {
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  std::vector<std::uint8_t> bytes;
+  append_gap_stream(bytes, members);
+  return bytes;
+}
+
+TEST(HuffmanCodec, GapStreamRoundTripsBitIdentically) {
+  // CompressedPool's Huffman stage codes the canonical gap stream: the
+  // decoded bytes must be that stream bit for bit, and decode through
+  // GapRun back to the members — empty sets, vertex 0 and the largest
+  // id included.
+  std::vector<std::vector<VertexId>> cases = {
+      {}, {9, 3, 9, 1, 200, 64}, {0, kInvalidVertex - 1}};
+  Xoshiro256 rng(17);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<VertexId> members;
+    const std::size_t count = rng.next_bounded(600);
+    for (std::size_t i = 0; i < count; ++i) {
+      members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 22)));
+    }
+    cases.push_back(std::move(members));
+  }
+  for (std::vector<VertexId>& members : cases) {
+    const std::vector<std::uint8_t> bytes = gap_stream(members);
+    const HuffmanCodec::Encoded encoded = HuffmanCodec::encode(bytes);
+    const std::vector<std::uint8_t> decoded = HuffmanCodec::decode(encoded);
+    EXPECT_EQ(decoded, bytes);
+
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()),
+                  members.end());
+    const GapRun run{decoded.data(), decoded.size(),
+                     static_cast<std::uint32_t>(members.size())};
+    EXPECT_EQ(run.decode(), members);
+
+    const HuffmanCodec::Encoded again = HuffmanCodec::encode(bytes);
+    EXPECT_EQ(again.code_lengths, encoded.code_lengths);
+    EXPECT_EQ(again.payload_bits, encoded.payload_bits);
+    EXPECT_EQ(again.bits, encoded.bits);
+  }
+}
+
+// A member set Huffman-coded over its gap stream, answered by decoding
+// the stream back and walking it as a GapRun.
+struct HuffmanCodedSet {
+  HuffmanCodec::Encoded encoded;
+  std::uint32_t count = 0;
+
+  [[nodiscard]] std::vector<VertexId> decode() const {
+    const std::vector<std::uint8_t> bytes = HuffmanCodec::decode(encoded);
+    return GapRun{bytes.data(), bytes.size(), count}.decode();
+  }
+  [[nodiscard]] bool contains(VertexId v) const {
+    const std::vector<std::uint8_t> bytes = HuffmanCodec::decode(encoded);
+    return GapRun{bytes.data(), bytes.size(), count}.contains(v);
+  }
+};
+
+HuffmanCodedSet huffman_set(std::vector<VertexId> members) {
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return HuffmanCodedSet{HuffmanCodec::encode(gap_stream(members)),
+                         static_cast<std::uint32_t>(members.size())};
+}
+
 TEST(HuffmanSet, EmptySet) {
-  const HuffmanSet set = HuffmanSet::encode({});
-  EXPECT_TRUE(set.empty());
+  const HuffmanCodedSet set = huffman_set({});
+  EXPECT_EQ(set.count, 0u);
+  EXPECT_EQ(set.encoded.payload_bits, 0u);
   EXPECT_TRUE(set.decode().empty());
   EXPECT_FALSE(set.contains(0));
 }
 
 TEST(HuffmanSet, RoundTrip) {
-  const HuffmanSet set = HuffmanSet::encode({9, 3, 9, 1, 200, 64});
-  EXPECT_EQ(set.size(), 5u);
+  const HuffmanCodedSet set = huffman_set({9, 3, 9, 1, 200, 64});
+  EXPECT_EQ(set.count, 5u);
   EXPECT_EQ(set.decode(), (std::vector<VertexId>{1, 3, 9, 64, 200}));
   EXPECT_TRUE(set.contains(64));
   EXPECT_FALSE(set.contains(65));
@@ -97,7 +165,7 @@ TEST(HuffmanSet, RoundTripRandomSets) {
     for (std::size_t i = 0; i < count; ++i) {
       members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 22)));
     }
-    const HuffmanSet set = HuffmanSet::encode(members);
+    const HuffmanCodedSet set = huffman_set(members);
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()),
                   members.end());
@@ -105,48 +173,61 @@ TEST(HuffmanSet, RoundTripRandomSets) {
   }
 }
 
-TEST(HuffmanSet, CompressesDenseRunsBeyondVarint) {
+TEST(HuffmanSet, VertexZeroAndLargeIds) {
+  const HuffmanCodedSet set = huffman_set({0, kInvalidVertex - 1});
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_TRUE(set.contains(kInvalidVertex - 1));
+  EXPECT_EQ(set.count, 2u);
+}
+
+TEST(HuffmanSet, EncodeBitIdenticalToCompressingVarintStream) {
+  // CompressedPool codes its slots through the staged surface:
+  // lengths_from_frequencies, then HuffmanEncodeTable codes packed MSB
+  // first. Over one gap stream that must be bit-identical to the
+  // one-shot HuffmanCodec::encode of the same stream.
+  Xoshiro256 rng(17);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<VertexId> members;
+    const std::size_t count = 1 + rng.next_bounded(600);
+    for (std::size_t i = 0; i < count; ++i) {
+      members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 22)));
+    }
+    const std::vector<std::uint8_t> bytes = gap_stream(members);
+    const HuffmanCodec::Encoded reference = HuffmanCodec::encode(bytes);
+
+    std::array<std::uint64_t, 256> freq{};
+    for (const std::uint8_t byte : bytes) ++freq[byte];
+    const std::array<std::uint8_t, 256> lengths =
+        HuffmanCodec::lengths_from_frequencies(freq);
+    const HuffmanEncodeTable table = HuffmanEncodeTable::build(lengths);
+    std::vector<std::uint8_t> bits;
+    std::uint64_t payload_bits = 0;
+    for (const std::uint8_t byte : bytes) {
+      for (int b = table.lengths[byte] - 1; b >= 0; --b) {
+        if (payload_bits % 8 == 0) bits.push_back(0);
+        if ((table.codes[byte] >> b) & 1u) {
+          bits.back() |=
+              static_cast<std::uint8_t>(0x80u >> (payload_bits % 8));
+        }
+        ++payload_bits;
+      }
+    }
+
+    EXPECT_EQ(lengths, reference.code_lengths) << trial;
+    EXPECT_EQ(payload_bits, reference.payload_bits) << trial;
+    EXPECT_EQ(bits, reference.bits) << trial;
+  }
+}
+
+TEST(HuffmanCodec, CompressesDenseGapStreamBeyondVarint) {
   // Consecutive ids: gaps are all 1 -> a single-symbol byte stream that
   // Huffman packs ~8x below the varint bytes (HBMax's win case).
   std::vector<VertexId> run;
   for (VertexId v = 5000; v < 15000; ++v) run.push_back(v);
-  const HuffmanSet huffman = HuffmanSet::encode(run);
-  const CompressedSet varint = CompressedSet::encode(run);
-  EXPECT_LT(huffman.memory_bytes(), varint.memory_bytes() / 4);
-  EXPECT_EQ(huffman.decode(), varint.decode());
-}
-
-TEST(HuffmanSet, VertexZeroAndLargeIds) {
-  const HuffmanSet set = HuffmanSet::encode({0, kInvalidVertex - 1});
-  EXPECT_TRUE(set.contains(0));
-  EXPECT_TRUE(set.contains(kInvalidVertex - 1));
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(HuffmanSet, EncodeBitIdenticalToCompressingVarintStream) {
-  // HuffmanSet::encode builds its gap bytes directly through the shared
-  // rrr/gap_codec encoder — the payload must be bit-identical to
-  // Huffman-coding the canonical gap stream of the same members.
-  Xoshiro256 rng(17);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<VertexId> members;
-    const std::size_t count = rng.next_bounded(600);
-    for (std::size_t i = 0; i < count; ++i) {
-      members.push_back(static_cast<VertexId>(rng.next_bounded(1u << 22)));
-    }
-    const HuffmanSet set = HuffmanSet::encode(members);
-
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()),
-                  members.end());
-    std::vector<std::uint8_t> gap_bytes;
-    append_gap_stream(gap_bytes, members);
-    const HuffmanCodec::Encoded reference = HuffmanCodec::encode(gap_bytes);
-
-    EXPECT_EQ(set.encoded().code_lengths, reference.code_lengths) << trial;
-    EXPECT_EQ(set.encoded().payload_bits, reference.payload_bits) << trial;
-    EXPECT_EQ(set.encoded().bits, reference.bits) << trial;
-  }
+  const std::vector<std::uint8_t> varint = gap_stream(run);
+  const HuffmanCodec::Encoded huffman = HuffmanCodec::encode(varint);
+  EXPECT_LT(huffman.memory_bytes(), varint.size() / 4);
+  EXPECT_EQ(HuffmanCodec::decode(huffman), varint);
 }
 
 TEST(HuffmanCodec, OverstatedPayloadBitsThrows) {

@@ -3,8 +3,8 @@
 // be indistinguishable slot-by-slot — size, membership, enumeration
 // order, and the flattened CSR image — because the selection kernels'
 // bit-identical seed guarantee rests on exactly this equivalence. Also
-// covers the ShardArena reset() chunk-reuse semantics the sampler's
-// merge path depends on.
+// covers the ShardArena reset() chunk-reuse semantics the compressed
+// pool's per-round recycling depends on.
 #include "rrr/pool_view.hpp"
 
 #include <gtest/gtest.h>
@@ -238,7 +238,7 @@ TEST(RRRSetView, VerticesSpanMatchesSetVectorRepresentation) {
                          run_view.vertices().end(), view.vertices().begin()));
 }
 
-// --- ShardArena reset/reuse (the merge path's round-to-round contract) ---
+// --- ShardArena reset/reuse (the per-round recycling contract) ---
 
 TEST(ShardArena, ResetReusesMappedChunksAcrossRounds) {
   ShardArena arena(/*chunk_vertices=*/16);

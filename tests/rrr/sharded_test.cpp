@@ -1,10 +1,11 @@
 // Property and negative-path coverage for the NUMA-sharded sampling
-// pipeline: plan partitioning invariants, arena staging, and the merge's
-// bit-identity with the serial reference under degenerate shapes —
-// empty shards, one giant shard, shard count > thread count > node
-// count, and oversubscribed thread requests via resolve_threads. The
-// whole file is sanitizer-hot: it runs under the asan preset like every
-// suite, and the arena/merge paths are exactly what ASan needs to see.
+// pipeline: plan partitioning invariants, arena staging, and the
+// SegmentedPool image's bit-identity with the serial reference under
+// degenerate shapes — empty shards, one giant shard, shard count >
+// thread count > node count, and oversubscribed thread requests via
+// resolve_threads. The whole file is sanitizer-hot: it runs under the
+// asan preset like every suite, and the arena staging paths are exactly
+// what ASan needs to see.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,20 +38,23 @@ ShardedConfig config_for(DiffusionModel model, int shards,
 }
 
 /// Generates `count` sets through the sharded pipeline and asserts the
-/// flattened image matches the serial per-index reference sampler.
+/// flattened image, and the adaptive representation of every slot,
+/// match the serial per-index reference sampler.
 void expect_matches_serial(const DiffusionGraph& g, DiffusionModel model,
                            std::size_t count, int shards, bool adaptive) {
   ShardedSampler sampler(g.reverse, config_for(model, shards, adaptive));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   pool.resize(count);
   sampler.generate(pool, 0, count, nullptr);
 
   const RRRPool reference =
       testing::sample_pool(g, model, count, 0xABCD, adaptive);
-  const FlatPool a = pool.flatten();
+  const RRRPoolView view(pool);
+  const FlatPool a = view.flatten();
   const FlatPool b = reference.flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
+  EXPECT_EQ(view.bitmap_count(), reference.bitmap_count());
 }
 
 // --- ShardPlan invariants ---
@@ -148,7 +152,7 @@ TEST(ShardArena, RunLargerThanChunkGetsDedicatedChunk) {
   EXPECT_GE(arena.mapped_bytes(), giant.size() * sizeof(VertexId));
 }
 
-// --- Merge bit-identity under degenerate shapes ---
+// --- Bit-identity with the serial reference under degenerate shapes ---
 
 TEST(ShardedSampler, EmptyShardsMergeCleanly) {
   // 3 sets across 8 shards: five shards stage nothing.
@@ -166,7 +170,7 @@ TEST(ShardedSampler, ZeroSetsIsANoOp) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade);
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 4));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   sampler.generate(pool, 0, 0, nullptr);
   EXPECT_EQ(pool.size(), 0u);
   std::uint64_t staged = 0;
@@ -193,7 +197,7 @@ TEST(ShardedSampler, OversubscribedThreadsViaResolveThreads) {
 }
 
 TEST(ShardedSampler, VectorOnlyRepresentationMatchesSerial) {
-  // The dist/ wire format path (adaptive_representation = false).
+  // adaptive_representation = false keeps every slot a sorted run.
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 29);
   expect_matches_serial(g, DiffusionModel::kIndependentCascade, 150, 4,
                         false);
@@ -205,46 +209,54 @@ TEST(ShardedSampler, GrowingRangesMatchOneShotGeneration) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 31);
   const auto model = DiffusionModel::kIndependentCascade;
   ShardedSampler incremental(g.reverse, config_for(model, 3));
-  RRRPool grown(g.num_vertices());
+  SegmentedPool grown(g.num_vertices());
   grown.resize(40);
   incremental.generate(grown, 0, 40, nullptr);
   grown.resize(170);
   incremental.generate(grown, 40, 170, nullptr);
 
   ShardedSampler oneshot(g.reverse, config_for(model, 3));
-  RRRPool whole(g.num_vertices());
+  SegmentedPool whole(g.num_vertices());
   whole.resize(170);
   oneshot.generate(whole, 0, 170, nullptr);
 
-  const FlatPool a = grown.flatten();
-  const FlatPool b = whole.flatten();
+  const FlatPool a = RRRPoolView(grown).flatten();
+  const FlatPool b = RRRPoolView(whole).flatten();
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
 }
 
 TEST(ShardedSampler, FusedCountersCountMembership) {
-  const auto g = small_graph(DiffusionModel::kIndependentCascade, 37);
-  const auto model = DiffusionModel::kIndependentCascade;
-  constexpr std::size_t kSets = 120;
+  // Kernel-fused base counters accumulate across growing rounds: after
+  // every round they equal the member counts of all slots so far.
+  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                                     DiffusionModel::kLinearThreshold}) {
+    const auto g = small_graph(model, 37);
+    ShardedSampler sampler(g.reverse, config_for(model, 4));
+    SegmentedPool pool(g.num_vertices());
+    CounterArray counters(g.num_vertices());
+    std::uint64_t generated = 0;
+    for (const std::uint64_t target : {50u, 51u, 120u}) {
+      pool.resize(target);
+      sampler.generate(pool, generated, target, &counters);
+      generated = target;
 
-  ShardedSampler sampler(g.reverse, config_for(model, 4));
-  RRRPool pool(g.num_vertices());
-  pool.resize(kSets);
-  CounterArray counters(g.num_vertices());
-  sampler.generate(pool, 0, kSets, &counters);
-
-  std::vector<std::uint64_t> expected(g.num_vertices(), 0);
-  for (std::size_t i = 0; i < kSets; ++i) {
-    pool[i].for_each([&](VertexId v) { ++expected[v]; });
+      std::vector<std::uint64_t> expected(g.num_vertices(), 0);
+      const RRRPoolView view(pool);
+      for (std::size_t i = 0; i < target; ++i) {
+        view[i].for_each([&](VertexId v) { ++expected[v]; });
+      }
+      EXPECT_EQ(counters.snapshot(), expected)
+          << to_string(model) << " sets=" << target;
+    }
   }
-  EXPECT_EQ(counters.snapshot(), expected);
 }
 
 TEST(ShardedSampler, StatsDescribeThePlan) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 41);
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 4));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   pool.resize(100);
   sampler.generate(pool, 0, 100, nullptr);
 
@@ -256,6 +268,7 @@ TEST(ShardedSampler, StatsDescribeThePlan) {
   EXPECT_EQ(stats.shard_domains.size(), 4u);
   EXPECT_GE(stats.numa_domains, 1);
   EXPECT_GT(stats.staged_bytes, 0u);
+  EXPECT_GE(stats.mapped_bytes, stats.staged_bytes);
 }
 
 // --- Zero-copy SegmentedPool path ---
@@ -277,9 +290,9 @@ TEST(ShardedSampler, ZeroCopyGenerateMatchesSerialReference) {
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.vertices, b.vertices);
 
-  // The zero-copy contract: payload staged once, merged never. Each slot
-  // is staged in the reference's representation: a sorted run, or a
-  // bitmap of ceil(|V|/64) words.
+  // The zero-copy contract: payload staged once. Each slot is staged in
+  // the reference's representation: a sorted run, or a bitmap of
+  // ceil(|V|/64) words.
   std::uint64_t slot_bytes = 0;
   for (std::size_t i = 0; i < kSets; ++i) {
     slot_bytes += reference[i].repr() == RRRRepr::kBitmap
@@ -288,7 +301,6 @@ TEST(ShardedSampler, ZeroCopyGenerateMatchesSerialReference) {
   }
   ASSERT_GT(reference.bitmap_count(), 0u);
   EXPECT_EQ(RRRPoolView(segments).bitmap_count(), reference.bitmap_count());
-  EXPECT_EQ(sampler.stats().merged_bytes, 0u);
   EXPECT_EQ(sampler.stats().staged_bytes, slot_bytes);
 }
 
@@ -539,36 +551,6 @@ TEST(ShardedSampler, FusedKernelCountersAddUpTheTraversals) {
   obs::set_metrics_enabled(metrics_were_enabled);
 }
 
-TEST(ShardedSampler, MergePathReusesArenaChunksAcrossRounds) {
-  // Round N+1's merge-path staging must reuse the chunks round N mapped:
-  // mapped_bytes plateaus while staged_bytes keeps accumulating, and
-  // every merged byte is accounted.
-  const auto g = small_graph(DiffusionModel::kIndependentCascade, 61);
-  // Two workers, one per shard: every worker stages in BOTH rounds, so
-  // the mapped-bytes plateau is deterministic (with more workers than
-  // batches, which workers win batches — and thus map chunks — races).
-  ThreadCountScope scope(2);
-  ShardedSampler sampler(
-      g.reverse, config_for(DiffusionModel::kIndependentCascade, 2));
-  RRRPool pool(g.num_vertices());
-
-  pool.resize(100);
-  sampler.generate(pool, 0, 100, nullptr);
-  const ShardStats round1 = sampler.stats();
-  ASSERT_GT(round1.staged_bytes, 0u);
-  ASSERT_GT(round1.merged_bytes, 0u);
-  EXPECT_EQ(round1.merged_bytes, round1.staged_bytes);
-
-  pool.resize(200);
-  sampler.generate(pool, 100, 200, nullptr);
-  const ShardStats round2 = sampler.stats();
-  EXPECT_GT(round2.staged_bytes, round1.staged_bytes);
-  EXPECT_EQ(round2.merged_bytes, round2.staged_bytes);
-  // Similar round volume → the reused chunks absorb it without mapping
-  // a fresh arena set (chunk granularity is far above these payloads).
-  EXPECT_EQ(round2.mapped_bytes, round1.mapped_bytes);
-}
-
 TEST(ShardedSampler, RejectsInvalidConfigurations) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 43);
   ShardedConfig zero_shards =
@@ -583,29 +565,13 @@ TEST(ShardedSampler, RejectsInvalidConfigurations) {
 
   ShardedSampler sampler(
       g.reverse, config_for(DiffusionModel::kIndependentCascade, 2));
-  RRRPool pool(g.num_vertices());
+  SegmentedPool pool(g.num_vertices());
   pool.resize(10);
   EXPECT_THROW(sampler.generate(pool, 0, 11, nullptr), CheckError);
-}
-
-TEST(ShardedSampler, RejectsMixedHandOffModes) {
-  // One sampler, one mode: the cumulative byte accounting is per-mode,
-  // so a merge round on a sampler that already served zero-copy (or
-  // vice versa) must fail loudly rather than pollute the stats.
-  const auto g = small_graph(DiffusionModel::kIndependentCascade, 67);
-  const auto config = config_for(DiffusionModel::kIndependentCascade, 2);
-
-  ShardedSampler zero_copy_first(g.reverse, config);
-  SegmentedPool segments(g.num_vertices());
-  segments.resize(10);
-  zero_copy_first.generate(segments, 0, 10, nullptr);
-  RRRPool pool(g.num_vertices());
-  pool.resize(10);
-  EXPECT_THROW(zero_copy_first.generate(pool, 0, 10, nullptr), CheckError);
-
-  ShardedSampler merge_first(g.reverse, config);
-  merge_first.generate(pool, 0, 10, nullptr);
-  EXPECT_THROW(merge_first.generate(segments, 0, 10, nullptr), CheckError);
+  EXPECT_THROW(sampler.generate(pool, 5, 4, nullptr), CheckError);
+  SegmentedPool other_graph(g.num_vertices() + 1);
+  other_graph.resize(10);
+  EXPECT_THROW(sampler.generate(other_graph, 0, 10, nullptr), CheckError);
 }
 
 }  // namespace
