@@ -146,8 +146,9 @@ void check_section_table(const std::vector<SectionEntry>& table,
   }
 }
 
-/// Serializes the meta fields with the bin primitives (shared by v1 and
-/// the v2 meta section, which keeps the formats convertible).
+/// Serializes the meta fields with the bin primitives: the meta section
+/// of a section-table snapshot, and the fields v1 files carry inline
+/// (read_meta_fields parses both).
 void write_meta_fields(std::ostream& os, VertexId num_vertices,
                        std::uint64_t num_sketches, std::uint64_t k_max,
                        const SketchStoreMeta& meta) {
@@ -179,43 +180,75 @@ void read_meta_fields(std::istream& is, VertexId& num_vertices,
   meta.theta_capped = capped != 0;
 }
 
-/// Reads a raw (headerless) array section of exactly `bytes` bytes.
+/// Types one section of a snapshot image. Alignment is guaranteed by the
+/// table check (kSectionAlign-aligned offsets) plus the image base, which
+/// decode_sections() requires to be 8-byte aligned (a mapping is page-
+/// aligned, an owned copy comes from operator new).
 template <typename T>
-std::vector<T> read_section_array(std::istream& is, std::uint64_t bytes,
-                                  const char* section, std::uint64_t offset) {
-  if (bytes % sizeof(T) != 0) {
-    fail_section("section length not a multiple of the element size in",
-                 section, offset);
-  }
-  std::vector<T> v;
-  try {
-    v.resize(bytes / sizeof(T));
-  } catch (const std::exception&) {
-    fail_section("implausible section length in", section, offset);
-  }
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(bytes));
-  if (!is.good()) fail_section("truncated", section, offset);
-  return v;
-}
-
-/// Types one mapped section. Alignment is guaranteed by the table check
-/// (kSectionAlign-aligned offsets) plus mmap's page-aligned base.
-template <typename T>
-std::span<const T> map_section(const MappedFile& map, const SectionEntry& s) {
-  const char* name = section_name(s.id);
+std::span<const T> typed_section(std::span<const std::uint8_t> image,
+                                 const SectionEntry& s) {
   if (s.bytes % sizeof(T) != 0) {
     fail_section("section length not a multiple of the element size in",
-                 name, s.offset);
+                 section_name(s.id), s.offset);
   }
-  return {reinterpret_cast<const T*>(map.data() + s.offset),
+  return {reinterpret_cast<const T*>(image.data() + s.offset),
           static_cast<std::size_t>(s.bytes / sizeof(T))};
+}
+
+/// Reads the rest of a v2+ snapshot whose magic and version were already
+/// consumed into an owned image of the whole file, so a stream load
+/// decodes the same bytes an mmap would. The declared size is never
+/// trusted for allocation: on a stream that cannot be measured, the
+/// image grows geometrically from kImageChunk as bytes actually arrive,
+/// so a header that lies about its size fails as truncated after at
+/// most twice the delivered bytes, not as a huge allocation.
+std::vector<std::uint8_t> read_image(std::istream& is,
+                                     std::uint32_t version) {
+  constexpr std::uint64_t kPrefixBytes = 24;  // magic, version, count, size
+  constexpr std::uint64_t kImageChunk = std::uint64_t{1} << 16;
+  std::uint32_t section_count = 0;
+  std::uint64_t file_bytes = 0;
+  bin::read_pod(is, section_count, "section table");
+  bin::read_pod(is, file_bytes, "section table");
+  if (file_bytes < kPrefixBytes) {
+    fail_section("implausible file size in", "section table", 16);
+  }
+  std::uint64_t growth_floor = kImageChunk;
+  if (const auto remaining = bin::detail::remaining_bytes(is)) {
+    // Seekable stream: the declared length must match reality, so a
+    // truncation anywhere (even inside inter-section padding) and any
+    // trailing bytes fail here, and the proven size is allocated once.
+    if (*remaining + kPrefixBytes != file_bytes) {
+      fail_section("truncated file in", "section table",
+                   *remaining + kPrefixBytes);
+    }
+    growth_floor = file_bytes;
+  }
+  std::vector<std::uint8_t> image(kPrefixBytes, 0);
+  std::memcpy(image.data(), kSnapshotMagic.data(), kSnapshotMagic.size());
+  std::memcpy(image.data() + 8, &version, sizeof version);
+  std::memcpy(image.data() + 12, &section_count, sizeof section_count);
+  std::memcpy(image.data() + 16, &file_bytes, sizeof file_bytes);
+  while (image.size() < file_bytes) {
+    const std::uint64_t have = image.size();
+    const std::uint64_t want =
+        std::min(file_bytes, std::max(2 * have, growth_floor));
+    image.reserve(want);  // exact: capacity tracks the bytes read
+    image.resize(want);
+    is.read(reinterpret_cast<char*>(image.data() + have),
+            static_cast<std::streamsize>(want - have));
+    if (!is.good()) {
+      fail_section("truncated file in", "section table",
+                   have + static_cast<std::uint64_t>(is.gcount()));
+    }
+  }
+  return image;
 }
 
 }  // namespace
 
-/// Deferred checksum work of a lazy v4 mmap load. The data pointers
-/// reference mapping_ pages, which never relocate when the store moves.
+/// Checksum work of a v4 section load. The data pointers reference the
+/// snapshot image, which never relocates when the store moves.
 struct SketchStore::PendingChecksums {
   struct Section {
     const char* name;
@@ -394,17 +427,6 @@ void SketchStore::finalize() {
   default_marginals_ = default_marginals_own_;
 }
 
-void SketchStore::adopt_owned_views() {
-  sketch_offsets_ = sketch_offsets_own_;
-  sketch_vertices_ = sketch_vertices_own_;
-  node_offsets_ = node_offsets_own_;
-  node_sketches_ = node_sketches_own_;
-  default_seeds_ = default_seeds_own_;
-  default_marginals_ = default_marginals_own_;
-  comp_offsets_ = comp_offsets_own_;
-  comp_payload_ = comp_payload_own_;
-}
-
 std::vector<VertexId> SketchStore::assemble_payload() const {
   std::vector<VertexId> payload(sketch_offsets_.back());
 #pragma omp parallel for schedule(dynamic, 64)
@@ -429,8 +451,6 @@ void SketchStore::materialize_flat() {
   bitmap_expansion_ = {};
   compressed_ = false;
   backing_cpool_ = CompressedPool();
-  comp_offsets_own_ = {};
-  comp_payload_own_ = {};
   comp_offsets_ = {};
   comp_payload_ = {};
 }
@@ -442,8 +462,7 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
          backing_pool_.memory_bytes() + backing_segments_.memory_bytes() +
          bitmap_expansion_.capacity() * sizeof(VertexId) +
          backing_cpool_.memory_bytes() +
-         comp_offsets_own_.capacity() * sizeof(std::uint64_t) +
-         comp_payload_own_.capacity() +
+         image_own_.capacity() +
          node_offsets_own_.capacity() * sizeof(std::uint64_t) +
          node_sketches_own_.capacity() * sizeof(SketchId) +
          default_seeds_own_.capacity() * sizeof(VertexId) +
@@ -451,10 +470,6 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
 }
 
 void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
-  const std::uint32_t version =
-      options.checksum ? kSnapshotVersionV4
-                       : (options.compress ? kSnapshotVersionV3
-                                           : kSnapshotVersionV2);
   const std::uint32_t section_count =
       options.compress ? kSectionCountV3 : kSectionCountV2;
 
@@ -463,11 +478,11 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   write_meta_fields(meta_os, num_vertices_, num_sketches_, k_max_, meta_);
   const std::string meta_blob = meta_os.str();
 
-  // The payload section. v2: the flat vertex image — this is where a
+  // The payload section. Raw: the flat vertex image — this is where a
   // deferred (or compressed) backing finally pays the flatten/decode.
-  // v3: the varint gap streams — a varint-compressed store's payload is
-  // written as-is; every other backing (flat, deferred, Huffman) is
-  // (trans)coded into a transient varint image here.
+  // Compressed: the varint gap streams — a varint-compressed store's
+  // payload is written as-is; every other backing (flat, deferred,
+  // Huffman) is (trans)coded into a transient varint image here.
   std::vector<VertexId> transient_flat;
   std::vector<std::uint64_t> transient_comp_offsets;
   std::vector<std::uint8_t> transient_comp_payload;
@@ -545,15 +560,13 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   }
   const std::uint64_t file_bytes = cursor;
 
-  bin::write_header(os, kSnapshotMagic, version);
+  bin::write_header(os, kSnapshotMagic, kSnapshotVersionV4);
   bin::write_pod(os, section_count);
   bin::write_pod(os, file_bytes);
   for (std::uint32_t i = 0; i < section_count; ++i) {
     // v4 stamps the section's CRC32C into the slot v2/v3 reserved as 0.
-    const std::uint32_t crc =
-        options.checksum ? crc32c(blobs[i].data, blobs[i].bytes) : 0;
     bin::write_pod(os, blobs[i].id);
-    bin::write_pod(os, crc);
+    bin::write_pod(os, crc32c(blobs[i].data, blobs[i].bytes));
     bin::write_pod(os, offsets[i]);
     bin::write_pod(os, blobs[i].bytes);
   }
@@ -571,19 +584,6 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
                static_cast<std::streamsize>(blobs[i].bytes));
     }
     written = offsets[i] + blobs[i].bytes;
-  }
-}
-
-void SketchStore::save_legacy_v1(std::ostream& os) const {
-  bin::write_header(os, kSnapshotMagic, kSnapshotVersionV1);
-  write_meta_fields(os, num_vertices_, num_sketches_, k_max_, meta_);
-  // Primary data only, length-prefixed: v1 loaders recompute the
-  // derived index and default sequence.
-  bin::write_span(os, sketch_offsets_);
-  if (flat_) {
-    bin::write_span(os, sketch_vertices_);
-  } else {
-    bin::write_vec(os, assemble_payload());
   }
 }
 
@@ -628,10 +628,9 @@ void SketchStore::save_file(const std::string& path,
   EIMM_CHECK(os.good(), "snapshot write failed");
 }
 
-void SketchStore::validate_structure() const {
-  // Shape checks only — O(sections + θ + |V| + k), no pool-sized scan.
-  // A malformed snapshot must fail loudly here, not as UB inside a
-  // query.
+void SketchStore::validate_primary() const {
+  // Shape checks only — O(θ), no pool-sized scan. A malformed snapshot
+  // must fail loudly here, not as UB inside a query.
   EIMM_CHECK(num_vertices_ > 0, "snapshot holds a zero-vertex store");
   EIMM_CHECK(k_max_ > 0, "snapshot holds a zero query cap");
   EIMM_CHECK(k_max_ <= num_vertices_,
@@ -661,6 +660,12 @@ void SketchStore::validate_structure() const {
     EIMM_CHECK(sketch_offsets_[i] >= sketch_offsets_[i - 1],
                "snapshot sketch offsets decrease");
   }
+}
+
+void SketchStore::validate_structure() const {
+  // O(sections + θ + |V| + k): the primary shape, then the derived
+  // arrays a section load carries instead of recomputing.
+  validate_primary();
   EIMM_CHECK(node_offsets_.size() ==
                  static_cast<std::size_t>(num_vertices_) + 1,
              "snapshot node offsets inconsistent with vertex count");
@@ -761,32 +766,8 @@ SketchStore SketchStore::load_v1(std::istream& is) {
 
   // v1 carries primary data only: validate it, then rebuild the derived
   // state, so no cross-index inconsistency can survive a load.
-  EIMM_CHECK(store.num_vertices_ > 0, "snapshot holds a zero-vertex store");
-  EIMM_CHECK(store.k_max_ > 0, "snapshot holds a zero query cap");
-  EIMM_CHECK(store.k_max_ <= store.num_vertices_,
-             "snapshot query cap exceeds the vertex count");
-  EIMM_CHECK(store.num_sketches_ < std::numeric_limits<SketchId>::max(),
-             "snapshot sketch count overflows 32-bit sketch ids");
-  EIMM_CHECK(store.sketch_offsets_.size() == store.num_sketches_ + 1,
-             "snapshot sketch offsets inconsistent with sketch count");
-  EIMM_CHECK(store.sketch_offsets_.front() == 0 &&
-                 store.sketch_offsets_.back() ==
-                     store.sketch_vertices_.size(),
-             "snapshot sketch offsets do not span the vertex payload");
-  for (std::size_t i = 1; i < store.sketch_offsets_.size(); ++i) {
-    EIMM_CHECK(store.sketch_offsets_[i] >= store.sketch_offsets_[i - 1],
-               "snapshot sketch offsets decrease");
-  }
-  for (std::uint64_t s = 0; s < store.num_sketches_; ++s) {
-    for (std::uint64_t i = store.sketch_offsets_[s];
-         i < store.sketch_offsets_[s + 1]; ++i) {
-      EIMM_CHECK(store.sketch_vertices_[i] < store.num_vertices_,
-                 "snapshot sketch member out of range");
-      EIMM_CHECK(i == store.sketch_offsets_[s] ||
-                     store.sketch_vertices_[i - 1] < store.sketch_vertices_[i],
-                 "snapshot sketch members not strictly ascending");
-    }
-  }
+  store.validate_primary();
+  store.validate_payload();
   try {
     store.finalize();
   } catch (const std::bad_alloc&) {
@@ -801,146 +782,28 @@ SketchStore SketchStore::load_v1(std::istream& is) {
   return store;
 }
 
-SketchStore SketchStore::load_sections_stream(std::istream& is,
-                                              std::uint32_t version) {
-  // Magic + version were consumed by the caller; position is 12.
-  const bool checksummed = version == kSnapshotVersionV4;
-  std::uint32_t section_count = 0;
-  std::uint64_t file_bytes = 0;
-  bin::read_pod(is, section_count, "section table");
-  bin::read_pod(is, file_bytes, "section table");
-  const std::uint32_t expected_count =
-      checked_section_count(version, section_count);
-  const bool compressed = compressed_layout(version, expected_count);
-  if (const auto remaining = bin::detail::remaining_bytes(is)) {
-    // Seekable stream: the declared length must match reality, so a
-    // truncation anywhere (even inside inter-section padding) fails
-    // here instead of at the first short section read.
-    if (*remaining + 24 != file_bytes) {
-      fail_section("truncated file in", "section table", *remaining + 24);
-    }
-  }
-  std::vector<SectionEntry> table(expected_count);
-  for (SectionEntry& s : table) {
-    bin::read_pod(is, s.id, "section table");
-    bin::read_pod(is, s.crc, "section table");
-    bin::read_pod(is, s.offset, "section table");
-    bin::read_pod(is, s.bytes, "section table");
-  }
-  check_section_table(table, file_bytes, expected_count);
-
-  SketchStore store;
-  std::uint64_t pos = header_bytes(expected_count);
-  for (const SectionEntry& s : table) {
-    const char* name = section_name(s.id);
-    // Inline integrity: the section bytes are in hand, so a v4 stream
-    // load proves each section before the next read.
-    const auto verify = [&](const void* data) {
-      if (!checksummed) return;
-      if (crc32c(data, s.bytes) != s.crc) {
-        fail_section("checksum mismatch in", name, s.offset);
-      }
-    };
-    is.ignore(static_cast<std::streamsize>(s.offset - pos));
-    if (!is.good()) fail_section("truncated padding before", name, pos);
-    switch (s.id) {
-      case kSecMeta: {
-        std::string blob(s.bytes, '\0');
-        is.read(blob.data(), static_cast<std::streamsize>(s.bytes));
-        if (!is.good()) fail_section("truncated", name, s.offset);
-        verify(blob.data());
-        std::istringstream meta_is(blob);
-        read_meta_fields(meta_is, store.num_vertices_, store.num_sketches_,
-                         store.k_max_, store.meta_);
-        break;
-      }
-      case kSecSketchOffsets:
-        store.sketch_offsets_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.sketch_offsets_own_.data());
-        break;
-      case kSecSketchVertices:
-        if (compressed) {
-          store.comp_payload_own_ =
-              read_section_array<std::uint8_t>(is, s.bytes, name, s.offset);
-          verify(store.comp_payload_own_.data());
-        } else {
-          store.sketch_vertices_own_ =
-              read_section_array<VertexId>(is, s.bytes, name, s.offset);
-          verify(store.sketch_vertices_own_.data());
-        }
-        break;
-      case kSecNodeOffsets:
-        store.node_offsets_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.node_offsets_own_.data());
-        break;
-      case kSecNodeSketches:
-        store.node_sketches_own_ =
-            read_section_array<SketchId>(is, s.bytes, name, s.offset);
-        verify(store.node_sketches_own_.data());
-        break;
-      case kSecDefaultSeeds:
-        store.default_seeds_own_ =
-            read_section_array<VertexId>(is, s.bytes, name, s.offset);
-        verify(store.default_seeds_own_.data());
-        break;
-      case kSecDefaultMarginals:
-        store.default_marginals_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.default_marginals_own_.data());
-        break;
-      case kSecCompOffsets:
-        store.comp_offsets_own_ =
-            read_section_array<std::uint64_t>(is, s.bytes, name, s.offset);
-        verify(store.comp_offsets_own_.data());
-        break;
-      default: fail_section("unexpected", name, s.offset);
-    }
-    pos = s.offset + s.bytes;
-  }
-  store.flat_ = !compressed;
-  store.compressed_ = compressed;
-  store.adopt_owned_views();
-  store.load_stats_.version = version;
-  store.load_stats_.file_bytes = file_bytes;
-  for (const SectionEntry& s : table) {
-    store.load_stats_.bytes_copied += s.bytes;
-  }
-  store.load_stats_.compressed = compressed;
-  store.load_stats_.compressed_payload_bytes =
-      compressed ? store.comp_payload_.size() : 0;
-  store.load_stats_.checksummed = checksummed;
-  store.load_stats_.checksums_verified = checksummed;
-  store.validate_structure();
-  store.validate_payload();
-  return store;
-}
-
-SketchStore SketchStore::load_mapped(MappedFile mapping,
-                                     const std::string& path,
-                                     ChecksumMode checksums) {
-  const std::uint8_t* base = mapping.data();
-  const std::uint64_t size = mapping.size();
+void SketchStore::decode_sections(std::span<const std::uint8_t> image,
+                                  ChecksumMode checksums) {
+  EIMM_CHECK(reinterpret_cast<std::uintptr_t>(image.data()) % 8 == 0,
+             "snapshot image is not 8-byte aligned");
+  const std::uint64_t size = image.size();
   if (size < header_bytes(kSectionCountV2)) {
     fail_section("truncated header in", "section table", size);
   }
   char expected[8] = {};
   std::memcpy(expected, kSnapshotMagic.data(), kSnapshotMagic.size());
-  if (std::memcmp(base, expected, sizeof expected) != 0) {
-    throw bin::FormatError(std::string("not a recognized ") + kSnapshotWhat +
-                               " ('" + path + "')",
-                           "header", 0);
+  if (std::memcmp(image.data(), expected, sizeof expected) != 0) {
+    bin::detail::fail_section("not a recognized", kSnapshotWhat, 0);
   }
   std::uint32_t version = 0;
   std::uint32_t section_count = 0;
   std::uint64_t file_bytes = 0;
-  std::memcpy(&version, base + 8, sizeof version);
-  std::memcpy(&section_count, base + 12, sizeof section_count);
-  std::memcpy(&file_bytes, base + 16, sizeof file_bytes);
+  std::memcpy(&version, image.data() + 8, sizeof version);
+  std::memcpy(&section_count, image.data() + 12, sizeof section_count);
+  std::memcpy(&file_bytes, image.data() + 16, sizeof file_bytes);
   if (version != kSnapshotVersionV2 && version != kSnapshotVersionV3 &&
       version != kSnapshotVersionV4) {
-    fail_section("unmappable snapshot version in", "header", 8);
+    fail_section("not a section-table snapshot version in", "header", 8);
   }
   const std::uint32_t expected_count =
       checked_section_count(version, section_count);
@@ -956,7 +819,7 @@ SketchStore SketchStore::load_mapped(MappedFile mapping,
   }
   std::vector<SectionEntry> table(expected_count);
   for (std::uint32_t i = 0; i < expected_count; ++i) {
-    const std::uint8_t* entry = base + 24 + i * kSectionEntryBytes;
+    const std::uint8_t* entry = image.data() + 24 + i * kSectionEntryBytes;
     std::memcpy(&table[i].id, entry, sizeof table[i].id);
     std::memcpy(&table[i].crc, entry + 4, sizeof table[i].crc);
     std::memcpy(&table[i].offset, entry + 8, sizeof table[i].offset);
@@ -964,66 +827,59 @@ SketchStore SketchStore::load_mapped(MappedFile mapping,
   }
   check_section_table(table, file_bytes, expected_count);
 
-  SketchStore store;
+  load_stats_.version = version;
+  load_stats_.file_bytes = file_bytes;
+  load_stats_.compressed = compressed;
+  load_stats_.checksummed = checksummed;
+  if (checksummed) {
+    // Verify before anything is parsed, so an eager load reports a
+    // flipped bit as the checksum mismatch it is.
+    auto pending = std::make_shared<PendingChecksums>();
+    pending->sections.reserve(table.size());
+    for (const SectionEntry& s : table) {
+      pending->sections.push_back({section_name(s.id), s.offset, s.bytes,
+                                   s.crc, image.data() + s.offset});
+    }
+    pending_checksums_ = std::move(pending);
+    if (checksums == ChecksumMode::kEager) {
+      verify_checksums();
+      load_stats_.checksums_verified = true;
+    }
+  }
   {
     const SectionEntry& s = table[kSecMeta - 1];
     std::istringstream meta_is(
-        std::string(reinterpret_cast<const char*>(base + s.offset),
+        std::string(reinterpret_cast<const char*>(image.data() + s.offset),
                     static_cast<std::size_t>(s.bytes)));
     try {
-      read_meta_fields(meta_is, store.num_vertices_, store.num_sketches_,
-                       store.k_max_, store.meta_);
+      read_meta_fields(meta_is, num_vertices_, num_sketches_, k_max_, meta_);
     } catch (const bin::FormatError&) {
       fail_section("malformed", section_name(kSecMeta), s.offset);
     }
   }
-  store.sketch_offsets_ =
-      map_section<std::uint64_t>(mapping, table[kSecSketchOffsets - 1]);
+  sketch_offsets_ =
+      typed_section<std::uint64_t>(image, table[kSecSketchOffsets - 1]);
   if (compressed) {
-    store.comp_payload_ =
-        map_section<std::uint8_t>(mapping, table[kSecSketchVertices - 1]);
-    store.comp_offsets_ =
-        map_section<std::uint64_t>(mapping, table[kSecCompOffsets - 1]);
+    comp_payload_ =
+        typed_section<std::uint8_t>(image, table[kSecSketchVertices - 1]);
+    comp_offsets_ =
+        typed_section<std::uint64_t>(image, table[kSecCompOffsets - 1]);
+    load_stats_.compressed_payload_bytes = comp_payload_.size();
   } else {
-    store.sketch_vertices_ =
-        map_section<VertexId>(mapping, table[kSecSketchVertices - 1]);
+    sketch_vertices_ =
+        typed_section<VertexId>(image, table[kSecSketchVertices - 1]);
   }
-  store.node_offsets_ =
-      map_section<std::uint64_t>(mapping, table[kSecNodeOffsets - 1]);
-  store.node_sketches_ =
-      map_section<SketchId>(mapping, table[kSecNodeSketches - 1]);
-  store.default_seeds_ =
-      map_section<VertexId>(mapping, table[kSecDefaultSeeds - 1]);
-  store.default_marginals_ =
-      map_section<std::uint64_t>(mapping, table[kSecDefaultMarginals - 1]);
-  store.flat_ = !compressed;
-  store.compressed_ = compressed;
-  store.mapping_ = std::move(mapping);
-  store.load_stats_.version = version;
-  store.load_stats_.mmap_backed = true;
-  store.load_stats_.file_bytes = file_bytes;
-  store.load_stats_.bytes_mapped = size;
-  store.load_stats_.bytes_copied = 0;
-  store.load_stats_.compressed = compressed;
-  store.load_stats_.compressed_payload_bytes =
-      compressed ? store.comp_payload_.size() : 0;
-  store.load_stats_.checksummed = checksummed;
-  if (checksummed && checksums != ChecksumMode::kOff) {
-    auto pending = std::make_shared<PendingChecksums>();
-    pending->sections.reserve(table.size());
-    const std::uint8_t* mapped = store.mapping_.data();
-    for (const SectionEntry& s : table) {
-      pending->sections.push_back({section_name(s.id), s.offset, s.bytes,
-                                   s.crc, mapped + s.offset});
-    }
-    store.pending_checksums_ = std::move(pending);
-    if (checksums == ChecksumMode::kEager) {
-      store.verify_checksums();
-      store.load_stats_.checksums_verified = true;
-    }
-  }
-  store.validate_structure();
-  return store;
+  node_offsets_ =
+      typed_section<std::uint64_t>(image, table[kSecNodeOffsets - 1]);
+  node_sketches_ =
+      typed_section<SketchId>(image, table[kSecNodeSketches - 1]);
+  default_seeds_ =
+      typed_section<VertexId>(image, table[kSecDefaultSeeds - 1]);
+  default_marginals_ =
+      typed_section<std::uint64_t>(image, table[kSecDefaultMarginals - 1]);
+  flat_ = !compressed;
+  compressed_ = compressed;
+  validate_structure();
 }
 
 void SketchStore::verify_checksums() const {
@@ -1051,31 +907,38 @@ SketchStore SketchStore::load(std::istream& is) {
   const std::uint32_t version =
       bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
                            kSnapshotWhat);
-  return version == kSnapshotVersionV1 ? load_v1(is)
-                                       : load_sections_stream(is, version);
+  if (version == kSnapshotVersionV1) return load_v1(is);
+  SketchStore store;
+  store.image_own_ = read_image(is, version);
+  store.decode_sections(store.image_own_, ChecksumMode::kEager);
+  store.load_stats_.bytes_copied = store.image_own_.size();
+  store.validate_payload();
+  return store;
 }
 
 SketchStore SketchStore::load_file(const std::string& path,
                                    SnapshotLoadOptions options) {
   std::ifstream is(path, std::ios::binary);
   EIMM_CHECK(is.good(), "cannot open snapshot file");
-  const std::uint32_t version =
-      bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
-                           kSnapshotWhat);
-  if (options.mode == SnapshotLoadMode::kMap) {
-    EIMM_CHECK(version != kSnapshotVersionV1,
-               "legacy v1 snapshots cannot be mmap-served; re-save as v2");
-  }
   SketchStore store;
-  if (version != kSnapshotVersionV1 &&
-      options.mode != SnapshotLoadMode::kStream) {
-    is.close();
-    store = load_mapped(MappedFile::open_readonly(path), path,
-                        options.checksums);
-  } else if (version == kSnapshotVersionV1) {
-    store = load_v1(is);
+  if (options.mode == SnapshotLoadMode::kStream) {
+    store = load(is);
   } else {
-    store = load_sections_stream(is, version);
+    const std::uint32_t version =
+        bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
+                             kSnapshotWhat);
+    if (version == kSnapshotVersionV1) {
+      EIMM_CHECK(options.mode != SnapshotLoadMode::kMap,
+                 "legacy v1 snapshots cannot be mmap-served; re-save as v4");
+      store = load_v1(is);
+    } else {
+      is.close();
+      store.mapping_ = MappedFile::open_readonly(path);
+      store.decode_sections({store.mapping_.data(), store.mapping_.size()},
+                            options.checksums);
+      store.load_stats_.mmap_backed = true;
+      store.load_stats_.bytes_mapped = store.mapping_.size();
+    }
   }
   if (options.deep_validate) {
     // Checksums first: a deep scan over provably intact bytes separates
@@ -1084,7 +947,9 @@ SketchStore SketchStore::load_file(const std::string& path,
     if (store.pending_checksums_ != nullptr) {
       store.load_stats_.checksums_verified = true;
     }
-    store.validate_payload();
+    if (store.load_stats_.mmap_backed) {
+      store.validate_payload();  // stream loads have already run it
+    }
     store.validate_derived();
     store.load_stats_.deep_validated = true;
   }

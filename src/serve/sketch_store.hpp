@@ -22,10 +22,10 @@
 // explicit materialize_flat()), so build-and-query-only workloads never
 // pay the copy.
 //
-// Snapshots (magic "EIMMSKS") come in three revisions:
+// Snapshots (magic "EIMMSKS") come in four revisions, all still loaded;
+// save() writes only v4.
 //   v1 — legacy length-prefixed stream of primary data only; load()
 //        copies into fresh vectors and recomputes the derived state.
-//        Still read (version negotiation), no longer written.
 //   v2 — page-aligned section-table format: a header + section table
 //        (id, offset, length; every section offset 4096-aligned)
 //        followed by the raw arrays, INCLUDING the derived inverted
@@ -33,29 +33,27 @@
 //        read-only and serves every array straight from the mapping —
 //        zero pool copies, cold start O(section table + offsets scan)
 //        instead of O(pool) — so N serving processes share one
-//        page-cache copy of the sketch data. Stream loads of v2 copy
-//        the sections into owned vectors (pipes, tests).
+//        page-cache copy of the sketch data.
 //   v3 — v2's layout with a COMPRESSED sketch payload: the sketch-
 //        vertices section holds the delta-varint gap streams of all
 //        sketches back to back (rrr/gap_codec.hpp — always plain
 //        varints on disk; a Huffman-backed store transcodes at save),
 //        and an eighth section carries the per-sketch byte offsets.
-//        Snapshot size AND serving RSS drop together: loads — mmap'ed
-//        or streamed — keep the payload compressed and serve queries
-//        decode-on-enumerate. Written only on request
-//        (SnapshotSaveOptions::compress); every v2 consumer keeps
-//        working unchanged.
-//   v4 — the v2/v3 layout with INTEGRITY CHECKSUMS: each section-table
-//        entry's reserved u32 now carries the CRC32C of that section's
+//        Loads keep the payload compressed and serve queries
+//        decode-on-enumerate.
+//   v4 — the v2/v3 layouts with INTEGRITY CHECKSUMS: each section-table
+//        entry's reserved u32 carries the CRC32C of that section's
 //        payload bytes (7 sections = raw, 8 = compressed; the table is
-//        otherwise bit-identical). The default save format. Stream
-//        loads verify every section inline as it is read; mmap loads
-//        verify lazily by default (at first QueryEngine construction,
-//        preserving the O(table) cold start) or eagerly/never per
-//        SnapshotLoadOptions::checksums. A mismatch surfaces as typed
-//        bin::FormatError with section+offset — a flipped bit is never
-//        served. v2/v3 stay writable (SnapshotSaveOptions::checksum =
-//        false) and loadable.
+//        otherwise bit-identical to v2/v3). mmap loads verify lazily by
+//        default (at first QueryEngine construction, preserving the
+//        O(table) cold start) or eagerly per SnapshotLoadOptions::
+//        checksums. A mismatch surfaces as typed bin::FormatError with
+//        section+offset — a flipped bit is never served.
+// v2, v3 and v4 share one decoder: it reads a byte image of the whole
+// file, which is the read-only mapping on the mmap path and an owned
+// 8-byte-aligned copy on the stream path (pipes, tests). Stream loads
+// therefore serve from exactly the bytes an mmap load would, verify v4
+// checksums before returning, and always scan the payload.
 //
 // Everything is read-only after build/load — queries allocate their own
 // scratch (see QueryEngine) — so any number of threads can serve from one
@@ -101,18 +99,17 @@ struct SketchStoreMeta {
 
 /// How load_file() should back the store.
 enum class SnapshotLoadMode {
-  kAuto,    ///< mmap v2 snapshots, stream-read v1 (the serving default)
+  kAuto,    ///< mmap v2+ snapshots, stream-read v1 (the serving default)
   kMap,     ///< require the mmap path (v1 files are rejected)
-  kStream,  ///< force the copying stream loader even for v2
+  kStream,  ///< copy the whole file into owned memory, even for v2+
 };
 
 /// When an mmap load of a v4 snapshot verifies the per-section CRC32C
-/// checksums (stream loads always verify inline — the bytes are in hand).
+/// checksums (stream loads always verify — the bytes are in hand).
 enum class ChecksumMode {
   kLazy,   ///< defer to verify_checksums() — first QueryEngine ctor —
            ///< keeping the O(table) mmap cold start
   kEager,  ///< verify every section at load time
-  kOff,    ///< skip (diagnostics over known-corrupt files)
 };
 
 struct SnapshotLoadOptions {
@@ -135,13 +132,14 @@ struct SnapshotLoadStats {
   std::uint64_t file_bytes = 0;
   /// Bytes mapped read-only (the whole file on the mmap path, else 0).
   std::uint64_t bytes_mapped = 0;
-  /// Section bytes copied into freshly allocated vectors — 0 on the
-  /// mmap path (nothing but the meta strings is duplicated).
+  /// Bytes copied into owned memory: the whole file on a v2+ stream
+  /// load, the primary arrays on a v1 load, 0 on the mmap path (nothing
+  /// but the meta strings is duplicated).
   std::uint64_t bytes_copied = 0;
   bool deep_validated = false;
-  /// v3 accounting: the payload stayed gap-coded through the load.
+  /// Compressed layout: the payload stayed gap-coded through the load.
   bool compressed = false;
-  /// Bytes of the compressed sketch payload (0 for v1/v2).
+  /// Bytes of the compressed sketch payload (0 for raw layouts).
   std::uint64_t compressed_payload_bytes = 0;
   /// The snapshot carries per-section CRC32C checksums (v4).
   bool checksummed = false;
@@ -156,10 +154,6 @@ struct SnapshotSaveOptions {
   /// compressed store's varint payload is written as-is, a Huffman-
   /// backed one transcodes, a raw one encodes at save time.
   bool compress = false;
-  /// Stamp per-section CRC32C checksums into the section table (the v4
-  /// format — the default). false reproduces the legacy v2/v3 bytes
-  /// exactly.
-  bool checksum = true;
 };
 
 class SketchStore {
@@ -285,16 +279,14 @@ class SketchStore {
   }
 
   // --- Snapshots (eimm::bin format, magic "EIMMSKS") ---
-  /// Writes the page-aligned section-table format: v2 by default, v3
-  /// (compressed payload) when options.compress is set.
+  /// Writes the checksummed v4 section-table format: 7 raw sections, or
+  /// 8 with the compressed payload when options.compress is set.
   void save(std::ostream& os, SnapshotSaveOptions options = {}) const;
   void save_file(const std::string& path,
                  SnapshotSaveOptions options = {}) const;
-  /// Compatibility writer for the legacy v1 stream format (exercises the
-  /// version-negotiation path; real snapshots should use save()).
-  void save_legacy_v1(std::ostream& os) const;
-  /// Stream loader: handles v1 and v2 (v2 sections are copied). Always
-  /// validates the primary payload.
+  /// Stream loader for every version: v1 is parsed field by field, v2+
+  /// is copied into an owned image and decoded like a mapping. Always
+  /// verifies v4 checksums and validates the primary payload.
   static SketchStore load(std::istream& is);
   static SketchStore load_file(const std::string& path,
                                SnapshotLoadOptions options = {});
@@ -332,9 +324,11 @@ class SketchStore {
   /// flatten, shared by save() and materialize_flat()).
   [[nodiscard]] std::vector<VertexId> assemble_payload() const;
 
-  /// O(sections + offsets + |V| + k) shape checks shared by every load
-  /// path; throws on any inconsistency between counts, offsets and
-  /// section lengths.
+  /// Shape checks of the primary data (counts, query cap, sketch
+  /// offsets against the payload) — shared by v1 and section loads.
+  void validate_primary() const;
+  /// O(sections + offsets + |V| + k) shape checks of a section load:
+  /// validate_primary() plus the derived arrays.
   void validate_structure() const;
   /// O(pool) scans: sketch members strictly ascending and < |V|, node
   /// index entries < num_sketches (stream loads always; mmap on
@@ -346,15 +340,12 @@ class SketchStore {
   void validate_derived() const;
 
   static SketchStore load_v1(std::istream& is);
-  /// Shared v2/v3/v4 section-table stream loader (v3/v4-compressed add
-  /// the compressed payload + byte-offset sections; v4 verifies the
-  /// section checksums inline).
-  static SketchStore load_sections_stream(std::istream& is,
-                                          std::uint32_t version);
-  static SketchStore load_mapped(MappedFile mapping, const std::string& path,
-                                 ChecksumMode checksums);
-  /// Wires the read-surface spans at the owned vectors.
-  void adopt_owned_views();
+  /// The one v2/v3/v4 decoder: parses the header and section table of
+  /// `image` (the whole file — mapped or owned, which the caller keeps
+  /// alive inside this store), verifies v4 checksums now or defers them
+  /// per `checksums`, and points the read surface into the image.
+  void decode_sections(std::span<const std::uint8_t> image,
+                       ChecksumMode checksums);
 
   /// Slot view of a compressed sketch (compressed_ only): through the
   /// adopted CompressedPool when one backs the store (build path — may
@@ -404,24 +395,25 @@ class SketchStore {
 
   /// Compressed backing (used iff compressed_). Build path: the adopted
   /// CompressedPool (varint or Huffman). Snapshot path: varint payload
-  /// + byte offsets, owned or served from the mapping; comp_offsets_/
+  /// + byte offsets inside the snapshot image; comp_offsets_/
   /// comp_payload_ always point at whichever storage is live.
   bool compressed_ = false;
   CompressedPool backing_cpool_;
-  std::vector<std::uint64_t> comp_offsets_own_;
-  std::vector<std::uint8_t> comp_payload_own_;
   std::span<const std::uint64_t> comp_offsets_;  // num_sketches_ + 1
   std::span<const std::uint8_t> comp_payload_;
 
-  /// Deferred v4 checksum state of a lazy mmap load: the section list
-  /// with expected CRCs, verified once on first demand. Held through a
-  /// shared_ptr so the store stays movable (the sections point into
-  /// mapping_, whose pages never relocate on move).
+  /// v4 checksum state of a section load: the section list with expected
+  /// CRCs, verified once (at load, or on first demand after a lazy mmap
+  /// load). Held through a shared_ptr so the store stays movable (the
+  /// sections point into the snapshot image, which never relocates on
+  /// move).
   struct PendingChecksums;
   std::shared_ptr<PendingChecksums> pending_checksums_;
 
-  /// Keeps the snapshot pages alive for mmap-backed stores.
+  /// The snapshot image of a section load: the read-only mapping, or the
+  /// owned copy a stream load reads. At most one is non-empty.
   MappedFile mapping_;
+  std::vector<std::uint8_t> image_own_;
 };
 
 }  // namespace eimm

@@ -6,6 +6,7 @@
 // "fast but different" regression in either kernel.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -23,6 +24,14 @@ struct EquivalenceCase {
   int threads;
   bool adaptive_repr;
 };
+
+// Without this gtest prints the raw bytes of the case, which start with
+// the string's heap pointer and so change from build to build; ctest
+// names the discovered tests after that printout.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << c.workload << '/' << to_string(c.model) << "/t" << c.threads
+      << (c.adaptive_repr ? "/adaptive" : "/vector");
+}
 
 class KernelEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
 

@@ -1,13 +1,14 @@
-// v3 (compressed) snapshot coverage: gap-coded sketch payloads must
-// round-trip through both loaders, serve identical queries to the flat
-// v2 image, reject structural corruption with typed errors, and adopt a
-// compressed PoolBuild without materializing the flat payload.
+// Compressed snapshot coverage (the 8-section layout: v3, and v4 as
+// save() writes it): gap-coded sketch payloads must round-trip through
+// both loaders, serve identical queries to the raw image, reject
+// structural corruption with typed errors, and adopt a compressed
+// PoolBuild without materializing the flat payload. The V3/V2 in the
+// test names are the compressed and raw layouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -16,14 +17,14 @@
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_image.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
 
-constexpr std::size_t kVersionAt = 8;
-constexpr std::size_t kFileBytesAt = 16;
+using namespace snapshot_image;
 
 SketchStore make_store(PoolCompression compress = PoolCompression::kNone) {
   const DiffusionGraph g = make_workload_with_weights(
@@ -37,23 +38,6 @@ SketchStore make_store(PoolCompression compress = PoolCompression::kNone) {
 
 std::string snapshot_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
-}
-
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-template <typename T>
-void store_at(std::string& data, std::size_t at, T v) {
-  std::memcpy(data.data() + at, &v, sizeof v);
 }
 
 TEST(CompressedSnapshot, V3RoundTripsThroughBothLoaders) {
@@ -81,7 +65,7 @@ TEST(CompressedSnapshot, V3RoundTripsThroughBothLoaders) {
   EXPECT_TRUE(mapped.compressed());
   EXPECT_TRUE(store == mapped);
 
-  // Re-saving the compressed load must reproduce the v3 bytes exactly.
+  // Re-saving the compressed load must reproduce the saved bytes exactly.
   std::stringstream resaved;
   SnapshotSaveOptions resave;
   resave.compress = true;
@@ -178,8 +162,8 @@ TEST(CompressedSnapshot, CompressedBuildAdoptsPoolWithoutFlattening) {
     EXPECT_TRUE(std::equal(raw_seeds.begin(), raw_seeds.end(),
                            comp_seeds.begin()));
 
-    // Both saves (v2 and v3) of the compressed-build store must load
-    // back equal to the raw-build image.
+    // Both saves (compressed and raw) of the compressed-build store must
+    // load back equal to the raw-build image.
     const std::string path = snapshot_path("eimm_v3_adopted.sks");
     SnapshotSaveOptions save;
     save.compress = true;
@@ -198,7 +182,7 @@ TEST(CompressedSnapshot, StructuralCorruptionsThrow) {
   const std::string good = read_file(path);
 
   {
-    // Wrong section count for a v3 header.
+    // Wrong section count for a compressed header.
     std::string bad = good;
     store_at(bad, 12, std::uint32_t{7});
     write_file(path, bad);

@@ -1,14 +1,13 @@
-// v2 snapshot coverage: the mmap load path must be zero-copy and
-// bit-faithful, the section table must reject every structural
-// corruption with a FormatError naming the section, and N read-only
-// loads of one file must not interfere (the N-serving-processes
-// deployment the format exists for).
+// Section-table snapshot coverage: the mmap load path must be zero-copy
+// and bit-faithful, every snapshot version must load in every mode it
+// supports, the section table must reject every structural corruption
+// with a FormatError naming the section, and N read-only loads of one
+// file must not interfere (the N-serving-processes deployment the format
+// exists for).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,19 +16,14 @@
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_image.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
 
-// v2 header layout (all little-endian): magic[8], u32 version, u32
-// section_count, u64 file_bytes, then section_count entries of
-// {u32 id, u32 reserved, u64 offset, u64 bytes}.
-constexpr std::size_t kVersionAt = 8;
-constexpr std::size_t kFileBytesAt = 16;
-constexpr std::size_t kTableAt = 24;
-constexpr std::size_t kEntryBytes = 24;
+using namespace snapshot_image;
 
 SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
@@ -42,30 +36,6 @@ SketchStore make_store() {
 
 std::string snapshot_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
-}
-
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-template <typename T>
-T load_at(const std::string& data, std::size_t at) {
-  T v{};
-  std::memcpy(&v, data.data() + at, sizeof v);
-  return v;
-}
-
-template <typename T>
-void store_at(std::string& data, std::size_t at, T v) {
-  std::memcpy(data.data() + at, &v, sizeof v);
 }
 
 TEST(MmapSnapshot, MapLoadIsZeroCopyAndBitIdentical) {
@@ -174,25 +144,79 @@ TEST(MmapSnapshot, BitmapSlotStoreRoundTripsThroughMapLoad) {
 TEST(MmapSnapshot, AutoModePrefersMapForV2Files) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_mmap_auto.sks");
-  store.save_file(path);
+  write_file(path, legacy_image(save_bytes(store), 2));
   const SketchStore loaded = SketchStore::load_file(path);
+  EXPECT_EQ(loaded.load_stats().version, 2u);
   EXPECT_TRUE(loaded.load_stats().mmap_backed);
   EXPECT_EQ(loaded.load_stats().bytes_copied, 0u);
+}
+
+TEST(MmapSnapshot, EveryVersionLoadsInEveryModeAndResavesAsV4) {
+  const SketchStore store = make_store();
+  const std::string path = snapshot_path("eimm_mmap_versions.sks");
+  SnapshotSaveOptions compress;
+  compress.compress = true;
+  const std::string v4_raw = save_bytes(store);
+  const std::string v4_compressed = save_bytes(store, compress);
+  struct Image {
+    const char* label;
+    std::string bytes;
+    std::uint32_t version;
+    bool compressed;
+  };
+  const Image images[] = {
+      {"v1", v1_image(store), 1, false},
+      {"v2", legacy_image(v4_raw, 2), 2, false},
+      {"v3", legacy_image(v4_compressed, 3), 3, true},
+      {"v4-raw", v4_raw, 4, false},
+      {"v4-compressed", v4_compressed, 4, true},
+  };
+  for (const Image& image : images) {
+    write_file(path, image.bytes);
+    for (const SnapshotLoadMode mode :
+         {SnapshotLoadMode::kAuto, SnapshotLoadMode::kMap,
+          SnapshotLoadMode::kStream}) {
+      SnapshotLoadOptions options;
+      options.mode = mode;
+      const std::string where =
+          std::string(image.label) + " mode " +
+          std::to_string(static_cast<int>(mode));
+      if (image.version == 1 && mode == SnapshotLoadMode::kMap) {
+        EXPECT_THROW(SketchStore::load_file(path, options), CheckError)
+            << where;
+        continue;
+      }
+      const SketchStore loaded = SketchStore::load_file(path, options);
+      const SnapshotLoadStats& stats = loaded.load_stats();
+      const bool mapped =
+          image.version != 1 && mode != SnapshotLoadMode::kStream;
+      EXPECT_EQ(stats.version, image.version) << where;
+      EXPECT_EQ(stats.mmap_backed, mapped) << where;
+      EXPECT_EQ(stats.bytes_copied == 0, mapped) << where;
+      EXPECT_EQ(stats.checksummed, image.version == 4) << where;
+      EXPECT_EQ(loaded.compressed(), image.compressed) << where;
+      EXPECT_TRUE(store == loaded) << where;
+      // Whatever version was read, the one writer re-saves v4 bytes
+      // identical to a direct save of the same layout.
+      EXPECT_EQ(save_bytes(loaded, image.compressed ? compress
+                                                    : SnapshotSaveOptions{}),
+                image.compressed ? v4_compressed : v4_raw)
+          << where;
+    }
+  }
 }
 
 TEST(MmapSnapshot, LegacyV1RoundTripsButCannotBeMapped) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_mmap_legacy.sks");
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    store.save_legacy_v1(os);
-  }
+  write_file(path, v1_image(store));
 
   // kAuto falls back to the stream loader for v1.
   const SketchStore loaded = SketchStore::load_file(path);
   EXPECT_EQ(loaded.load_stats().version, 1u);
   EXPECT_FALSE(loaded.load_stats().mmap_backed);
   EXPECT_TRUE(store == loaded);
+  EXPECT_EQ(save_bytes(loaded), save_bytes(store));
 
   // An explicit kMap request must fail loudly, not silently copy.
   SnapshotLoadOptions map_options;

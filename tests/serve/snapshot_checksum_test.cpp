@@ -1,20 +1,17 @@
 // v4 snapshot checksums: save stamps per-section CRC32C values into the
-// section table, stream loads verify inline, mmap loads verify lazily
+// section table, stream loads verify during the load, mmap loads verify lazily
 // (first QueryEngine) or eagerly per SnapshotLoadOptions::checksums, and
 // every corruption surfaces as a typed bin::FormatError naming the
 // section — never a wrong answer or UB.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_image.hpp"
 #include "support/crc32c.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
@@ -22,14 +19,7 @@
 namespace eimm {
 namespace {
 
-// Header layout (little-endian): magic[8], u32 version, u32
-// section_count, u64 file_bytes, then section_count entries of
-// {u32 id, u32 crc, u64 offset, u64 bytes}. Pre-v4 the crc slot is the
-// zeroed reserved word.
-constexpr std::size_t kVersionAt = 8;
-constexpr std::size_t kSectionCountAt = 12;
-constexpr std::size_t kTableAt = 24;
-constexpr std::size_t kEntryBytes = 24;
+using namespace snapshot_image;
 
 SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
@@ -42,30 +32,6 @@ SketchStore make_store() {
 
 std::string snapshot_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
-}
-
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-template <typename T>
-T load_at(const std::string& data, std::size_t at) {
-  T v{};
-  std::memcpy(&v, data.data() + at, sizeof v);
-  return v;
-}
-
-template <typename T>
-void store_at(std::string& data, std::size_t at, T v) {
-  std::memcpy(data.data() + at, &v, sizeof v);
 }
 
 TEST(SnapshotChecksum, DefaultSaveIsV4WithValidSectionCrcs) {
@@ -84,32 +50,6 @@ TEST(SnapshotChecksum, DefaultSaveIsV4WithValidSectionCrcs) {
     const auto bytes = load_at<std::uint64_t>(data, entry + 16);
     EXPECT_EQ(stamped, crc32c(data.data() + offset, bytes)) << "section " << s;
   }
-}
-
-TEST(SnapshotChecksum, ChecksumOffReproducesLegacyBytes) {
-  const SketchStore store = make_store();
-  const std::string v4_path = snapshot_path("eimm_ck_on.sks");
-  const std::string legacy_path = snapshot_path("eimm_ck_off.sks");
-  store.save_file(v4_path);
-  SnapshotSaveOptions no_checksum;
-  no_checksum.checksum = false;
-  store.save_file(legacy_path, no_checksum);
-
-  const std::string v4 = read_file(v4_path);
-  std::string legacy = read_file(legacy_path);
-  EXPECT_EQ(load_at<std::uint32_t>(legacy, kVersionAt), 2u);
-
-  // The two files differ only in the version word and the crc slots:
-  // rewriting those in the legacy bytes must reproduce the v4 bytes.
-  ASSERT_EQ(legacy.size(), v4.size());
-  store_at(legacy, kVersionAt, std::uint32_t{4});
-  const auto sections = load_at<std::uint32_t>(v4, kSectionCountAt);
-  for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::size_t crc_at = kTableAt + s * kEntryBytes + 4;
-    EXPECT_EQ(load_at<std::uint32_t>(legacy, crc_at), 0u) << "section " << s;
-    store_at(legacy, crc_at, load_at<std::uint32_t>(v4, crc_at));
-  }
-  EXPECT_EQ(legacy, v4);
 }
 
 TEST(SnapshotChecksum, StreamLoadVerifiesInline) {
@@ -202,26 +142,6 @@ TEST(SnapshotChecksum, CorruptSectionIsCaughtOnEveryVerifyingPath) {
   EXPECT_THROW(mapped.verify_checksums(), bin::FormatError);
 }
 
-TEST(SnapshotChecksum, ChecksumModeOffSkipsVerification) {
-  const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_ck_skip.sks");
-  store.save_file(path);
-  std::string data = read_file(path);
-  const auto offset =
-      load_at<std::uint64_t>(data, kTableAt + 2 * kEntryBytes + 8);
-  data[offset] = static_cast<char>(data[offset] ^ 0x10);
-  write_file(path, data);
-
-  // kOff is the diagnostics escape hatch: the mmap load accepts the
-  // corrupt file and reports nothing pending.
-  SnapshotLoadOptions off;
-  off.mode = SnapshotLoadMode::kMap;
-  off.checksums = ChecksumMode::kOff;
-  const SketchStore mapped = SketchStore::load_file(path, off);
-  EXPECT_FALSE(mapped.checksums_pending());
-  EXPECT_FALSE(mapped.load_stats().checksums_verified);
-}
-
 TEST(SnapshotChecksum, CompressedV4RoundTripsOnBothLoaders) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_ck_compressed.sks");
@@ -251,19 +171,22 @@ TEST(SnapshotChecksum, CompressedV4RoundTripsOnBothLoaders) {
 TEST(SnapshotChecksum, PreV4SnapshotsStillLoadWithoutChecksums) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_ck_legacy_load.sks");
-  SnapshotSaveOptions legacy;
-  legacy.checksum = false;
-  store.save_file(path, legacy);
-
-  for (const SnapshotLoadMode mode :
-       {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
-    SnapshotLoadOptions options;
-    options.mode = mode;
-    options.checksums = ChecksumMode::kEager;  // must be a no-op on v2
-    const SketchStore loaded = SketchStore::load_file(path, options);
-    EXPECT_FALSE(loaded.load_stats().checksummed);
-    EXPECT_FALSE(loaded.checksums_pending());
-    EXPECT_TRUE(store == loaded);
+  SnapshotSaveOptions compress;
+  compress.compress = true;
+  for (const std::string& legacy :
+       {legacy_image(save_bytes(store), 2),
+        legacy_image(save_bytes(store, compress), 3)}) {
+    write_file(path, legacy);
+    for (const SnapshotLoadMode mode :
+         {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
+      SnapshotLoadOptions options;
+      options.mode = mode;
+      options.checksums = ChecksumMode::kEager;  // must be a no-op pre-v4
+      const SketchStore loaded = SketchStore::load_file(path, options);
+      EXPECT_FALSE(loaded.load_stats().checksummed);
+      EXPECT_FALSE(loaded.checksums_pending());
+      EXPECT_TRUE(store == loaded);
+    }
   }
 }
 

@@ -1,31 +1,27 @@
 // Bit-flip fuzz sweep over snapshot sections. For every format the
-// repo can write (v2 raw, v3 compressed, v4 raw, v4 compressed) and
-// both loaders, a single flipped bit inside any section must surface as
-// a typed CheckError/FormatError or load as a well-formed store — never
-// crash, never UB. For v4 the bar is higher: the per-section CRC32C
-// must catch every single-bit payload flip, on the stream loader and
-// the eager mmap loader alike.
+// repo can load (v1, v2 raw, v3 compressed, v4 raw, v4 compressed) and
+// every loader it supports, a single flipped bit inside any section must
+// surface as a typed CheckError/FormatError or load as a well-formed
+// store — never crash, never UB. For v4 the bar is higher: the
+// per-section CRC32C must catch every single-bit payload flip, on the
+// stream loader and the eager mmap loader alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_image.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
 
-constexpr std::size_t kSectionCountAt = 12;
-constexpr std::size_t kTableAt = 24;
-constexpr std::size_t kEntryBytes = 24;
+using namespace snapshot_image;
 
 struct Section {
   std::uint64_t offset = 0;
@@ -41,28 +37,29 @@ SketchStore make_small_store() {
   return SketchStore::build(g, options, "amazon-fuzz");
 }
 
-std::string snapshot_bytes(const SketchStore& store,
-                           SnapshotSaveOptions options) {
-  std::ostringstream os;
-  store.save(os, options);
-  return os.str();
-}
-
 std::vector<Section> parse_sections(const std::string& data) {
-  std::uint32_t count = 0;
-  std::memcpy(&count, data.data() + kSectionCountAt, sizeof count);
+  const auto count = load_at<std::uint32_t>(data, kSectionCountAt);
   std::vector<Section> sections(count);
   for (std::uint32_t s = 0; s < count; ++s) {
     const std::size_t entry = kTableAt + s * kEntryBytes;
-    std::memcpy(&sections[s].offset, data.data() + entry + 8, 8);
-    std::memcpy(&sections[s].bytes, data.data() + entry + 16, 8);
+    sections[s].offset = load_at<std::uint64_t>(data, entry + 8);
+    sections[s].bytes = load_at<std::uint64_t>(data, entry + 16);
   }
   return sections;
 }
 
-void write_file(const std::string& path, const std::string& data) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(data.data(), static_cast<std::streamsize>(data.size()));
+// v1 has no section table: walk its layout (12-byte header, meta scalars
+// and two length-prefixed strings, then the length-prefixed offsets and
+// members arrays) to find the same three regions.
+std::vector<Section> v1_regions(const std::string& data) {
+  std::uint64_t at = 12 + 4 + 8 + 8;  // num_vertices, num_sketches, k_max
+  for (int i = 0; i < 2; ++i) at += 8 + load_at<std::uint64_t>(data, at);
+  at += 8 + 8 + 8 + 1;  // rng_seed, epsilon, theta, theta_capped
+  const std::uint64_t offsets_bytes =
+      8 + 8 * load_at<std::uint64_t>(data, at);
+  return {{12, at - 12},
+          {at, offsets_bytes},
+          {at + offsets_bytes, data.size() - at - offsets_bytes}};
 }
 
 enum class Outcome { kLoaded, kRejected };
@@ -88,36 +85,47 @@ Outcome try_load(const std::string& path, SnapshotLoadMode mode,
 
 struct Variant {
   const char* label;
-  bool compress;
-  bool checksum;
+  std::string clean;
+  std::vector<Section> sections;
+  bool checksummed;
+  bool mappable;
 };
 
 TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
   const SketchStore store = make_small_store();
   const std::string path = ::testing::TempDir() + "/eimm_fuzz_victim.sks";
 
-  constexpr Variant kVariants[] = {
-      {"v2-raw", false, false},
-      {"v3-compressed", true, false},
-      {"v4-raw", false, true},
-      {"v4-compressed", true, true},
+  SnapshotSaveOptions compress;
+  compress.compress = true;
+  const std::string v4_raw = save_bytes(store);
+  const std::string v4_compressed = save_bytes(store, compress);
+  const std::string v1 = v1_image(store);
+  const Variant variants[] = {
+      {"v1", v1, v1_regions(v1), false, false},
+      {"v2-raw", legacy_image(v4_raw, 2), parse_sections(v4_raw), false,
+       true},
+      {"v3-compressed", legacy_image(v4_compressed, 3),
+       parse_sections(v4_compressed), false, true},
+      {"v4-raw", v4_raw, parse_sections(v4_raw), true, true},
+      {"v4-compressed", v4_compressed, parse_sections(v4_compressed), true,
+       true},
   };
 
-  for (const Variant& variant : kVariants) {
-    SnapshotSaveOptions save;
-    save.compress = variant.compress;
-    save.checksum = variant.checksum;
-    const std::string clean = snapshot_bytes(store, save);
-    const std::vector<Section> sections = parse_sections(clean);
-    ASSERT_GE(sections.size(), 7u) << variant.label;
+  for (const Variant& variant : variants) {
+    const std::string& clean = variant.clean;
+    const std::vector<Section>& sections = variant.sections;
+    ASSERT_GE(sections.size(), variant.mappable ? 7u : 3u) << variant.label;
 
     // The clean bytes must load everywhere before we start flipping.
     write_file(path, clean);
     ASSERT_EQ(try_load(path, SnapshotLoadMode::kStream, false),
               Outcome::kLoaded)
         << variant.label;
-    ASSERT_EQ(try_load(path, SnapshotLoadMode::kMap, true), Outcome::kLoaded)
-        << variant.label;
+    if (variant.mappable) {
+      ASSERT_EQ(try_load(path, SnapshotLoadMode::kMap, true),
+                Outcome::kLoaded)
+          << variant.label;
+    }
 
     for (std::size_t s = 0; s < sections.size(); ++s) {
       const Section& section = sections[s];
@@ -138,8 +146,9 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
 
         const Outcome streamed =
             try_load(path, SnapshotLoadMode::kStream, false);
+        if (!variant.mappable) continue;
         const Outcome mapped = try_load(path, SnapshotLoadMode::kMap, true);
-        if (variant.checksum) {
+        if (variant.checksummed) {
           // v4: the section CRC must catch every payload flip.
           EXPECT_EQ(streamed, Outcome::kRejected)
               << variant.label << " section " << s << " byte " << at
@@ -148,7 +157,7 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
               << variant.label << " section " << s << " byte " << at
               << " bit " << bit << " (mmap)";
         }
-        // For v2/v3 reaching this line at all is the assertion: the
+        // For v1/v2/v3 reaching this point at all is the assertion: the
         // flip either loaded as a well-formed store or was rejected
         // with a typed error — no crash, no escape.
       }
@@ -157,9 +166,8 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
 
   // v4 lazy mmap: the corruption must still be fenced at the serving
   // choke point (QueryEngine ctor), not just at eager load time.
-  const std::string clean = snapshot_bytes(store, SnapshotSaveOptions{});
-  const std::vector<Section> sections = parse_sections(clean);
-  std::string corrupt = clean;
+  const std::vector<Section> sections = parse_sections(v4_raw);
+  std::string corrupt = v4_raw;
   const std::uint64_t victim = sections[2].offset + sections[2].bytes / 2;
   corrupt[victim] = static_cast<char>(corrupt[victim] ^ 0x40);
   write_file(path, corrupt);

@@ -5,16 +5,37 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "serve/snapshot_image.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
+
+using namespace snapshot_image;
+
+/// Serves fixed bytes through a streambuf that cannot seek (the base
+/// class's seekoff/seekpos fail), so it cannot report its size either —
+/// a pipe, as far as the loader can tell.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+  [[nodiscard]] std::size_t served() const {
+    return static_cast<std::size_t>(gptr() - eback());
+  }
+
+ private:
+  std::string data_;
+};
 
 SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
@@ -145,15 +166,77 @@ TEST(SketchSnapshot, DuplicateSketchMembersThrow) {
 }
 
 TEST(SketchSnapshot, CorruptedStructureThrows) {
+  // An unchecksummed v2 image, so nothing but the structural validator
+  // stands between the corruption and a served store. num_vertices (u32)
+  // opens the meta section (table entry 0); zeroing it makes the store
+  // structurally inconsistent.
+  std::string data = legacy_image(save_bytes(make_store()), 2);
+  const auto meta_at =
+      static_cast<std::size_t>(load_at<std::uint64_t>(data, kTableAt + 8));
+  store_at(data, meta_at, VertexId{0});
+  const std::string path =
+      ::testing::TempDir() + "/eimm_store_zero_vertices.sks";
+  write_file(path, data);
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
+    SnapshotLoadOptions options;
+    options.mode = mode;
+    try {
+      SketchStore::load_file(path, options);
+      FAIL() << "accepted in mode " << static_cast<int>(mode);
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("zero-vertex"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SketchSnapshot, NonSeekableStreamRoundTrips) {
+  // Without a size to check against, the stream loader grows its image
+  // chunk by chunk; the result must match the seekable load exactly.
   const SketchStore store = make_store();
-  std::stringstream ss;
-  store.save(ss);
-  std::string data = ss.str();
-  // num_vertices (u32) sits immediately after the 12-byte header; zeroing
-  // it makes the payload structurally inconsistent.
-  data[12] = data[13] = data[14] = data[15] = 0;
-  std::stringstream corrupted(data);
-  EXPECT_THROW(SketchStore::load(corrupted), CheckError);
+  SnapshotSaveOptions compress;
+  compress.compress = true;
+  for (const std::string& bytes :
+       {save_bytes(store), save_bytes(store, compress),
+        legacy_image(save_bytes(store), 2), v1_image(store)}) {
+    PipeBuf pipe(bytes);
+    std::istream is(&pipe);
+    const SketchStore loaded = SketchStore::load(is);
+    EXPECT_EQ(pipe.served(), bytes.size());
+    EXPECT_FALSE(loaded.load_stats().mmap_backed);
+    EXPECT_GT(loaded.load_stats().bytes_copied, 0u);
+    EXPECT_TRUE(store == loaded);
+  }
+}
+
+TEST(SketchSnapshot, LyingFileSizeOnNonSeekableStreamThrowsWithoutAllocating) {
+  // A header claiming 2^62 bytes in front of a real snapshot: the loader
+  // must run out of stream and report truncation. Allocating the
+  // declared size would instead surface as std::bad_alloc (or an ASan
+  // abort), which is not a CheckError.
+  std::string data = save_bytes(make_store());
+  store_at(data, kFileBytesAt, std::uint64_t{1} << 62);
+  PipeBuf pipe(data);
+  std::istream is(&pipe);
+  try {
+    SketchStore::load(is);
+    FAIL() << "accepted a snapshot shorter than its declared size";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(pipe.served(), data.size());
+
+  // A trailing-bytes lie the other way (declared size shorter than the
+  // data) cannot be seen without a size, but the section table still
+  // rejects a size its sections overrun.
+  std::string shrunk = save_bytes(make_store());
+  store_at(shrunk, kFileBytesAt,
+           load_at<std::uint64_t>(shrunk, kFileBytesAt) - 8);
+  PipeBuf short_pipe(shrunk);
+  std::istream short_is(&short_pipe);
+  EXPECT_THROW(SketchStore::load(short_is), bin::FormatError);
 }
 
 }  // namespace

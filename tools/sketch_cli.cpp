@@ -82,9 +82,8 @@ struct CliOptions {
       "                          default EIMM_PIN, then auto)\n"
       "          [--out PATH]   (--out required for 'save')\n"
       "          [--compress]   (save the snapshot with gap-coded sketch\n"
-      "                          payload: v3 format, ~2-4x smaller)\n"
-      "          [--no-checksum] (write legacy v2/v3 bytes without the\n"
-      "                          v4 per-section CRC32C checksums)\n"
+      "                          payload, ~2-4x smaller; saves are always\n"
+      "                          v4 with per-section CRC32C checksums)\n"
       "       %s load --store PATH [--stream] [--deep-validate]\n"
       "       %s query --store PATH (--k N [--candidates LIST]\n"
       "          [--forbid LIST] | --eval LIST) [--stream] [--deep-validate]\n"
@@ -92,8 +91,10 @@ struct CliOptions {
       "       %s verify SNAPSHOT   (one-shot integrity check: structure,\n"
       "          section checksums, payload and derived-state scans;\n"
       "          exits non-zero with a one-line diagnostic on corruption)\n"
-      "       --stream forces the copying loader (v2+ snapshots mmap by\n"
-      "       default); --deep-validate adds the O(pool) integrity scan\n"
+      "       --stream copies the whole file instead of mapping it (v2+\n"
+      "       snapshots mmap by default; v1 always streams) and verifies\n"
+      "       checksums and payload during the load; --deep-validate adds\n"
+      "       the O(pool) derived-state scan\n"
       "       any verb accepts --metrics OUT.json (obs registry snapshot)\n",
       argv0, argv0, argv0, argv0);
   std::exit(error != nullptr ? 2 : 0);
@@ -225,8 +226,6 @@ CliOptions parse_cli(int argc, char** argv) {
       options.load.mode = SnapshotLoadMode::kStream;
     } else if (arg == "--compress") {
       options.save.compress = true;
-    } else if (arg == "--no-checksum") {
-      options.save.checksum = false;
     } else if (arg == "--metrics") {
       options.metrics_path = next();
     } else if (arg == "--deep-validate") {
@@ -318,11 +317,8 @@ int run_build(const CliOptions& options) {
 
   if (options.out_path) {
     store.save_file(*options.out_path, options.save);
-    const unsigned version =
-        options.save.checksum ? 4u : (options.save.compress ? 3u : 2u);
-    std::printf("saved: %s (v%u%s%s)\n", options.out_path->c_str(), version,
-                options.save.compress ? ", compressed" : "",
-                options.save.checksum ? ", checksummed" : "");
+    std::printf("saved: %s (v4%s, checksummed)\n", options.out_path->c_str(),
+                options.save.compress ? ", compressed" : "");
   }
   return 0;
 }
