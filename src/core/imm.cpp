@@ -3,8 +3,11 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/martingale.hpp"
 #include "obs/metrics.hpp"
@@ -83,6 +86,28 @@ SelectionResult select_over_build(PoolBuild& build, const ImmOptions& options,
   }
   return selection.select(SelectionKernel::kRipples, build.view(), sopt,
                           nullptr, &build.workspace);
+}
+
+/// Sum of the k largest counters. Every set a k-seed greedy covers holds
+/// one of its seeds, so this bounds the covered-set count of any seed set
+/// of at most k vertices. `heap` is reused scratch: a min-heap of the k
+/// largest counts seen so far, never more than k entries.
+std::uint64_t top_k_counter_sum(const CounterArray& counters, std::size_t k,
+                                std::vector<std::uint64_t>& heap) {
+  const std::greater<> min_heap;
+  heap.clear();
+  for (std::size_t v = 0; v < counters.size(); ++v) {
+    const std::uint64_t count = counters.get(v);
+    if (heap.size() < k) {
+      heap.push_back(count);
+      std::push_heap(heap.begin(), heap.end(), min_heap);
+    } else if (count > heap.front()) {
+      std::pop_heap(heap.begin(), heap.end(), min_heap);
+      heap.back() = count;
+      std::push_heap(heap.begin(), heap.end(), min_heap);
+    }
+  }
+  return std::accumulate(heap.begin(), heap.end(), std::uint64_t{0});
 }
 
 /// Registry handles for the pipeline-level metrics; registered once per
@@ -212,12 +237,32 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
     return build.last_probe->coverage_fraction();
   };
 
+  // Certified probe rejection: the fused base counters already hold every
+  // vertex's count over the pool, so the top-k sum over the pool size
+  // bounds any probe's coverage. The divisor is the pool size, not θ_i:
+  // under a max_rrr_sets cap the pool is smaller, and the greedy divides
+  // by the pool size too. Without prebuilt counters (kernel fusion off,
+  // and always for the Ripples baseline) every probe runs its greedy.
+  std::vector<std::uint64_t> top_k_heap;
+  std::function<double()> coverage_upper_bound;
+  if (build.counters_prebuilt) {
+    coverage_upper_bound = [&]() -> double {
+      ScopedAccumulator acc(build.probing_selection_seconds);
+      const std::size_t sets = build.size();
+      if (sets == 0) return 0.0;
+      const std::uint64_t top_k =
+          top_k_counter_sum(build.base_counters, options.k, top_k_heap);
+      return static_cast<double>(top_k) / static_cast<double>(sets);
+    };
+  }
+
   // --- Sampling phase: probe OPT guesses x_i = n / 2^i, then Set Theta ---
   build.theta = run_martingale_probing(
       params, generate_to, probe_coverage,
       [&](const MartingaleIteration& record) {
         build.iterations.push_back(record);
-      });
+      },
+      coverage_upper_bound);
   return build;
 }
 

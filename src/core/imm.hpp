@@ -13,9 +13,16 @@
 //     binary search over all sets, static scheduling.
 //
 // Both engines run the identical martingale workflow. EfficientIMM only
-// skips repeated work in it: when the top-up adds no set after the last
-// probe, that probe's selection is the final one (PoolBuild::last_probe),
-// so a typical run performs one selection per probe and none after.
+// skips work whose outcome is already known:
+//   - certified probe rejection: with fused base counters (kernel
+//     fusion), a probe whose top-k counter sum over the pool size fails
+//     the acceptance bar cannot accept, so its greedy is skipped
+//     (MartingaleIteration::skipped; see run_martingale_probing);
+//   - when the top-up adds no set after the last probe, that probe's
+//     selection is the final one (PoolBuild::last_probe).
+// Accept decisions, θ, pools and seeds are those of a run without
+// either shortcut. On sparse LT pools the rejected probes are all
+// skipped, so a typical run selects once in total.
 // With fused sampling off (FusedSampling::kOff or EIMM_FUSED=0) they also
 // build identical RRR-set contents from the same seed, so runtime
 // differences are purely the parallelization strategy, exactly as the
@@ -183,7 +190,7 @@ struct ImmResult {
   double encode_seconds = 0.0;
   PhaseBreakdown breakdown;
   /// Sampling-phase probe history (diagnostics; one entry per executed
-  /// iteration of the Algorithm 1 loop).
+  /// iteration of the Algorithm 1 loop, skipped probes included).
   std::vector<MartingaleIteration> iterations;
 };
 
@@ -225,10 +232,12 @@ struct PoolBuild {
   std::uint64_t theta = 0;
   bool theta_capped = false;
   double sampling_seconds = 0.0;
-  /// Selection time spent inside the probing iterations (the final
-  /// selection happens outside this struct's lifetime).
+  /// Selection time spent inside the probing iterations, the top-k
+  /// bounds of certified probe rejection included (the final selection
+  /// happens outside this struct's lifetime).
   double probing_selection_seconds = 0.0;
-  /// The last probing iteration's selection, over the first
+  /// The last probing iteration that ran its greedy (a skipped probe
+  /// leaves it untouched), over the first
   /// last_probe->total_sets sets. When the top-up added no set after it
   /// (the usual case: the accepted probe's pool already exceeds θ),
   /// run_imm returns it as the final selection instead of re-running

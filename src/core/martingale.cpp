@@ -88,10 +88,14 @@ std::uint64_t run_martingale_probing(
     const MartingaleParams& params,
     const std::function<void(std::uint64_t)>& generate_to,
     const std::function<double()>& select_coverage,
-    const std::function<void(const MartingaleIteration&)>& observe) {
+    const std::function<void(const MartingaleIteration&)>& observe,
+    const std::function<double()>& coverage_upper_bound) {
   static const obs::Counter rounds = obs::counter("martingale.rounds_total");
+  static const obs::Counter skipped =
+      obs::counter("martingale.probes_skipped_total");
   double lower_bound = 1.0;
-  for (unsigned i = 1; i <= params.max_iterations(); ++i) {
+  const unsigned last = params.max_iterations();
+  for (unsigned i = 1; i <= last; ++i) {
     MartingaleIteration record;
     record.iteration = i;
     record.theta = params.theta_for_iteration(i);
@@ -99,6 +103,17 @@ std::uint64_t run_martingale_probing(
                         static_cast<std::int64_t>(record.theta));
     rounds.add();
     generate_to(record.theta);
+    if (coverage_upper_bound && i < last) {
+      record.coverage_bound = coverage_upper_bound();
+      record.skipped = !params.accepts(record.coverage_bound, i);
+    }
+    span.arg("skipped", record.skipped ? 1 : 0);
+    if (record.skipped) {
+      // Certified rejection: no greedy, and nothing for the fallback LB.
+      skipped.add();
+      if (observe) observe(record);
+      continue;
+    }
     record.coverage = select_coverage();
     record.lower_bound = params.lower_bound(record.coverage);
     record.accepted = params.accepts(record.coverage, i);

@@ -60,9 +60,14 @@ MartingaleParams compute_martingale_params(VertexId n, std::size_t k,
 struct MartingaleIteration {
   unsigned iteration = 0;       // i (1-based)
   std::uint64_t theta = 0;      // θ_i requested for this probe
-  double coverage = 0.0;        // F(S_tmp) over the pool at this point
-  double lower_bound = 0.0;     // LB implied by this probe
+  double coverage = 0.0;        // F(S_tmp) over the pool (0 when skipped)
+  double lower_bound = 0.0;     // LB implied by this probe (0 when skipped)
   bool accepted = false;        // did n·F(S) certify OPT >= x_i?
+  /// The greedy never ran: coverage_bound already failed the bar.
+  bool skipped = false;
+  /// The upper bound on F(S) checked before the greedy (0 when no bound
+  /// was computed: no callback, or the last iteration).
+  double coverage_bound = 0.0;
 };
 
 /// The shared sampling-phase workflow: probes x_i = n/2^i via
@@ -71,11 +76,26 @@ struct MartingaleIteration {
 /// it. Both the single-node drivers and the distributed simulation run
 /// exactly this loop, so any change to the acceptance logic lands in all
 /// of them at once. `observe` (optional) receives each probe's record.
+///
+/// Certified probe rejection: `coverage_upper_bound` (optional) returns,
+/// after generate_to(θ_i), a value no smaller than the coverage
+/// select_coverage() would return over the same pool. When
+/// accepts(bound, i) is false the greedy cannot accept either (accepts
+/// is monotone in coverage), so the probe is recorded as skipped and its
+/// greedy is not run. Accept decisions, θ_i and the pool are therefore
+/// those of a run without the callback. Two rules keep it safe:
+///   - the last iteration always runs its greedy, so a loop that never
+///     accepts still ends on a real coverage;
+///   - a skipped probe feeds nothing into the LB/2 fallback (a bound
+///     overstates coverage, and a larger fallback LB would shrink θ).
+///     When no probe accepts, θ can thus only grow relative to an
+///     unskipped run, which never weakens the guarantee.
 std::uint64_t run_martingale_probing(
     const MartingaleParams& params,
     const std::function<void(std::uint64_t)>& generate_to,
     const std::function<double()>& select_coverage,
-    const std::function<void(const MartingaleIteration&)>& observe = {});
+    const std::function<void(const MartingaleIteration&)>& observe = {},
+    const std::function<double()>& coverage_upper_bound = {});
 
 /// Clamps a theta request to the caller's pool budget. Sets `capped` and
 /// warns (with the requested value, so the overshoot is visible) when the

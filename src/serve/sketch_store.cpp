@@ -30,6 +30,9 @@ constexpr std::uint32_t kAcceptedVersions[] = {kSnapshotVersionV1,
                                                kSnapshotVersionV3,
                                                kSnapshotVersionV4};
 constexpr const char* kSnapshotWhat = "sketch-store snapshot";
+/// A v1 file may declare at most max(kV1VertexFloor, its member count)
+/// vertices (see the v1 entry in sketch_store.hpp).
+constexpr std::uint64_t kV1VertexFloor = std::uint64_t{1} << 20;
 
 // --- v2/v3 on-disk layout ------------------------------------------------
 // magic(8) version(4) section_count(4) file_bytes(8), then section_count
@@ -767,15 +770,14 @@ SketchStore SketchStore::load_v1(std::istream& is) {
   // v1 carries primary data only: validate it, then rebuild the derived
   // state, so no cross-index inconsistency can survive a load.
   store.validate_primary();
+  // No per-vertex array bounds the declared vertex count, yet finalize()
+  // allocates per vertex: cap it before a short file can demand gigabytes.
+  EIMM_CHECK(store.num_vertices_ <=
+                 std::max<std::uint64_t>(kV1VertexFloor,
+                                         store.sketch_vertices_.size()),
+             "v1 snapshot declares more vertices than it can reach");
   store.validate_payload();
-  try {
-    store.finalize();
-  } catch (const std::bad_alloc&) {
-    // A corrupt num_vertices field can pass the structural checks (no
-    // members need exist to exceed it) yet demand an absurd index
-    // allocation — keep the fail-loudly contract.
-    EIMM_CHECK(false, "snapshot vertex count implausibly large");
-  }
+  store.finalize();
   store.load_stats_.version = kSnapshotVersionV1;
   store.load_stats_.bytes_copied =
       store.sketch_offsets_.size_bytes() + store.sketch_vertices_.size_bytes();

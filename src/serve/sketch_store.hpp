@@ -26,6 +26,11 @@
 // save() writes only v4.
 //   v1 — legacy length-prefixed stream of primary data only; load()
 //        copies into fresh vectors and recomputes the derived state.
+//        v1 has no per-vertex array, so nothing in it bounds the
+//        declared vertex count that the rebuilt index is sized by: a v1
+//        file may declare at most max(2^20, its member count) vertices,
+//        so a short file costs at most ~24 MiB of derived state, and the
+//        loader rejects a larger count with a CheckError.
 //   v2 — page-aligned section-table format: a header + section table
 //        (id, offset, length; every section offset 4096-aligned)
 //        followed by the raw arrays, INCLUDING the derived inverted

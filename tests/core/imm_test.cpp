@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "diffusion/weights.hpp"
 #include "graph/generators.hpp"
@@ -202,10 +204,15 @@ TEST(RunImm, TelemetryIdenticalAcrossEngines) {
   ASSERT_EQ(efficient.iterations.size(), baseline.iterations.size());
   for (std::size_t i = 0; i < efficient.iterations.size(); ++i) {
     EXPECT_EQ(efficient.iterations[i].theta, baseline.iterations[i].theta);
-    EXPECT_DOUBLE_EQ(efficient.iterations[i].coverage,
-                     baseline.iterations[i].coverage);
     EXPECT_EQ(efficient.iterations[i].accepted,
               baseline.iterations[i].accepted);
+    // The baseline runs every greedy; EfficientIMM may certify a probe's
+    // rejection without one, and then has no coverage to compare.
+    EXPECT_FALSE(baseline.iterations[i].skipped);
+    if (!efficient.iterations[i].skipped) {
+      EXPECT_DOUBLE_EQ(efficient.iterations[i].coverage,
+                       baseline.iterations[i].coverage);
+    }
   }
 }
 
@@ -232,6 +239,12 @@ std::uint64_t counter_value(const char* name) {
   const obs::MetricsSnapshot snap = obs::snapshot_metrics();
   const obs::MetricValue* metric = snap.find(name);
   return metric != nullptr ? metric->value : 0;
+}
+
+std::uint64_t skipped_probes(const std::vector<MartingaleIteration>& probes) {
+  return static_cast<std::uint64_t>(
+      std::count_if(probes.begin(), probes.end(),
+                    [](const MartingaleIteration& it) { return it.skipped; }));
 }
 
 /// Runs run_imm and reports how many selections it ran and whether it
@@ -283,7 +296,10 @@ TEST(RunImm, FinalSelectionEqualsAFreshSelectWithOrWithoutATopUp) {
     EXPECT_EQ(run.result.num_rrr_sets, build.size());
     EXPECT_EQ(run.result.rebuild_rounds, fresh.rebuild_rounds);
     EXPECT_EQ(run.result.counter_layout_allocations, 1u);
-    EXPECT_EQ(run.selections, run.result.iterations.size() + (top_up ? 1 : 0));
+    // One selection per probe that ran its greedy, plus one after a top-up.
+    EXPECT_EQ(run.selections, run.result.iterations.size() -
+                                  skipped_probes(run.result.iterations) +
+                                  (top_up ? 1 : 0));
     EXPECT_EQ(run.reused, top_up ? 0u : 1u);
   }
 }
@@ -302,6 +318,92 @@ TEST(RunImm, RipplesAlwaysRerunsTheFinalSelection) {
             fresh_selection(build, opt, Engine::kRipples).seeds);
   EXPECT_EQ(run.selections, run.result.iterations.size() + 1);
   EXPECT_EQ(run.reused, 0u);
+}
+
+/// One build plus run_imm's final selection, for outcome comparisons
+/// (the SelectionResult carries the marginals ImmResult does not).
+struct BuildOutcome {
+  PoolBuild build;
+  SelectionResult selection;
+};
+
+BuildOutcome build_and_select(const DiffusionGraph& g, const ImmOptions& opt,
+                              Engine engine) {
+  BuildOutcome out;
+  out.build = build_rrr_pool(g, opt, engine);
+  out.selection = final_selection(out.build, opt, engine);
+  return out;
+}
+
+void expect_same_outcome(const BuildOutcome& a, const BuildOutcome& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.build.iterations.size(), b.build.iterations.size()) << what;
+  for (std::size_t i = 0; i < a.build.iterations.size(); ++i) {
+    EXPECT_EQ(a.build.iterations[i].theta, b.build.iterations[i].theta)
+        << what << " i=" << i + 1;
+    EXPECT_EQ(a.build.iterations[i].accepted, b.build.iterations[i].accepted)
+        << what << " i=" << i + 1;
+  }
+  EXPECT_EQ(a.build.theta, b.build.theta) << what;
+  EXPECT_EQ(a.build.theta_capped, b.build.theta_capped) << what;
+  EXPECT_EQ(a.build.size(), b.build.size()) << what;
+  EXPECT_EQ(a.selection.seeds, b.selection.seeds) << what;
+  EXPECT_EQ(a.selection.marginal_coverage, b.selection.marginal_coverage)
+      << what;
+}
+
+TEST(RunImm, CertifiedProbeRejectionChangesNoOutcome) {
+  // Skipping needs the fused base counters: kernel_fusion=false and the
+  // Ripples baseline run every probe's greedy. All three must agree on
+  // every accept decision, θ_i, θ, cap flag, pool size, seed and marginal.
+  // The small cap truncates the later probes, so the bound's divisor (the
+  // pool size, not θ_i) matters there.
+  std::uint64_t lt_skips[2] = {0, 0};  // uncapped, capped
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  for (const auto model : {DiffusionModel::kIndependentCascade,
+                           DiffusionModel::kLinearThreshold}) {
+    const auto g = make_workload_with_weights("as-Skitter", model, 0.05, 5);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      for (const std::uint64_t cap : {std::uint64_t{200'000},
+                                      std::uint64_t{2'000}}) {
+        ImmOptions opt = small_options(model);
+        opt.rng_seed = seed;
+        opt.max_rrr_sets = cap;
+        const std::string what = std::string(to_string(model)) + " seed " +
+                                 std::to_string(seed) + " cap " +
+                                 std::to_string(cap);
+        const std::uint64_t counted =
+            counter_value("martingale.probes_skipped_total");
+        const BuildOutcome skipping =
+            build_and_select(g, opt, Engine::kEfficient);
+        EXPECT_EQ(counter_value("martingale.probes_skipped_total") - counted,
+                  skipped_probes(skipping.build.iterations))
+            << what;
+        ImmOptions no_fusion = opt;
+        no_fusion.kernel_fusion = false;
+        const BuildOutcome unskipped =
+            build_and_select(g, no_fusion, Engine::kEfficient);
+        EXPECT_EQ(skipped_probes(unskipped.build.iterations), 0u) << what;
+        expect_same_outcome(skipping, unskipped, what + " vs no fusion");
+
+        // Ripples samples scalar, so compare it with scalar EfficientIMM.
+        ImmOptions scalar = opt;
+        scalar.fused_sampling = FusedSampling::kOff;
+        const BuildOutcome ripples =
+            build_and_select(g, scalar, Engine::kRipples);
+        EXPECT_EQ(skipped_probes(ripples.build.iterations), 0u) << what;
+        expect_same_outcome(build_and_select(g, scalar, Engine::kEfficient),
+                            ripples, what + " vs Ripples");
+        if (model == DiffusionModel::kLinearThreshold) {
+          lt_skips[cap < 200'000 ? 1 : 0] += skipped_probes(skipping.build.iterations);
+        }
+      }
+    }
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
+  EXPECT_GT(lt_skips[0], 0u) << "the uncapped LT runs no longer skip";
+  EXPECT_GT(lt_skips[1], 0u) << "the capped LT runs no longer skip";
 }
 
 TEST(EngineToString, Names) {

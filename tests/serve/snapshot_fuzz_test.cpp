@@ -164,6 +164,25 @@ TEST(SnapshotFuzz, SingleBitSectionFlipsNeverCrashAndV4AlwaysRejects) {
     }
   }
 
+  // v1's num_vertices (the u32 after the 12-byte header) bounds no array
+  // in the file, so the sampled flips above never reach its high bytes.
+  // Every bit of its top byte declares at least 2^24 vertices, which the
+  // v1 loader must refuse; flips in the lower bytes must stay typed.
+  constexpr std::size_t kV1NumVerticesAt = 12;
+  for (std::size_t byte = 1; byte < sizeof(VertexId); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = v1;
+      const std::size_t at = kV1NumVerticesAt + byte;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ static_cast<char>(1u << bit));
+      write_file(path, corrupt);
+      const Outcome streamed = try_load(path, SnapshotLoadMode::kStream, false);
+      if (byte == sizeof(VertexId) - 1) {
+        EXPECT_EQ(streamed, Outcome::kRejected) << "v1 num_vertices bit "
+                                                << 8 * byte + bit;
+      }
+    }
+  }
+
   // v4 lazy mmap: the corruption must still be fenced at the serving
   // choke point (QueryEngine ctor), not just at eager load time.
   const std::vector<Section> sections = parse_sections(v4_raw);

@@ -191,6 +191,47 @@ TEST(SketchSnapshot, CorruptedStructureThrows) {
   }
 }
 
+TEST(SketchSnapshot, V1VertexCountBeyondItsReachIsRejected) {
+  // A hand-written v1 file with one sketch {0}. v1 has no per-vertex
+  // array, so only the loader's cap keeps these ~110 bytes from sizing
+  // the rebuilt index for 2^24 vertices (~390 MiB).
+  const auto v1_file = [](VertexId num_vertices) {
+    std::ostringstream os;
+    bin::write_header(os, "EIMMSKS", 1);
+    bin::write_pod(os, num_vertices);
+    bin::write_pod(os, std::uint64_t{1});  // num_sketches
+    bin::write_pod(os, std::uint64_t{1});  // k_max
+    bin::write_string(os, "tiny");
+    bin::write_string(os, "LT");
+    bin::write_pod(os, std::uint64_t{7});  // rng_seed
+    bin::write_pod(os, 0.5);               // epsilon
+    bin::write_pod(os, std::uint64_t{1});  // theta
+    bin::write_pod(os, std::uint8_t{0});   // theta_capped
+    bin::write_vec(os, std::vector<std::uint64_t>{0, 1});
+    bin::write_vec(os, std::vector<VertexId>{0});
+    return os.str();
+  };
+  for (const VertexId n : {VertexId{1} << 24, (VertexId{1} << 20) + 1,
+                           ~VertexId{0}}) {
+    std::istringstream is(v1_file(n));
+    try {
+      SketchStore::load(is);
+      FAIL() << "loaded a v1 file declaring " << n << " vertices";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("more vertices"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The floor itself, and a small count, still load.
+  for (const VertexId n : {VertexId{1} << 20, VertexId{2}}) {
+    std::istringstream is(v1_file(n));
+    const SketchStore loaded = SketchStore::load(is);
+    EXPECT_EQ(loaded.num_vertices(), n);
+    EXPECT_EQ(loaded.num_sketches(), 1u);
+  }
+}
+
 TEST(SketchSnapshot, NonSeekableStreamRoundTrips) {
   // Without a size to check against, the stream loader grows its image
   // chunk by chunk; the result must match the seekable load exactly.

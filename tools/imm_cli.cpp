@@ -249,9 +249,14 @@ int run_cli(int argc, char** argv) {
   if (options.verbose) {
     std::printf("\nmartingale iterations:\n");
     for (const MartingaleIteration& it : result.iterations) {
+      const auto theta = static_cast<unsigned long long>(it.theta);
+      if (it.skipped) {
+        std::printf("  i=%u theta=%llu bound<=%.4f skipped\n", it.iteration,
+                    theta, it.coverage_bound);
+        continue;
+      }
       std::printf("  i=%u theta=%llu coverage=%.4f LB=%.1f %s\n",
-                  it.iteration, static_cast<unsigned long long>(it.theta),
-                  it.coverage, it.lower_bound,
+                  it.iteration, theta, it.coverage, it.lower_bound,
                   it.accepted ? "ACCEPTED" : "rejected");
     }
   }
