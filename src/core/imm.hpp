@@ -116,9 +116,11 @@ struct ImmOptions {
   /// Compressed RRR pool backing (rrr/compressed_pool.hpp): after each
   /// generation round the fresh sets are gap-coded into a CompressedPool
   /// and the raw staging storage is released, so resident pool bytes
-  /// drop 2-4x at a bounded decode-on-enumerate selection slowdown
-  /// (bench/compressed_pool measures the trade). kAuto resolves the
-  /// EIMM_POOL_COMPRESS environment variable (0/off → none, 1/on/varint
+  /// drop at a decode-on-enumerate selection slowdown. The saving
+  /// shrinks with set size: every slot keeps an 8-byte offset and a
+  /// 4-byte count beside its gap bytes, so pools of one- or two-member
+  /// sets gain least.
+  /// kAuto resolves the EIMM_POOL_COMPRESS environment variable (0/off → none, 1/on/varint
   /// → varint, 2/huffman → huffman; default none). kEfficient engine
   /// only — the ripples baseline keeps the paper's layout. Seed
   /// sequences are bit-identical for every value (ctest -L statcheck

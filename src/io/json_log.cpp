@@ -9,6 +9,28 @@
 
 namespace eimm {
 
+namespace {
+
+/// The one file sink of every *_file writer: creates the parent
+/// directories, writes the body and closes the file before checking the
+/// stream. Buffered bytes reach the file only at flush/close, so a check
+/// before it would pass a short write (a full disk) and return the path
+/// of a truncated file.
+std::string write_json_file(const std::string& path,
+                            const std::function<void(std::ostream&)>& body) {
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  std::ofstream os(path);
+  EIMM_CHECK(os.good(), "cannot open JSON file for writing");
+  body(os);
+  os.close();
+  EIMM_CHECK(!os.fail(), "JSON write failed");
+  return path;
+}
+
+}  // namespace
+
 void write_experiment_json(std::ostream& os, const ExperimentRecord& r) {
   JsonWriter w(os);
   w.begin_object()
@@ -28,57 +50,6 @@ void write_experiment_json(std::ostream& os, const ExperimentRecord& r) {
   for (const VertexId s : r.seeds) w.value(static_cast<std::uint64_t>(s));
   w.end_array();
   w.end_object();
-  os << '\n';
-}
-
-void write_serve_bench_json(std::ostream& os,
-                            const std::vector<ServeBenchResult>& results) {
-  JsonWriter w(os);
-  w.begin_object().kv("Bench", "serve_throughput");
-  w.key("Results").begin_array();
-  for (const ServeBenchResult& r : results) {
-    w.begin_object()
-        .kv("Workload", r.workload)
-        .kv("Threads", r.threads)
-        .kv("QueriesPerSecond", r.queries_per_second)
-        .kv("BuildSeconds", r.build_seconds)
-        .end_object();
-  }
-  w.end_array().end_object();
-  os << '\n';
-}
-
-std::string write_serve_bench_json_file(
-    const std::string& path, const std::vector<ServeBenchResult>& results) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open bench result file for writing");
-  write_serve_bench_json(os, results);
-  EIMM_CHECK(os.good(), "bench result write failed");
-  return path;
-}
-
-void write_sharded_bench_json(std::ostream& os, int numa_domains,
-                              const std::vector<ShardedBenchResult>& results) {
-  JsonWriter w(os);
-  w.begin_object()
-      .kv("Bench", "sharded_sampling")
-      .kv("NumaDomains", static_cast<std::int64_t>(numa_domains));
-  w.key("Results").begin_array();
-  for (const ShardedBenchResult& r : results) {
-    w.begin_object()
-        .kv("Workload", r.workload)
-        .kv("Shards", r.shards)
-        .kv("Threads", r.threads)
-        .kv("SamplingSeconds", r.sampling_seconds)
-        .kv("SetsPerSecond", r.sets_per_second)
-        .kv("NumRRRSets", r.num_rrr_sets)
-        .kv("PoolMatchesUnsharded", r.pool_matches_unsharded)
-        .end_object();
-  }
-  w.end_array().end_object();
   os << '\n';
 }
 
@@ -112,99 +83,9 @@ void write_fused_bench_json(std::ostream& os, int numa_domains,
 std::string write_fused_bench_json_file(
     const std::string& path, int numa_domains,
     const std::vector<FusedBenchResult>& results) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open bench result file for writing");
-  write_fused_bench_json(os, numa_domains, results);
-  EIMM_CHECK(os.good(), "bench result write failed");
-  return path;
-}
-
-std::string write_sharded_bench_json_file(
-    const std::string& path, int numa_domains,
-    const std::vector<ShardedBenchResult>& results) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open bench result file for writing");
-  write_sharded_bench_json(os, numa_domains, results);
-  EIMM_CHECK(os.good(), "bench result write failed");
-  return path;
-}
-
-void write_counter_bench_json(std::ostream& os, int numa_domains,
-                              const std::vector<CounterBenchResult>& results) {
-  JsonWriter w(os);
-  w.begin_object()
-      .kv("Bench", "micro_counters")
-      .kv("NumaDomains", static_cast<std::int64_t>(numa_domains));
-  w.key("Results").begin_array();
-  for (const CounterBenchResult& r : results) {
-    w.begin_object()
-        .kv("Layout", r.layout)
-        .kv("Shards", r.shards)
-        .kv("Threads", r.threads)
-        .kv("UpdateSeconds", r.update_seconds)
-        .kv("UpdatesPerSecond", r.updates_per_second)
-        .kv("ArgmaxSeconds", r.argmax_seconds)
-        .kv("MatchesFlat", r.matches_flat)
-        .end_object();
-  }
-  w.end_array().end_object();
-  os << '\n';
-}
-
-std::string write_counter_bench_json_file(
-    const std::string& path, int numa_domains,
-    const std::vector<CounterBenchResult>& results) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open bench result file for writing");
-  write_counter_bench_json(os, numa_domains, results);
-  EIMM_CHECK(os.good(), "bench result write failed");
-  return path;
-}
-
-void write_latency_bench_json(std::ostream& os,
-                              const std::vector<LatencyBenchResult>& results) {
-  JsonWriter w(os);
-  w.begin_object().kv("Bench", "serve_latency");
-  w.key("Results").begin_array();
-  for (const LatencyBenchResult& r : results) {
-    w.begin_object()
-        .kv("Workload", r.workload)
-        .kv("LoadMode", r.load_mode)
-        .kv("ColdStartSeconds", r.cold_start_seconds)
-        .kv("BytesMapped", r.bytes_mapped)
-        .kv("BytesCopied", r.bytes_copied)
-        .kv("OfferedQps", r.offered_qps)
-        .kv("AchievedQps", r.achieved_qps)
-        .kv("P50Ms", r.p50_ms)
-        .kv("P99Ms", r.p99_ms)
-        .kv("Requests", r.requests)
-        .kv("Timeouts", r.timeouts)
-        .kv("CacheHits", r.cache_hits)
-        .end_object();
-  }
-  w.end_array().end_object();
-  os << '\n';
-}
-
-std::string write_latency_bench_json_file(
-    const std::string& path, const std::vector<LatencyBenchResult>& results) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open bench result file for writing");
-  write_latency_bench_json(os, results);
-  EIMM_CHECK(os.good(), "bench result write failed");
-  return path;
+  return write_json_file(path, [&](std::ostream& os) {
+    write_fused_bench_json(os, numa_domains, results);
+  });
 }
 
 namespace {
@@ -243,18 +124,6 @@ void write_metric_entries(JsonWriter& w,
     w.end_object();
   }
   w.end_array();
-}
-
-std::string write_json_file(const std::string& path,
-                            const std::function<void(std::ostream&)>& body) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open metrics file for writing");
-  body(os);
-  EIMM_CHECK(os.good(), "metrics write failed");
-  return path;
 }
 
 }  // namespace
@@ -348,49 +217,12 @@ std::string write_obs_overhead_json_file(
   });
 }
 
-void write_compressed_bench_json(
-    std::ostream& os, const std::vector<CompressedBenchResult>& results) {
-  JsonWriter w(os);
-  w.begin_object().kv("Bench", "compressed_pool");
-  w.key("Results").begin_array();
-  for (const CompressedBenchResult& r : results) {
-    w.begin_object()
-        .kv("Workload", r.workload)
-        .kv("Backing", r.backing)
-        .kv("Threads", r.threads)
-        .kv("NumRRRSets", r.num_rrr_sets)
-        .kv("PoolBytes", r.pool_bytes)
-        .kv("PayloadBytes", r.payload_bytes)
-        .kv("BytesRatio", r.bytes_ratio)
-        .kv("EncodeSeconds", r.encode_seconds)
-        .kv("SelectionSeconds", r.selection_seconds)
-        .kv("SetsPerSecond", r.sets_per_second)
-        .kv("Slowdown", r.slowdown)
-        .kv("SeedsMatchFlat", r.seeds_match_flat)
-        .end_object();
-  }
-  w.end_array().end_object();
-  os << '\n';
-}
-
-std::string write_compressed_bench_json_file(
-    const std::string& path,
-    const std::vector<CompressedBenchResult>& results) {
-  return write_json_file(path, [&](std::ostream& os) {
-    write_compressed_bench_json(os, results);
-  });
-}
-
 std::string write_experiment_json_file(const std::string& dir,
                                        const ExperimentRecord& record) {
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/" + record.dataset + "_" +
-                           record.algorithm + "_" +
-                           std::to_string(record.threads) + ".json";
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open experiment log for writing");
-  write_experiment_json(os, record);
-  return path;
+  return write_json_file(
+      dir + "/" + record.dataset + "_" + record.algorithm + "_" +
+          std::to_string(record.threads) + ".json",
+      [&](std::ostream& os) { write_experiment_json(os, record); });
 }
 
 }  // namespace eimm

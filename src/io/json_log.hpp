@@ -2,6 +2,8 @@
 // JSON document with the configuration, per-phase timings, and the seed
 // set (the artifact's strong-scaling-logs-* directories hold the same
 // fields). extract-style CSV summaries are produced by the benches.
+// Every *_file writer throws CheckError when the file cannot be opened
+// or written in full (the file is closed before the stream is checked).
 #pragma once
 
 #include <cstdint>
@@ -38,100 +40,6 @@ void write_experiment_json(std::ostream& os, const ExperimentRecord& record);
 /// directory if needed. Returns the file path.
 std::string write_experiment_json_file(const std::string& dir,
                                        const ExperimentRecord& record);
-
-/// One row of the serve-throughput bench (BENCH_serve.json schema:
-/// workload, threads, queries/sec, build-seconds).
-struct ServeBenchResult {
-  std::string workload;
-  int threads = 1;
-  double queries_per_second = 0.0;
-  double build_seconds = 0.0;
-};
-
-/// Serializes the bench sweep as one JSON document:
-/// {"Bench": "serve_throughput", "Results": [{"Workload": ..., ...}]}.
-void write_serve_bench_json(std::ostream& os,
-                            const std::vector<ServeBenchResult>& results);
-
-/// Writes to `path` (parent directories created). Returns `path`.
-std::string write_serve_bench_json_file(
-    const std::string& path, const std::vector<ServeBenchResult>& results);
-
-/// One row of the sharded-sampling bench (BENCH_sharded.json schema):
-/// per-shard-count sampling throughput plus the bit-match check against
-/// the unsharded build.
-struct ShardedBenchResult {
-  std::string workload;
-  int shards = 1;
-  int threads = 1;
-  double sampling_seconds = 0.0;
-  double sets_per_second = 0.0;
-  std::uint64_t num_rrr_sets = 0;
-  bool pool_matches_unsharded = true;
-};
-
-/// Serializes the sweep as one document:
-/// {"Bench": "sharded_sampling", "NumaDomains": N, "Results": [...]}.
-/// `numa_domains` is the detected domain count of the host that ran it.
-void write_sharded_bench_json(std::ostream& os, int numa_domains,
-                              const std::vector<ShardedBenchResult>& results);
-
-/// Writes to `path` (parent directories created). Returns `path`.
-std::string write_sharded_bench_json_file(
-    const std::string& path, int numa_domains,
-    const std::vector<ShardedBenchResult>& results);
-
-/// One row of the counter-layout bench (BENCH_counters.json schema):
-/// update/arg-max throughput of one counter layout at one shard count.
-struct CounterBenchResult {
-  std::string layout;  // "flat" | "sharded" | "perthread" | "contended"
-  int shards = 1;
-  int threads = 1;
-  double update_seconds = 0.0;
-  double updates_per_second = 0.0;
-  double argmax_seconds = 0.0;
-  /// Snapshot of the layout equals the flat reference after the same
-  /// update stream (layouts must agree on VALUES, not just speed).
-  bool matches_flat = true;
-};
-
-/// Serializes the sweep as one document:
-/// {"Bench": "micro_counters", "NumaDomains": N, "Results": [...]}.
-void write_counter_bench_json(std::ostream& os, int numa_domains,
-                              const std::vector<CounterBenchResult>& results);
-
-/// Writes to `path` (parent directories created). Returns `path`.
-std::string write_counter_bench_json_file(
-    const std::string& path, int numa_domains,
-    const std::vector<CounterBenchResult>& results);
-
-/// One row of the serve-latency bench (BENCH_serve_latency.json schema):
-/// request-latency percentiles at one offered load against a store
-/// loaded one way (mmap vs stream), plus the cold-start cost and the
-/// load-stats byte accounting that proves the mmap path copies nothing.
-struct LatencyBenchResult {
-  std::string workload;
-  std::string load_mode;  // "mmap" | "stream"
-  double cold_start_seconds = 0.0;
-  std::uint64_t bytes_mapped = 0;
-  std::uint64_t bytes_copied = 0;
-  double offered_qps = 0.0;
-  double achieved_qps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  std::uint64_t requests = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t cache_hits = 0;
-};
-
-/// Serializes the sweep as one document:
-/// {"Bench": "serve_latency", "Results": [...]}.
-void write_latency_bench_json(std::ostream& os,
-                              const std::vector<LatencyBenchResult>& results);
-
-/// Writes to `path` (parent directories created). Returns `path`.
-std::string write_latency_bench_json_file(
-    const std::string& path, const std::vector<LatencyBenchResult>& results);
 
 /// Serializes an obs registry snapshot as one document:
 /// {"Schema": "eimm-metrics-v1", "Metrics": [{"Name": ..., "Kind":
@@ -238,37 +146,5 @@ void write_fused_bench_json(std::ostream& os, int numa_domains,
 std::string write_fused_bench_json_file(
     const std::string& path, int numa_domains,
     const std::vector<FusedBenchResult>& results);
-
-/// One row of the compressed-pool bench (BENCH_compressed.json schema):
-/// pool footprint and selection throughput of one pool backing, plus the
-/// compression ratio and seed-identity check against the raw reference.
-struct CompressedBenchResult {
-  std::string workload;
-  std::string backing;  // "flat" | "varint" | "huffman"
-  int threads = 1;
-  std::uint64_t num_rrr_sets = 0;
-  std::uint64_t pool_bytes = 0;
-  /// Gap-coded payload bytes only (0 for the flat backing).
-  std::uint64_t payload_bytes = 0;
-  /// flat pool_bytes / this pool_bytes (1.0 for the flat row).
-  double bytes_ratio = 1.0;
-  double encode_seconds = 0.0;
-  double selection_seconds = 0.0;
-  double sets_per_second = 0.0;
-  /// this selection_seconds / flat selection_seconds (1.0 for flat).
-  double slowdown = 1.0;
-  /// Seed sequence bit-matches the flat reference run.
-  bool seeds_match_flat = true;
-};
-
-/// Serializes the sweep as one document:
-/// {"Bench": "compressed_pool", "Results": [...]}.
-void write_compressed_bench_json(
-    std::ostream& os, const std::vector<CompressedBenchResult>& results);
-
-/// Writes to `path` (parent directories created). Returns `path`.
-std::string write_compressed_bench_json_file(
-    const std::string& path,
-    const std::vector<CompressedBenchResult>& results);
 
 }  // namespace eimm

@@ -6,9 +6,9 @@
 // of its sorted members, packed into ONE byte blob addressed CSR-style
 // by byte offsets — typically 1-2 bytes per member instead of 4, which
 // is the HBMax-style memory-bounded scale-up the paper's §IV-C rejects
-// for codec overhead and this subsystem makes measurable
-// (bench/compressed_pool → BENCH_compressed.json). An optional second
-// stage (PoolCodec::kHuffman) canonical-Huffman-codes each slot's gap
+// for codec overhead (imm_cli --pool-compress prints one run's payload
+// bytes and selection time). An optional second stage
+// (PoolCodec::kHuffman) canonical-Huffman-codes each slot's gap
 // bytes with one pool-wide codebook built from the first generation
 // round (Laplace-smoothed over all 256 symbols, so later rounds can
 // emit bytes the first round never saw); slot streams are byte-aligned,

@@ -111,8 +111,7 @@ struct GapRun {
 
   /// Membership by linear decode — O(count), early-exiting once the
   /// running value passes `v` (gaps are strictly positive). This is
-  /// exactly the codec overhead §IV-C cites; bench/compressed_pool
-  /// measures it.
+  /// exactly the codec overhead §IV-C cites.
   [[nodiscard]] bool contains(VertexId v) const {
     const std::span<const std::uint8_t> span{data,
                                              static_cast<std::size_t>(bytes)};

@@ -6,8 +6,8 @@
 // 64-bit width matches the paper's observation that `lock incq` confines
 // the locked region to one quadword, so concurrent updates to different
 // vertices never contend on the same memory word (they may still share a
-// cache line; that is the fine-grained-vs-padded trade-off benchmarked
-// in bench/micro_counters).
+// cache line; that is the fine-grained-vs-padded trade-off, which no
+// driver currently measures).
 //
 // ShardedCounterArray — the NUMA answer to the same counter (§IV-C taken
 // across sockets): one domain-local replica of the full array per NUMA

@@ -1,28 +1,18 @@
 #include "runtime/reduction.hpp"
 
-#include <omp.h>
-#include <sched.h>
-
-#include <algorithm>
-#include <span>
-#include <vector>
-
-#include "numa/topology.hpp"
-#include "runtime/partition.hpp"
-#include "support/aligned.hpp"
-
 namespace eimm {
 
 namespace {
 
-/// Regional arg-max over [begin, end); the mask test is hoisted so the
-/// common unmasked path keeps its original tight loop.
-ArgMaxResult block_argmax(const CounterArray& counters,
-                          const std::uint8_t* eligible, std::size_t begin,
-                          std::size_t end) {
-  ArgMaxResult best{begin < end ? begin : 0, 0};
+/// Arg-max scan over either layout's get(); the mask test is hoisted so
+/// the common unmasked path keeps its tight loop.
+template <typename Counters>
+ArgMaxResult scan_argmax(const Counters& counters,
+                         const std::uint8_t* eligible) {
+  ArgMaxResult best{0, 0};
+  const std::size_t n = counters.size();
   if (eligible == nullptr) {
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t v = counters.get(i);
       if (v > best.value) {  // strict '>' keeps the lowest index on ties
         best.value = v;
@@ -30,7 +20,7 @@ ArgMaxResult block_argmax(const CounterArray& counters,
       }
     }
   } else {
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (eligible[i] == 0) continue;
       const std::uint64_t v = counters.get(i);
       if (v > best.value) {
@@ -40,153 +30,18 @@ ArgMaxResult block_argmax(const CounterArray& counters,
     }
   }
   return best;
-}
-
-/// Same regional scan over the sharded layout's summed view.
-ArgMaxResult block_argmax(const ShardedCounterArray& counters,
-                          const std::uint8_t* eligible, std::size_t begin,
-                          std::size_t end) {
-  ArgMaxResult best{begin < end ? begin : 0, 0};
-  if (eligible == nullptr) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t v = counters.get(i);
-      if (v > best.value) {
-        best.value = v;
-        best.index = i;
-      }
-    }
-  } else {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (eligible[i] == 0) continue;
-      const std::uint64_t v = counters.get(i);
-      if (v > best.value) {
-        best.value = v;
-        best.index = i;
-      }
-    }
-  }
-  return best;
-}
-
-/// In-place pairwise tree reduce with the shared comparator; the winner
-/// lands in slot 0. Merge order cannot change the result (argmax_better
-/// is a total order on (value desc, index asc)) — the tree shape is a
-/// latency choice, mirroring the within-domain reduction the paper's
-/// hierarchical design calls for.
-ArgMaxResult tree_reduce(std::span<ArgMaxResult> partials) {
-  if (partials.empty()) return {};
-  for (std::size_t stride = 1; stride < partials.size(); stride *= 2) {
-    for (std::size_t i = 0; i + stride < partials.size(); i += 2 * stride) {
-      if (argmax_better(partials[i + stride], partials[i])) {
-        partials[i] = partials[i + stride];
-      }
-    }
-  }
-  return partials[0];
 }
 
 }  // namespace
 
 ArgMaxResult serial_argmax(const CounterArray& counters,
                            const std::uint8_t* eligible) {
-  if (counters.size() == 0) return {};
-  return block_argmax(counters, eligible, 0, counters.size());
-}
-
-ArgMaxResult parallel_argmax(const CounterArray& counters,
-                             const std::uint8_t* eligible) {
-  const std::size_t n = counters.size();
-  if (n == 0) return {};
-
-  const int max_threads = omp_get_max_threads();
-  std::vector<CachePadded<ArgMaxResult>> regional(
-      static_cast<std::size_t>(max_threads));
-
-#pragma omp parallel
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const auto nthreads = static_cast<std::size_t>(omp_get_num_threads());
-    const auto [begin, end] = block_range(n, nthreads, tid);
-    // Step 1: regional maximum over the thread's contiguous block.
-    regional[tid].value = block_argmax(counters, eligible, begin, end);
-  }
-
-  // Step 2: reduce the regional maxima. Blocks are in index order, so
-  // strict '>' again keeps the lowest winning index.
-  ArgMaxResult best = regional[0].value;
-  for (int t = 1; t < max_threads; ++t) {
-    const ArgMaxResult& r = regional[static_cast<std::size_t>(t)].value;
-    if (r.value > best.value) best = r;
-  }
-  return best;
+  return scan_argmax(counters, eligible);
 }
 
 ArgMaxResult serial_argmax(const ShardedCounterArray& counters,
                            const std::uint8_t* eligible) {
-  if (counters.size() == 0) return {};
-  return block_argmax(counters, eligible, 0, counters.size());
-}
-
-ArgMaxResult parallel_argmax(const ShardedCounterArray& counters,
-                             const std::uint8_t* eligible) {
-  const std::size_t n = counters.size();
-  if (n == 0) return {};
-
-  const NumaTopology& topo = numa_topology();
-  const int max_threads = omp_get_max_threads();
-
-  struct Regional {
-    ArgMaxResult best;
-    int domain = 0;
-    bool live = false;  // thread actually ran (teams can come up short)
-  };
-  std::vector<CachePadded<Regional>> regional(
-      static_cast<std::size_t>(max_threads));
-
-#pragma omp parallel
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const auto nthreads = static_cast<std::size_t>(omp_get_num_threads());
-    const auto [begin, end] = block_range(n, nthreads, tid);
-    Regional& mine = regional[tid].value;
-    mine.best = block_argmax(counters, eligible, begin, end);
-    const int cpu = sched_getcpu();
-    mine.domain =
-        (cpu >= 0 && static_cast<std::size_t>(cpu) < topo.cpu_to_node.size())
-            ? topo.cpu_to_node[static_cast<std::size_t>(cpu)]
-            : 0;
-    mine.live = true;
-  }
-
-  // Hierarchical reduce: bucket the regional maxima by the domain each
-  // thread reported, tree-reduce within every bucket, then merge the
-  // domain winners. argmax_better makes the grouping semantically
-  // invisible — only the traffic pattern changes.
-  std::vector<int> domains;
-  std::vector<std::vector<ArgMaxResult>> buckets;
-  for (int t = 0; t < max_threads; ++t) {
-    const Regional& r = regional[static_cast<std::size_t>(t)].value;
-    if (!r.live) continue;
-    const auto it = std::find(domains.begin(), domains.end(), r.domain);
-    if (it == domains.end()) {
-      domains.push_back(r.domain);
-      buckets.emplace_back();
-      buckets.back().push_back(r.best);
-    } else {
-      buckets[static_cast<std::size_t>(it - domains.begin())].push_back(
-          r.best);
-    }
-  }
-  ArgMaxResult best{0, 0};
-  bool first = true;
-  for (auto& bucket : buckets) {
-    const ArgMaxResult winner = tree_reduce(bucket);
-    if (first || argmax_better(winner, best)) {
-      best = winner;
-      first = false;
-    }
-  }
-  return best;
+  return scan_argmax(counters, eligible);
 }
 
 }  // namespace eimm

@@ -61,13 +61,14 @@ TEST(BenchConfig, OtherDefaultsMatchTheDocumentedValues) {
 
 TEST(BenchConfig, JsonPathDefaultsToCurrentDirectory) {
   const ScopedEnv unset("EIMM_BENCH_JSON_DIR", nullptr);
-  EXPECT_EQ(bench_json_path("BENCH_serve.json"), "./BENCH_serve.json");
+  EXPECT_EQ(bench_json_path("BENCH_fused_sampling.json"),
+            "./BENCH_fused_sampling.json");
 }
 
 TEST(BenchConfig, JsonPathHonoursTheEnvironmentKnob) {
   const ScopedEnv dir("EIMM_BENCH_JSON_DIR", "/tmp/eimm-bench");
-  EXPECT_EQ(bench_json_path("BENCH_serve.json"),
-            "/tmp/eimm-bench/BENCH_serve.json");
+  EXPECT_EQ(bench_json_path("BENCH_fused_sampling.json"),
+            "/tmp/eimm-bench/BENCH_fused_sampling.json");
 }
 
 }  // namespace

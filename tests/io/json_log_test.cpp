@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/macros.hpp"
+
 namespace eimm {
 namespace {
 
@@ -58,6 +60,15 @@ TEST(JsonLog, WritesFileWithConventionalName) {
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("\"Input\": \"com-Amazon\""), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+TEST(JsonLog, FailedWriteThrows) {
+  // /dev/full accepts the open and buffered writes, then fails the flush
+  // with ENOSPC: a writer that checks the stream before flushing would
+  // report success and leave a truncated file behind.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(write_metrics_json_file("/dev/full", obs::MetricsSnapshot{}),
+               CheckError);
 }
 
 }  // namespace

@@ -45,9 +45,9 @@ TEST(CompressedDeterminism, CompressedSeedsMatchRawAcrossModelsAndCodecs) {
       EXPECT_GT(compressed.compressed_payload_bytes, 0u);
       // No footprint assertion here: the statcheck workloads are tiny
       // and dense enough that the raw pool holds most sets as bitmaps,
-      // which gap coding cannot undercut in this regime. The
-      // bytes-reduction contract lives in bench_compressed_pool at
-      // realistic sparse-set scales.
+      // which gap coding cannot undercut in this regime. CI's
+      // "Compressed pool smoke" asserts the bytes reduction at a
+      // sparse-set scale (com-LJ LT).
     }
   }
 }

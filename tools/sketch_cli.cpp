@@ -82,8 +82,11 @@ struct CliOptions {
       "                          default EIMM_PIN, then auto)\n"
       "          [--out PATH]   (--out required for 'save')\n"
       "          [--compress]   (save the snapshot with gap-coded sketch\n"
-      "                          payload, ~2-4x smaller; saves are always\n"
-      "                          v4 with per-section CRC32C checksums)\n"
+      "                          payload: smaller when sketches have many\n"
+      "                          members, but its 8-byte-per-sketch offset\n"
+      "                          section can make snapshots of ~2-member\n"
+      "                          sketches larger; saves are always v4\n"
+      "                          with per-section CRC32C checksums)\n"
       "       %s load --store PATH [--stream] [--deep-validate]\n"
       "       %s query --store PATH (--k N [--candidates LIST]\n"
       "          [--forbid LIST] | --eval LIST) [--stream] [--deep-validate]\n"
