@@ -88,8 +88,8 @@ void BM_AdaptiveConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveConstruction)->Arg(1)->Arg(100)->Arg(500);
 
-// HBMax-style compression (the rrr/gap_codec stream CompressedPool
-// stores): smaller storage, but membership pays a linear decode — the
+// HBMax-style compression (the rrr/gap_codec stream the compressed
+// snapshot layout stores): smaller storage, but membership pays a linear decode — the
 // codec overhead §IV-C cites as the reason EfficientIMM prefers the
 // adaptive scheme. members_with_density() is already sorted and unique.
 std::vector<std::uint8_t> gap_encode(const std::vector<VertexId>& members) {

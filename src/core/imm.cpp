@@ -163,22 +163,6 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
   // segmented zero-copy storage; build.pool serves the Ripples baseline.
   build.segmented = engine == Engine::kEfficient;
 
-  // Compressed backing (kEfficient only): rounds are gap-coded into
-  // build.cpool as they land, and the raw staging storage is recycled,
-  // so the resident pool is the compressed image plus ONE round of raw
-  // staging. Selection and probing read the compressed view; contents
-  // are identical, so seeds are too.
-  const PoolCompression compression =
-      engine == Engine::kEfficient
-          ? resolve_pool_compression(options.pool_compress)
-          : PoolCompression::kNone;
-  build.compressed = compression != PoolCompression::kNone;
-  if (build.compressed) {
-    build.cpool = CompressedPool(n, compression == PoolCompression::kHuffman
-                                        ? PoolCodec::kHuffman
-                                        : PoolCodec::kVarint);
-  }
-
   // The sharded sampler persists across the martingale rounds: its
   // arenas (owned by build.segments) keep accumulating staged slots, and
   // selection reads them in place through build.view().
@@ -220,13 +204,6 @@ PoolBuild build_rrr_pool(const DiffusionGraph& graph,
     }
     core_metrics().sets.add(target - generated);
     core_metrics().generate_us.observe(generate_timer.nanos() / 1000);
-    if (build.compressed) {
-      // Encode the fresh round, then recycle its raw staging storage.
-      // Fused base counters were already incremented during generation,
-      // so dropping the raw sets loses nothing the kernels need.
-      build.cpool.append(build.segments, generated, target);
-      build.segments.reset_arenas();
-    }
     generated = target;
   };
 
@@ -325,13 +302,6 @@ ImmResult run_imm(const DiffusionGraph& graph, const ImmOptions& options,
   result.counter_layout_allocations = build.workspace.counter_allocations();
   result.staged_bytes = build.shard_stats.staged_bytes;
   result.mapped_bytes = build.shard_stats.mapped_bytes;
-  if (build.compressed) {
-    result.pool_compression_used = build.cpool.codec() == PoolCodec::kHuffman
-                                       ? PoolCompression::kHuffman
-                                       : PoolCompression::kVarint;
-    result.compressed_payload_bytes = build.cpool.payload_bytes();
-    result.encode_seconds = build.cpool.encode_seconds();
-  }
   breakdown.total_seconds = total_timer.seconds();
   result.breakdown = breakdown;
   return result;

@@ -39,6 +39,7 @@
 #include "core/martingale.hpp"
 #include "diffusion/model.hpp"
 #include "graph/csr.hpp"
+#include "rrr/compressed_pool.hpp"
 #include "rrr/fused.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
@@ -113,20 +114,6 @@ struct ImmOptions {
   /// result; the quality guarantee then degrades gracefully.
   std::uint64_t max_rrr_sets = 1u << 22;
 
-  /// Compressed RRR pool backing (rrr/compressed_pool.hpp): after each
-  /// generation round the fresh sets are gap-coded into a CompressedPool
-  /// and the raw staging storage is released, so resident pool bytes
-  /// drop at a decode-on-enumerate selection slowdown. The saving
-  /// shrinks with set size: every slot keeps an 8-byte offset and a
-  /// 4-byte count beside its gap bytes, so pools of one- or two-member
-  /// sets gain least.
-  /// kAuto resolves the EIMM_POOL_COMPRESS environment variable (0/off → none, 1/on/varint
-  /// → varint, 2/huffman → huffman; default none). kEfficient engine
-  /// only — the ripples baseline keeps the paper's layout. Seed
-  /// sequences are bit-identical for every value (ctest -L statcheck
-  /// pins it): compression changes storage, never set contents.
-  PoolCompression pool_compress = PoolCompression::kAuto;
-
   /// Fused 64-wide IC sampling (rrr/fused.hpp): one traversal emits up
   /// to 64 RRR sets by packing lanes into a per-vertex uint64_t visited
   /// word. kAuto resolves the EIMM_FUSED environment variable (default
@@ -183,13 +170,9 @@ struct ImmResult {
   /// Whether the build sampled through the fused 64-wide generator
   /// (resolved from the option and EIMM_FUSED; false for LT).
   bool fused_sampling_used = false;
-  /// Pool compression the build actually used (resolved from the option
-  /// and EIMM_POOL_COMPRESS; kNone when the pool stayed raw).
+  /// Always kNone: pools are stored raw. Kept only because
+  /// perfbench/driver.cpp reports it (see rrr/compressed_pool.hpp).
   PoolCompression pool_compression_used = PoolCompression::kNone;
-  /// Gap-coded payload bytes of the compressed pool (0 when raw).
-  std::uint64_t compressed_payload_bytes = 0;
-  /// Wall-clock spent encoding rounds into the compressed pool.
-  double encode_seconds = 0.0;
   PhaseBreakdown breakdown;
   /// Sampling-phase probe history (diagnostics; one entry per executed
   /// iteration of the Algorithm 1 loop, skipped probes included).
@@ -214,13 +197,6 @@ struct PoolBuild {
   /// every EfficientIMM build).
   SegmentedPool segments;
   bool segmented = false;
-  /// Gap-coded pool storage (populated iff `compressed`). When active,
-  /// each generation round is encoded here and the raw staging storage
-  /// (pool slots or segment arenas) is recycled — `pool`/`segments`
-  /// then hold only transient per-round staging, and view() serves
-  /// every consumer from the compressed image.
-  CompressedPool cpool;
-  bool compressed = false;
   /// Fused base counters (kernel fusion, Algorithm 3); valid — and worth
   /// copying instead of rebuilding — only when counters_prebuilt.
   CounterArray base_counters;
@@ -254,12 +230,10 @@ struct PoolBuild {
 
   /// The one surface selection-side consumers read the build through.
   [[nodiscard]] RRRPoolView view() const noexcept {
-    if (compressed) return RRRPoolView(cpool);
     return segmented ? RRRPoolView(segments) : RRRPoolView(pool);
   }
   /// Number of RRR sets in whichever storage is active.
   [[nodiscard]] std::size_t size() const noexcept {
-    if (compressed) return cpool.size();
     return segmented ? segments.size() : pool.size();
   }
 };

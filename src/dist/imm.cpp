@@ -40,9 +40,6 @@ DistImmResult run_distributed_imm(const DiffusionGraph& graph,
   imm.rng_seed = options.rng_seed;
   imm.max_rrr_sets = options.max_rrr_sets;
   imm.shards = options.ranks;
-  // The wire formats below are raw vertex vectors; a gap-coded pool
-  // would only add decode work to the set-size reads.
-  imm.pool_compress = PoolCompression::kNone;
   PoolBuild build = build_rrr_pool(graph, imm, Engine::kEfficient);
   const SelectionResult selection =
       final_selection(build, imm, Engine::kEfficient);

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "io/write_file.hpp"
 #include "support/failpoint.hpp"
 #include "support/macros.hpp"
 
@@ -94,17 +95,13 @@ std::string read_string(std::istream& is, const char* what) {
   std::uint64_t size = 0;
   read_pod(is, size, what);
   const auto at = detail::tell(is);
-  if (const auto left = detail::remaining_bytes(is)) {
-    if (size > *left) detail::fail_section("truncated string in", what, at);
+  const auto left = detail::remaining_bytes(is);
+  if (left.has_value() && size > *left) {
+    detail::fail_section("truncated string in", what, at);
   }
   std::string s;
-  try {
-    s.resize(size);
-  } catch (const std::exception&) {
-    detail::fail_section("implausible string length in", what, at);
-  }
-  is.read(s.data(), static_cast<std::streamsize>(size));
-  if (!is.good()) detail::fail_section("truncated string in", what, at);
+  detail::read_into(is, s, size, left.has_value(), "truncated string in",
+                    what, at);
   return s;
 }
 
@@ -127,10 +124,8 @@ void write_binary_csr(std::ostream& os, const CSRGraph& g) {
 }
 
 void write_binary_csr_file(const std::string& path, const CSRGraph& g) {
-  std::ofstream os(path, std::ios::binary);
-  EIMM_CHECK(os.good(), "cannot open file for writing");
-  write_binary_csr(os, g);
-  EIMM_CHECK(os.good(), "write failed");
+  write_file(path, "binary graph file",
+             [&](std::ostream& os) { write_binary_csr(os, g); });
 }
 
 CSRGraph read_binary_csr(std::istream& is) {

@@ -12,6 +12,7 @@
 // into a multi-exabyte allocation or an out-of-bounds pointer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <optional>
@@ -73,6 +74,32 @@ std::optional<std::uint64_t> tell(std::istream& is);
 /// stream is not seekable. Guards length-prefixed reads: a corrupted
 /// length field must raise FormatError, not a multi-exabyte allocation.
 std::optional<std::uint64_t> remaining_bytes(std::istream& is);
+
+/// Reads `size` elements into `out` (a std::vector of PODs or a
+/// std::string). When `proven` — a seekable stream showed the bytes are
+/// there — the whole length is allocated at once. Otherwise it grows in
+/// doubling steps from 64 KiB as bytes arrive, so a corrupt length on a
+/// pipe costs about twice the bytes actually read before the short read
+/// throws FormatError("<reason> <what>"), never the declared length.
+template <typename Container>
+void read_into(std::istream& is, Container& out, std::uint64_t size,
+               bool proven, const char* reason, const char* what,
+               std::optional<std::uint64_t> at) {
+  using T = typename Container::value_type;
+  constexpr std::uint64_t kChunk = (std::uint64_t{1} << 16) / sizeof(T);
+  const std::uint64_t growth_floor = proven ? size : kChunk;
+  while (out.size() < size) {
+    const std::uint64_t have = out.size();
+    const std::uint64_t want = std::min(size, std::max(2 * have, growth_floor));
+    out.reserve(want);  // exact: capacity tracks the elements read
+    out.resize(want);
+    is.read(reinterpret_cast<char*>(out.data() + have),
+            static_cast<std::streamsize>((want - have) * sizeof(T)));
+    // A payload ending exactly at EOF reads clean (eofbit is only set by
+    // reading PAST the end); anything short of the declared length fails.
+    if (!is.good()) fail_section(reason, what, at);
+  }
+}
 }  // namespace detail
 
 /// Writes the 8-byte magic (shorter tags are NUL-padded) + version.
@@ -125,26 +152,15 @@ std::vector<T> read_vec(std::istream& is, const char* what = "binary file") {
   std::uint64_t size = 0;
   read_pod(is, size, what);
   const auto at = detail::tell(is);
-  if (const auto left = detail::remaining_bytes(is)) {
-    // Divide, don't multiply: size * sizeof(T) can wrap u64 for a
-    // corrupt length field, silently passing the bound it should fail.
-    if (size > *left / sizeof(T)) {
-      detail::fail_section("truncated payload in", what, at);
-    }
+  const auto left = detail::remaining_bytes(is);
+  // Divide, don't multiply: size * sizeof(T) can wrap u64 for a corrupt
+  // length field, silently passing the bound it should fail.
+  if (left.has_value() && size > *left / sizeof(T)) {
+    detail::fail_section("truncated payload in", what, at);
   }
   std::vector<T> v;
-  try {
-    v.resize(size);
-  } catch (const std::exception&) {
-    // Non-seekable stream with a corrupt length: the pre-check above
-    // couldn't run, so keep the fail-loudly contract here.
-    detail::fail_section("implausible payload length in", what, at);
-  }
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size * sizeof(T)));
-  // A payload ending exactly at EOF reads clean (eofbit is only set by
-  // reading PAST the end); anything short of the declared length fails.
-  if (!is.good()) detail::fail_section("truncated payload in", what, at);
+  detail::read_into(is, v, size, left.has_value(), "truncated payload in",
+                    what, at);
   return v;
 }
 

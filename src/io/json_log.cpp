@@ -1,9 +1,9 @@
 #include "io/json_log.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <functional>
 
+#include "io/write_file.hpp"
 #include "support/json.hpp"
 #include "support/macros.hpp"
 
@@ -12,20 +12,13 @@ namespace eimm {
 namespace {
 
 /// The one file sink of every *_file writer: creates the parent
-/// directories, writes the body and closes the file before checking the
-/// stream. Buffered bytes reach the file only at flush/close, so a check
-/// before it would pass a short write (a full disk) and return the path
-/// of a truncated file.
+/// directories, then writes through the checked io/write_file sink.
 std::string write_json_file(const std::string& path,
                             const std::function<void(std::ostream&)>& body) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(path);
-  EIMM_CHECK(os.good(), "cannot open JSON file for writing");
-  body(os);
-  os.close();
-  EIMM_CHECK(!os.fail(), "JSON write failed");
+  write_file(path, "JSON file", body);
   return path;
 }
 

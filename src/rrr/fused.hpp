@@ -83,8 +83,7 @@ namespace eimm {
 /// Lanes per fused traversal — the width of the visited word.
 inline constexpr unsigned kFusedLanes = 64;
 
-/// Fused-mode request, mirroring the PoolCompression tri-state idiom:
-/// explicit on/off wins, kAuto resolves the EIMM_FUSED environment
+/// Fused-mode request, a tri-state: explicit on/off wins, kAuto resolves the EIMM_FUSED environment
 /// variable (default ON; EIMM_FUSED=0 opts out). Fused IC output is
 /// statistically, not bitwise, equivalent to the scalar pipeline — the
 /// statcheck spread-ratio gate enforces it. The mode applies to IC only;

@@ -1,5 +1,6 @@
-// The delta-varint gap codec the compressed RRR pool (rrr/compressed_pool)
-// stores every slot in, and bench/micro_rrr measures per set.
+// The delta-varint gap codec of the compressed snapshot layout
+// (serve/SketchStore, v3 and the 8-section v4): every sketch's members
+// are stored as one gap stream, and bench/micro_rrr measures it per set.
 //
 // Stream layout, fixed across all producers so their encodings are
 // bit-identical: a sorted, deduplicated member list {v0 < v1 < ...}
@@ -8,9 +9,7 @@
 //   (v0 + 1), (v1 - v0), (v2 - v1), ...
 //
 // The +1 on the head keeps every emitted varint strictly positive, so a
-// zero anywhere in a decoded stream is proof of corruption. Gap bytes of
-// social-graph sketches are heavily skewed toward small values — the
-// property the optional Huffman second stage (rrr/huffman.hpp) exploits.
+// zero anywhere in a decoded stream is proof of corruption.
 //
 // Decoding is hardened for on-disk input: read_varint() bounds-checks
 // every byte against the stream and caps the shift at 63 bits, throwing
@@ -86,8 +85,8 @@ std::size_t append_gap_stream(std::vector<std::uint8_t>& out,
     noexcept;
 
 /// Non-owning view of one encoded gap run: `count` members in `bytes`
-/// payload bytes at `data`. The enumerate/membership surface compressed
-/// pool slots expose to the selection kernels.
+/// payload bytes at `data`. The enumerate/membership surface a
+/// compressed snapshot serves its sketches through.
 struct GapRun {
   const std::uint8_t* data = nullptr;
   std::uint64_t bytes = 0;

@@ -8,29 +8,23 @@ namespace eimm {
 
 ShardArena::Ref ShardArena::place(std::size_t units, std::size_t align,
                                   VertexId*& out) {
-  // Advance through existing chunks (reset() reuse) before mapping new
-  // ones; a slot never spans chunks. Chunks are page-aligned, so an
-  // offset that is a multiple of `align` units is aligned in memory too.
+  // A slot never spans chunks: map a new one when the current chunk
+  // cannot hold it. Chunks are page-aligned, so an offset that is a
+  // multiple of `align` units is aligned in memory too.
   auto aligned = [align](std::size_t pos) {
     return (pos + align - 1) / align * align;
   };
-  while (cursor_ < chunks_.size() &&
-         chunks_[cursor_].bytes() / sizeof(VertexId) <
-             aligned(head_used_) + units) {
-    ++cursor_;
-    head_used_ = 0;
-  }
-  if (cursor_ >= chunks_.size()) {
+  if (chunks_.empty() || chunks_.back().bytes() / sizeof(VertexId) <
+                             aligned(head_used_) + units) {
     const std::size_t capacity = std::max(chunk_vertices_, units);
     chunks_.emplace_back(capacity * sizeof(VertexId), MemPolicy::kLocal);
-    cursor_ = chunks_.size() - 1;
     head_used_ = 0;
   }
   head_used_ = aligned(head_used_);
   Ref ref;
-  ref.chunk = static_cast<std::uint32_t>(cursor_);
+  ref.chunk = static_cast<std::uint32_t>(chunks_.size() - 1);
   ref.pos = static_cast<std::uint32_t>(head_used_);
-  out = static_cast<VertexId*>(chunks_[cursor_].data()) + head_used_;
+  out = static_cast<VertexId*>(chunks_.back().data()) + head_used_;
   head_used_ += units;
   ++runs_;
   staged_vertices_ += units;
@@ -77,11 +71,6 @@ RRRSetView ShardArena::slot(const Ref& ref) const noexcept {
       ref.len);
 }
 
-void ShardArena::reset() noexcept {
-  cursor_ = 0;
-  head_used_ = 0;
-}
-
 std::uint64_t ShardArena::mapped_bytes() const noexcept {
   std::uint64_t bytes = 0;
   for (const NumaBuffer& c : chunks_) bytes += c.bytes();
@@ -116,7 +105,6 @@ std::uint64_t SegmentedPool::memory_bytes() const noexcept {
 
 std::uint64_t RRRPoolView::total_vertices() const noexcept {
   if (pool_ != nullptr) return pool_->total_vertices();
-  if (comp_ != nullptr) return comp_->total_vertices();
   if (segments_ == nullptr) return 0;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < segments_->size(); ++i) {
@@ -137,7 +125,6 @@ std::size_t RRRPoolView::bitmap_count() const noexcept {
 
 std::uint64_t RRRPoolView::memory_bytes() const noexcept {
   if (pool_ != nullptr) return pool_->memory_bytes();
-  if (comp_ != nullptr) return comp_->memory_bytes();
   return segments_ != nullptr ? segments_->memory_bytes() : 0;
 }
 

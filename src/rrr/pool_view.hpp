@@ -6,13 +6,11 @@
 // payload; this layer lets selection read the staged runs instead:
 //
 //   RRRSetView     — one RRR set, whichever storage backs it: a legacy
-//                    RRRSet (vector or bitmap), a sorted arena run, an
-//                    arena bitmap, or a gap-coded CompressedPool slot.
+//                    RRRSet (vector or bitmap), a sorted arena run, or
+//                    an arena bitmap.
 //   ShardArena     — worker-private staging storage (page-aligned
-//                    mbind(kLocal) NumaBuffer chunks). reset() rewinds
-//                    the write cursor while KEEPING the mapped chunks,
-//                    so repeated generation rounds reuse the same pages
-//                    instead of re-mapping fresh ones.
+//                    mbind(kLocal) NumaBuffer chunks) that only grows:
+//                    every martingale round appends to the same arenas.
 //   SegmentedPool  — the shard-local pool format that survives into
 //                    selection: per-worker arenas owning the staged
 //                    slots, plus one 16-byte entry per global RRR slot
@@ -24,9 +22,8 @@
 //   RRRPoolView    — the pool abstraction every selection-side consumer
 //                    (seedselect kernels, SelectionEngine, coverage
 //                    probing, serve/SketchStore freezing, cachesim)
-//                    accepts: a contiguous legacy RRRPool, a
-//                    SegmentedPool, or a CompressedPool, behind one
-//                    slot-addressed surface.
+//                    accepts: a contiguous legacy RRRPool or a
+//                    SegmentedPool, behind one slot-addressed surface.
 //
 // Determinism: slot content is identical under every backing (runs are
 // sorted exactly like RRRSet's vector representation; bitmap slots
@@ -44,20 +41,19 @@
 
 #include "graph/types.hpp"
 #include "numa/alloc.hpp"
-#include "rrr/compressed_pool.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/set.hpp"
+#include "support/aligned.hpp"
 #include "support/bits.hpp"
 
 namespace eimm {
 
-/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, an
-/// arena bitmap, or a gap-coded CompressedPool slot. Same observable
-/// surface every way — ascending for_each enumeration, exact contains —
-/// so the selection kernels produce identical seed sequences no matter
-/// which storage backs the pool. Bitmap and compressed slots route the
-/// kernels to the generic for_each/contains path (the vertices() span
-/// fast path exists only for kVector).
+/// One RRR set behind the view: a legacy RRRSet, a sorted arena run, or
+/// an arena bitmap. Same observable surface every way — ascending
+/// for_each enumeration, exact contains — so the selection kernels
+/// produce identical seed sequences no matter which storage backs the
+/// pool. Bitmap slots route the kernels to the generic for_each/contains
+/// path (the vertices() span fast path exists only for kVector).
 class RRRSetView {
  public:
   RRRSetView() = default;
@@ -65,8 +61,6 @@ class RRRSetView {
       : kind_(Kind::kSet), set_(&set) {}
   /*implicit*/ RRRSetView(std::span<const VertexId> run) noexcept
       : run_(run) {}
-  /*implicit*/ RRRSetView(const CompressedSlot& slot) noexcept
-      : kind_(Kind::kCompressed), comp_(slot) {}
 
   /// A bitmap over |V| (`words` = ceil(|V|/64), bits past |V| zero)
   /// holding `count` members.
@@ -80,12 +74,11 @@ class RRRSetView {
   }
 
   /// kVector for arena runs (they are sorted vertex runs by contract);
-  /// kBitmap for arena bitmaps; kCompressed for CompressedPool slots.
+  /// kBitmap for arena bitmaps.
   [[nodiscard]] RRRRepr repr() const noexcept {
     switch (kind_) {
       case Kind::kSet: return set_->repr();
       case Kind::kBitmap: return RRRRepr::kBitmap;
-      case Kind::kCompressed: return RRRRepr::kCompressed;
       case Kind::kRun: break;
     }
     return RRRRepr::kVector;
@@ -95,7 +88,6 @@ class RRRSetView {
     switch (kind_) {
       case Kind::kSet: return set_->size();
       case Kind::kBitmap: return count_;
-      case Kind::kCompressed: return comp_.count;
       case Kind::kRun: break;
     }
     return run_.size();
@@ -104,14 +96,12 @@ class RRRSetView {
 
   /// Sorted-member span; valid only when repr() == kVector (mirrors
   /// RRRSet::vertices(), which the baseline binary-search kernel uses).
-  /// Empty for bitmap and compressed slots — they have no materialized
-  /// members.
+  /// Empty for bitmap slots — they have no materialized members.
   [[nodiscard]] std::span<const VertexId> vertices() const noexcept {
     switch (kind_) {
       case Kind::kSet:
         return {set_->vertices().data(), set_->vertices().size()};
-      case Kind::kBitmap:
-      case Kind::kCompressed: return {};
+      case Kind::kBitmap: return {};
       case Kind::kRun: break;
     }
     return run_;
@@ -122,20 +112,11 @@ class RRRSetView {
     return kind_ == Kind::kSet ? set_->words() : words_;
   }
 
-  /// The gap-coded payload of a compressed slot (empty otherwise).
-  [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept {
-    if (kind_ != Kind::kCompressed) return {};
-    return {comp_.data, static_cast<std::size_t>(comp_.bytes)};
-  }
-
-  /// Membership. May throw CheckError for a compressed slot whose
-  /// payload is corrupt (bounds-checked decode) — hence not noexcept.
-  [[nodiscard]] bool contains(VertexId v) const {
+  [[nodiscard]] bool contains(VertexId v) const noexcept {
     switch (kind_) {
       case Kind::kSet: return set_->contains(v);
       case Kind::kBitmap:
         return (v >> 6) < words_.size() && ((words_[v >> 6] >> (v & 63)) & 1);
-      case Kind::kCompressed: return comp_.contains(v);
       case Kind::kRun: break;
     }
     return std::binary_search(run_.begin(), run_.end(), v);
@@ -153,28 +134,29 @@ class RRRSetView {
           });
         }
         return;
-      case Kind::kCompressed: comp_.for_each(std::forward<Fn>(fn)); return;
       case Kind::kRun: break;
     }
     for (const VertexId v : run_) fn(v);
   }
 
  private:
-  enum class Kind : std::uint8_t { kRun, kSet, kBitmap, kCompressed };
+  enum class Kind : std::uint8_t { kRun, kSet, kBitmap };
 
   Kind kind_ = Kind::kRun;
   const RRRSet* set_ = nullptr;           // kSet
   std::span<const VertexId> run_;         // kRun
   std::span<const std::uint64_t> words_;  // kBitmap
   std::size_t count_ = 0;                 // kBitmap
-  CompressedSlot comp_;                   // kCompressed
 };
 
 /// Worker-private staging storage for sampled RRR slots: page-aligned
 /// NumaBuffer chunks requested kLocal, so the pages land on the sampling
 /// worker's own domain under first-touch. Single-writer; a slot never
-/// spans chunks, so view()/slot() is one contiguous span.
-class ShardArena {
+/// spans chunks, so view()/slot() is one contiguous span. Each arena
+/// fills whole cache lines: the workers' arenas sit side by side in
+/// SegmentedPool and every staged slot writes the cursor and counters,
+/// so two arenas sharing a line would false-share.
+class alignas(kCacheLineSize) ShardArena {
  public:
   /// Handle to one staged slot: a sorted run (words == 0) or a bitmap of
   /// `words` 64-bit words holding `len` members.
@@ -210,20 +192,13 @@ class ShardArena {
   /// Either kind of staged slot.
   [[nodiscard]] RRRSetView slot(const Ref& ref) const noexcept;
 
-  /// Rewinds the write cursor to the first chunk while KEEPING every
-  /// mapped NumaBuffer chunk — the next round's appends reuse the pages
-  /// (and their NUMA placement) instead of re-mapping. Staged slots
-  /// become invalid; cumulative staged accounting is preserved.
-  void reset() noexcept;
-
   /// Bytes of mapped staging memory currently held (diagnostics).
   [[nodiscard]] std::uint64_t mapped_bytes() const noexcept;
-  /// Cumulative payload bytes staged since construction (survives
-  /// reset() — reuse shows up as staged_bytes growing past mapped_bytes).
+  /// Cumulative payload bytes staged since construction.
   [[nodiscard]] std::uint64_t staged_bytes() const noexcept {
     return staged_vertices_ * sizeof(VertexId);
   }
-  /// Staged slots since construction (survives reset()).
+  /// Staged slots since construction.
   [[nodiscard]] std::uint64_t runs() const noexcept { return runs_; }
 
  private:
@@ -234,9 +209,8 @@ class ShardArena {
   }
 
   std::size_t chunk_vertices_;
-  std::vector<NumaBuffer> chunks_;
-  std::size_t cursor_ = 0;         // chunk currently written
-  std::size_t head_used_ = 0;      // vertices used in the cursor chunk
+  std::vector<NumaBuffer> chunks_;  // the last one is written
+  std::size_t head_used_ = 0;       // vertices used in the last chunk
   std::uint64_t runs_ = 0;
   std::uint64_t staged_vertices_ = 0;
 };
@@ -290,8 +264,7 @@ class SegmentedPool {
   }
 
   /// Records slot `i`'s staged run. `run` must point into one of this
-  /// pool's arenas and stay valid for the pool's lifetime (arenas are
-  /// never reset while entries reference them).
+  /// pool's arenas, which live as long as the pool.
   void set_run(std::size_t i, std::span<const VertexId> run) noexcept {
     entries()[i] = Entry{run.data(), static_cast<std::uint64_t>(run.size())};
   }
@@ -324,16 +297,6 @@ class SegmentedPool {
   /// Resident footprint: mapped arena bytes plus the mapped slot table.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
-  /// Rewinds every arena's write cursor (chunks and their NUMA placement
-  /// are KEPT — see ShardArena::reset()). Used by the compressed-pool
-  /// hand-off: once a round's slots are encoded into the CompressedPool,
-  /// the staging pages are recycled for the next round, bounding raw
-  /// staging memory to one round instead of the whole pool. Every staged
-  /// slot (and the entry table) becomes invalid.
-  void reset_arenas() noexcept {
-    for (ShardArena& a : arenas_) a.reset();
-  }
-
  private:
   /// Entry::len's top bit marks a bitmap slot; the low bits are always
   /// the member count.
@@ -363,39 +326,28 @@ class RRRPoolView {
   /*implicit*/ RRRPoolView(const RRRPool& pool) noexcept : pool_(&pool) {}
   /*implicit*/ RRRPoolView(const SegmentedPool& segments) noexcept
       : segments_(&segments) {}
-  /*implicit*/ RRRPoolView(const CompressedPool& comp) noexcept
-      : comp_(&comp) {}
 
   [[nodiscard]] bool segmented() const noexcept { return segments_ != nullptr; }
-  /// True when the backing is a CompressedPool (gap-coded slots).
-  [[nodiscard]] bool compressed() const noexcept { return comp_ != nullptr; }
-  /// The compressed backing, or nullptr (snapshot adoption seam).
-  [[nodiscard]] const CompressedPool* compressed_pool() const noexcept {
-    return comp_;
-  }
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
     if (pool_ != nullptr) return pool_->num_vertices();
-    if (segments_ != nullptr) return segments_->num_vertices();
-    return comp_ != nullptr ? comp_->num_vertices() : 0;
+    return segments_ != nullptr ? segments_->num_vertices() : 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
     if (pool_ != nullptr) return pool_->size();
-    if (segments_ != nullptr) return segments_->size();
-    return comp_ != nullptr ? comp_->size() : 0;
+    return segments_ != nullptr ? segments_->size() : 0;
   }
 
   [[nodiscard]] RRRSetView operator[](std::size_t i) const noexcept {
     if (pool_ != nullptr) return RRRSetView((*pool_)[i]);
-    if (segments_ != nullptr) return segments_->slot(i);
-    return RRRSetView(comp_->slot(i));
+    return segments_->slot(i);
   }
 
   /// Sum of set sizes (== total counter increments during a build).
   [[nodiscard]] std::uint64_t total_vertices() const noexcept;
   /// Sets in bitmap representation: RRRSet bitmaps or segmented bitmap
-  /// slots (always 0 for compressed backing).
+  /// slots.
   [[nodiscard]] std::size_t bitmap_count() const noexcept;
   /// Heap/staging footprint of the backing storage, slot tables included.
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
@@ -409,7 +361,6 @@ class RRRPoolView {
  private:
   const RRRPool* pool_ = nullptr;
   const SegmentedPool* segments_ = nullptr;
-  const CompressedPool* comp_ = nullptr;
 };
 
 }  // namespace eimm

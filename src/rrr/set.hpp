@@ -21,12 +21,8 @@
 
 namespace eimm {
 
-/// How a set's members are physically stored. kVector/kBitmap are the
-/// paper's adaptive pair (RRRSet); kCompressed marks gap-coded slots
-/// served by CompressedPool through RRRSetView — the selection kernels
-/// route it through their generic for_each/contains path (decode on
-/// enumerate), never the vertices() span fast path.
-enum class RRRRepr { kVector, kBitmap, kCompressed };
+/// How a set's members are physically stored: the paper's adaptive pair.
+enum class RRRRepr { kVector, kBitmap };
 
 /// Fraction of |V| above which a set switches to bitmap representation.
 /// 1/32 equalizes the memory of the two encodings (4-byte id vs 1 bit).

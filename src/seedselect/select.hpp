@@ -35,7 +35,7 @@
 // pass over the pool fills it, each worker bucketing the hits of its own
 // contiguous range of set ids privately, so no atomic or sort is
 // needed; a decrement whose seed is indexed then costs O(covered sets) —
-// it walks the seed's list — instead of a θ-wide scan that decodes every
+// it walks the seed's list — instead of a θ-wide scan that probes every
 // alive set to test membership. A seed outside the index (or a pool
 // with no index: the top vertex alone exceeds the budget, or θ ≥ 2^32)
 // falls back to that scan unchanged. The kernel is
@@ -63,7 +63,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -233,8 +232,7 @@ struct SelectionResult {
 namespace detail {
 
 /// Traced iteration over one RRR set: touches the payload the way the
-/// real representation lays it out (run elements, bitmap words, or the
-/// gap-coded bytes). `SetT` is RRRSet or RRRSetView — both expose the
+/// real representation lays it out (run elements or bitmap words). `SetT` is RRRSet or RRRSetView — both expose the
 /// same surface, so the kernels run unchanged over legacy pools and
 /// zero-copy views.
 template <typename Mem, typename SetT, typename Fn>
@@ -245,24 +243,17 @@ void for_each_traced(const SetT& set, Fn&& fn) {
       Mem::touch(&v, sizeof(VertexId));
       fn(v);
     }
-  } else if (repr == RRRRepr::kBitmap) {
+  } else {
     // Bitmap: the kernel streams whole words and expands set bits.
     const std::uint64_t* words = set.words().data();
     set.for_each([&](VertexId v) {
       Mem::touch(words + (v >> 6), sizeof(std::uint64_t));
       fn(v);
     });
-  } else {
-    if constexpr (std::is_same_v<SetT, RRRSetView>) {
-      const auto bytes = set.payload();
-      Mem::touch(bytes.data(), bytes.size());
-    }
-    set.for_each(std::forward<Fn>(fn));
   }
 }
 
-/// Traced membership test (binary search probes / single bit test /
-/// linear decode of a gap-coded payload).
+/// Traced membership test (binary search probes / single bit test).
 template <typename Mem, typename SetT>
 bool contains_traced(const SetT& set, VertexId v) {
   const RRRRepr repr = set.repr();
@@ -281,14 +272,9 @@ bool contains_traced(const SetT& set, VertexId v) {
     return lo < verts.size() && verts[lo] == v;
   }
   if constexpr (Mem::kTracing) {
-    if (repr == RRRRepr::kBitmap) {
-      const auto words = set.words();
-      if ((v >> 6) < words.size()) {
-        Mem::touch(words.data() + (v >> 6), sizeof(std::uint64_t));
-      }
-    } else if constexpr (std::is_same_v<SetT, RRRSetView>) {
-      const auto bytes = set.payload();
-      Mem::touch(bytes.data(), bytes.size());
+    const auto words = set.words();
+    if ((v >> 6) < words.size()) {
+      Mem::touch(words.data() + (v >> 6), sizeof(std::uint64_t));
     }
   }
   return set.contains(v);

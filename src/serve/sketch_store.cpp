@@ -11,6 +11,7 @@
 
 #include "diffusion/model.hpp"
 #include "io/binary.hpp"
+#include "io/write_file.hpp"
 #include "rrr/gap_codec.hpp"
 #include "runtime/thread_info.hpp"
 #include "serve/query_engine.hpp"
@@ -306,25 +307,6 @@ SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
   const std::size_t count = store.num_sketches_;
   store.sketch_offsets_own_.resize(count + 1);
   store.sketch_offsets_own_[0] = 0;
-  if (build.compressed) {
-    // Adopt the gap-coded pool as-is (varint or Huffman): queries decode
-    // on enumerate, so the serving RSS is the compressed footprint. The
-    // member-count CSR is rebuilt from the slot counts; the byte CSR and
-    // payload are served straight from the adopted pool.
-    store.backing_cpool_ = std::move(build.cpool);
-    store.compressed_ = true;
-    const std::span<const std::uint32_t> counts = store.backing_cpool_.counts();
-    for (std::size_t s = 0; s < count; ++s) {
-      store.sketch_offsets_own_[s + 1] =
-          store.sketch_offsets_own_[s] + counts[s];
-    }
-    store.comp_offsets_ = store.backing_cpool_.offsets();
-    store.comp_payload_ = store.backing_cpool_.payload();
-    store.sketch_offsets_ = store.sketch_offsets_own_;
-    store.flat_ = false;
-    store.finalize();
-    return store;
-  }
   store.entry_ptrs_.assign(count, nullptr);
   if (build.segmented) {
     store.backing_segments_ = std::move(build.segments);
@@ -453,7 +435,6 @@ void SketchStore::materialize_flat() {
   backing_segments_ = SegmentedPool();
   bitmap_expansion_ = {};
   compressed_ = false;
-  backing_cpool_ = CompressedPool();
   comp_offsets_ = {};
   comp_payload_ = {};
 }
@@ -464,7 +445,6 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
          entry_ptrs_.capacity() * sizeof(const VertexId*) +
          backing_pool_.memory_bytes() + backing_segments_.memory_bytes() +
          bitmap_expansion_.capacity() * sizeof(VertexId) +
-         backing_cpool_.memory_bytes() +
          image_own_.capacity() +
          node_offsets_own_.capacity() * sizeof(std::uint64_t) +
          node_sketches_own_.capacity() * sizeof(SketchId) +
@@ -482,10 +462,10 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   const std::string meta_blob = meta_os.str();
 
   // The payload section. Raw: the flat vertex image — this is where a
-  // deferred (or compressed) backing finally pays the flatten/decode.
-  // Compressed: the varint gap streams — a varint-compressed store's
-  // payload is written as-is; every other backing (flat, deferred,
-  // Huffman) is (trans)coded into a transient varint image here.
+  // deferred (or loaded compressed) backing finally pays the
+  // flatten/decode. Compressed: the varint gap streams — a loaded
+  // compressed store's payload is written as-is; every other backing
+  // (flat or deferred) is encoded into a transient varint image here.
   std::vector<VertexId> transient_flat;
   std::vector<std::uint64_t> transient_comp_offsets;
   std::vector<std::uint8_t> transient_comp_payload;
@@ -500,7 +480,7 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
     }
     payload_data = payload.data();
     payload_bytes = payload.size_bytes();
-  } else if (compressed_ && backing_cpool_.codec() != PoolCodec::kHuffman) {
+  } else if (compressed_) {
     payload_data = comp_payload_.data();
     payload_bytes = comp_payload_.size_bytes();
     comp_offsets = comp_offsets_;
@@ -625,10 +605,8 @@ bool operator==(const SketchStore& a, const SketchStore& b) {
 
 void SketchStore::save_file(const std::string& path,
                             SnapshotSaveOptions options) const {
-  std::ofstream os(path, std::ios::binary);
-  EIMM_CHECK(os.good(), "cannot open snapshot file for writing");
-  save(os, options);
-  EIMM_CHECK(os.good(), "snapshot write failed");
+  write_file(path, "snapshot file",
+             [&](std::ostream& os) { save(os, options); });
 }
 
 void SketchStore::validate_primary() const {

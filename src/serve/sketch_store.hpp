@@ -41,9 +41,8 @@
 //        page-cache copy of the sketch data.
 //   v3 — v2's layout with a COMPRESSED sketch payload: the sketch-
 //        vertices section holds the delta-varint gap streams of all
-//        sketches back to back (rrr/gap_codec.hpp — always plain
-//        varints on disk; a Huffman-backed store transcodes at save),
-//        and an eighth section carries the per-sketch byte offsets.
+//        sketches back to back (rrr/gap_codec.hpp), and an eighth
+//        section carries the per-sketch byte offsets.
 //        Loads keep the payload compressed and serve queries
 //        decode-on-enumerate.
 //   v4 — the v2/v3 layouts with INTEGRITY CHECKSUMS: each section-table
@@ -77,7 +76,7 @@
 #include "core/imm.hpp"
 #include "graph/types.hpp"
 #include "io/mmap.hpp"
-#include "rrr/compressed_pool.hpp"
+#include "rrr/gap_codec.hpp"
 #include "rrr/pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "support/macros.hpp"
@@ -156,8 +155,8 @@ struct SnapshotLoadStats {
 /// Snapshot writer knobs (see save()).
 struct SnapshotSaveOptions {
   /// Write the compressed-payload layout. Works from any backing: a
-  /// compressed store's varint payload is written as-is, a Huffman-
-  /// backed one transcodes, a raw one encodes at save time.
+  /// loaded compressed store's varint payload is written as-is, a raw
+  /// one encodes at save time.
   bool compress = false;
 };
 
@@ -173,11 +172,9 @@ class SketchStore {
                            std::string workload_label = "");
 
   /// Zero-copy freeze: takes ownership of the build's storage (the
-  /// CompressedPool on a pool-compressed build, the SegmentedPool
-  /// arenas on the sharded path, the RRRPool otherwise) and serves
-  /// sketches in place. Only bitmap-represented sets are expanded; the
-  /// contiguous image is deferred to save(). A compressed build stays
-  /// compressed: queries decode on enumerate (see for_each_member).
+  /// SegmentedPool arenas on the sharded path, the RRRPool otherwise)
+  /// and serves sketches in place. Only bitmap-represented sets are
+  /// expanded; the contiguous image is deferred to save().
   static SketchStore from_build(PoolBuild&& build, std::size_t k_max,
                                 SketchStoreMeta meta = {});
 
@@ -233,7 +230,7 @@ class SketchStore {
   /// load(); after build() only once save()/materialize_flat() ran).
   [[nodiscard]] bool flat() const noexcept { return flat_; }
 
-  /// True when the sketch payload is gap-coded (compressed build or v3
+  /// True when the sketch payload is gap-coded (a loaded compressed
   /// snapshot) and queries decode on enumerate.
   [[nodiscard]] bool compressed() const noexcept { return compressed_; }
   /// Bytes of the gap-coded payload (0 when not compressed).
@@ -352,17 +349,13 @@ class SketchStore {
   void decode_sections(std::span<const std::uint8_t> image,
                        ChecksumMode checksums);
 
-  /// Slot view of a compressed sketch (compressed_ only): through the
-  /// adopted CompressedPool when one backs the store (build path — may
-  /// be Huffman-coded), else over the snapshot's varint payload spans.
-  [[nodiscard]] CompressedSlot comp_slot(SketchId s) const noexcept {
-    if (backing_cpool_.size() > 0) return backing_cpool_.slot(s);
-    return CompressedSlot{
-        comp_payload_.data() + comp_offsets_[s],
-        comp_offsets_[s + 1] - comp_offsets_[s],
-        static_cast<std::uint32_t>(sketch_offsets_[s + 1] -
-                                   sketch_offsets_[s]),
-        nullptr};
+  /// Gap-coded members of a compressed sketch (compressed_ only),
+  /// over the snapshot's varint payload spans.
+  [[nodiscard]] GapRun comp_slot(SketchId s) const noexcept {
+    return GapRun{comp_payload_.data() + comp_offsets_[s],
+                  comp_offsets_[s + 1] - comp_offsets_[s],
+                  static_cast<std::uint32_t>(sketch_offsets_[s + 1] -
+                                             sketch_offsets_[s])};
   }
 
   VertexId num_vertices_ = 0;
@@ -398,12 +391,9 @@ class SketchStore {
   SegmentedPool backing_segments_;
   std::vector<VertexId> bitmap_expansion_;  // expanded bitmap sets only
 
-  /// Compressed backing (used iff compressed_). Build path: the adopted
-  /// CompressedPool (varint or Huffman). Snapshot path: varint payload
-  /// + byte offsets inside the snapshot image; comp_offsets_/
-  /// comp_payload_ always point at whichever storage is live.
+  /// Compressed backing (used iff compressed_): the varint payload and
+  /// its byte offsets inside the snapshot image.
   bool compressed_ = false;
-  CompressedPool backing_cpool_;
   std::span<const std::uint64_t> comp_offsets_;  // num_sketches_ + 1
   std::span<const std::uint8_t> comp_payload_;
 

@@ -1,12 +1,15 @@
 #include "io/binary.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "support/macros.hpp"
+#include "test_util.hpp"
 
 namespace eimm {
 namespace {
@@ -70,6 +73,15 @@ TEST(BinaryCsr, FileRoundTrip) {
       ::testing::TempDir() + "/eimm_binary_roundtrip.bin";
   write_binary_csr_file(path, g);
   expect_equal_graphs(g, read_binary_csr_file(path));
+}
+
+TEST(BinaryCsr, FileWriteToFullDeviceThrows) {
+  // /dev/full accepts the open and buffered writes, then fails the flush
+  // with ENOSPC. A 3-vertex graph fits in the stream buffer, so only a
+  // check after close sees the failure.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const CSRGraph g = build_csr({{0, 1}, {1, 2}}, 3);
+  EXPECT_THROW(write_binary_csr_file("/dev/full", g), CheckError);
 }
 
 TEST(BinaryCsr, MissingFileThrows) {
@@ -211,6 +223,51 @@ TEST(BinaryPrimitives, CorruptedLengthPrefixThrowsInsteadOfAllocating) {
   bin::write_pod(str_stream, std::uint64_t{1} << 60);
   str_stream << "short";
   EXPECT_THROW(bin::read_string(str_stream), CheckError);
+}
+
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(BinaryPrimitives, LyingLengthOnNonSeekableStreamAllocatesBoundedMemory) {
+  // A pipe cannot report its size, so the declared length cannot be
+  // checked up front. 2^26 u64 (512 MiB) declared in front of 16 real
+  // bytes must fail as truncated after allocating about what arrived,
+  // not value-initialise the declared length first.
+  std::stringstream ss;
+  bin::write_pod(ss, std::uint64_t{1} << 26);
+  bin::write_pod(ss, std::uint64_t{7});
+  bin::write_pod(ss, std::uint64_t{9});
+  testing::PipeBuf pipe(ss.str());
+  std::istream is(&pipe);
+  const long before = peak_rss_kib();
+  try {
+    (void)bin::read_vec<std::uint64_t>(is, "test payload");
+    FAIL() << "accepted a payload shorter than its declared length";
+  } catch (const bin::FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(peak_rss_kib() - before, 64L * 1024) << "KiB of peak RSS growth";
+  EXPECT_EQ(pipe.served(), 24u);
+}
+
+TEST(BinaryPrimitives, NonSeekableStreamRoundTripsAcrossGrowthSteps) {
+  // Payloads larger than the first growth step come back intact.
+  std::vector<std::uint32_t> values(100000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  }
+  const std::string text(70000, 'x');
+  std::stringstream ss;
+  bin::write_vec(ss, values);
+  bin::write_string(ss, text);
+  testing::PipeBuf pipe(ss.str());
+  std::istream is(&pipe);
+  EXPECT_EQ(bin::read_vec<std::uint32_t>(is), values);
+  EXPECT_EQ(bin::read_string(is), text);
 }
 
 }  // namespace

@@ -2,16 +2,13 @@
 // view over shard-local SegmentedPool storage holding the SAME sets must
 // be indistinguishable slot-by-slot — size, membership, enumeration
 // order, and the flattened CSR image — because the selection kernels'
-// bit-identical seed guarantee rests on exactly this equivalence. Also
-// covers the ShardArena reset() chunk-reuse semantics the compressed
-// pool's per-round recycling depends on.
+// bit-identical seed guarantee rests on exactly this equivalence.
 #include "rrr/pool_view.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -180,7 +177,7 @@ TEST(SegmentedPool, BitmapSlotMatchesMakeAdaptiveOffWordBoundary) {
 }
 
 TEST(SegmentedPool, MemoryBytesCountsTheSlotTable) {
-  // Like RRRPool and CompressedPool, the segmented backing reports its
+  // Like RRRPool, the segmented backing reports its
   // per-slot entry table, not only the arena chunks.
   SegmentedPool empty_slots(100);
   empty_slots.resize(1000);
@@ -193,20 +190,6 @@ TEST(SegmentedPool, MemoryBytesCountsTheSlotTable) {
   const SegmentedPool segments = segment_pool(pool, 3);
   EXPECT_GE(segments.memory_bytes(),
             segments.mapped_bytes() + segments.size() * 16u);
-}
-
-TEST(RRRPoolView, CompressedAppendOverBitmapSlots) {
-  // CompressedPool::append enumerates bitmap slots ascending, so a
-  // compressed copy of a segmented pool with bitmaps holds the same sets.
-  const RRRPool pool = sampled_pool(/*adaptive=*/true);
-  const SegmentedPool segments = segment_pool_adaptive(pool, 2);
-  ASSERT_GT(RRRPoolView(segments).bitmap_count(), 0u);
-  for (const PoolCodec codec : {PoolCodec::kVarint, PoolCodec::kHuffman}) {
-    CompressedPool comp(segments.num_vertices(), codec);
-    comp.append(segments, 0, 100);
-    comp.append(segments, 100, segments.size());
-    expect_views_identical(RRRPoolView(segments), RRRPoolView(comp));
-  }
 }
 
 TEST(RRRPoolView, ContainsRejectsNonMembersOnBothBackings) {
@@ -236,48 +219,6 @@ TEST(RRRSetView, VerticesSpanMatchesSetVectorRepresentation) {
   EXPECT_EQ(run_view.size(), 4u);
   EXPECT_TRUE(std::equal(run_view.vertices().begin(),
                          run_view.vertices().end(), view.vertices().begin()));
-}
-
-// --- ShardArena reset/reuse (the per-round recycling contract) ---
-
-TEST(ShardArena, ResetReusesMappedChunksAcrossRounds) {
-  ShardArena arena(/*chunk_vertices=*/16);
-  std::vector<VertexId> run(10);
-  std::iota(run.begin(), run.end(), 0);
-
-  for (int i = 0; i < 4; ++i) arena.append(run);
-  const std::uint64_t mapped_after_round1 = arena.mapped_bytes();
-  const std::uint64_t staged_after_round1 = arena.staged_bytes();
-  ASSERT_GT(mapped_after_round1, 0u);
-
-  arena.reset();
-  std::vector<ShardArena::Ref> refs;
-  for (int i = 0; i < 4; ++i) refs.push_back(arena.append(run));
-
-  // Same payload volume → no new chunks; staged keeps accumulating.
-  EXPECT_EQ(arena.mapped_bytes(), mapped_after_round1);
-  EXPECT_EQ(arena.staged_bytes(), 2 * staged_after_round1);
-  EXPECT_EQ(arena.runs(), 8u);
-  for (const ShardArena::Ref& ref : refs) {
-    const auto view = arena.view(ref);
-    EXPECT_EQ(std::vector<VertexId>(view.begin(), view.end()), run);
-  }
-}
-
-TEST(ShardArena, ResetKeepsOversizedChunksUsable) {
-  ShardArena arena(/*chunk_vertices=*/4);
-  std::vector<VertexId> giant(100);
-  std::iota(giant.begin(), giant.end(), 0);
-  arena.append({giant.data(), 3});
-  arena.append(giant);  // dedicated oversized chunk
-  const std::uint64_t mapped = arena.mapped_bytes();
-
-  arena.reset();
-  arena.append({giant.data(), 2});
-  const auto ref = arena.append(giant);  // must land in the reused chunk
-  EXPECT_EQ(arena.mapped_bytes(), mapped);
-  const auto view = arena.view(ref);
-  EXPECT_EQ(std::vector<VertexId>(view.begin(), view.end()), giant);
 }
 
 TEST(SegmentedPool, TracksStagedAndMappedBytesAcrossWorkers) {

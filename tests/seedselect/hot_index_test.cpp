@@ -12,7 +12,6 @@
 #include <limits>
 #include <utility>
 
-#include "rrr/compressed_pool.hpp"
 #include "rrr/pool_view.hpp"
 #include "runtime/reduction.hpp"
 #include "runtime/thread_info.hpp"
@@ -233,18 +232,12 @@ TEST(HotVertexIndex, BucketedListsMatchBruteForceForAnyTeamAndStorage) {
   const RRRPool pool = adaptive_pool(sets);
   const SegmentedPool segments = segmented_pool(pool);
   ASSERT_GT(RRRPoolView(segments).bitmap_count(), 0u);
-  CompressedPool varint(kN, PoolCodec::kVarint);
-  varint.append(segments, 0, segments.size());
-  CompressedPool huffman(kN, PoolCodec::kHuffman);
-  huffman.append(segments, 0, segments.size());
   const CounterArray counters = initial_counts(pool);
   for (const int threads : {1, 2, 3}) {
     const ThreadCountScope scope(threads);
     for (const auto& [view, what] :
          {std::pair{RRRPoolView(pool), "flat"},
-          std::pair{RRRPoolView(segments), "segmented"},
-          std::pair{RRRPoolView(varint), "varint"},
-          std::pair{RRRPoolView(huffman), "huffman"}}) {
+          std::pair{RRRPoolView(segments), "segmented"}}) {
       const HotVertexIndex index =
           HotVertexIndex::build<NullMem>(view, counters);
       ASSERT_FALSE(index.empty()) << what << ", " << threads << " threads";
@@ -377,7 +370,7 @@ TEST(HotVertexIndexSelection, NonAdaptiveDecrementUsesTheIndex) {
   EXPECT_EQ(r.rebuild_rounds, 0u);
 }
 
-TEST(HotVertexIndexSelection, SegmentedBitmapAndCompressedViewsAgree) {
+TEST(HotVertexIndexSelection, SegmentedBitmapViewAgrees) {
   const Sets sets = skewed_sets(8000, /*dense_every=*/50);
   const RRRPool pool = adaptive_pool(sets);
   const SegmentedPool segments = segmented_pool(pool);
@@ -390,13 +383,6 @@ TEST(HotVertexIndexSelection, SegmentedBitmapAndCompressedViewsAgree) {
   const SelectionResult segmented =
       check_efficient(RRRPoolView(segments), sets, options);
   EXPECT_EQ(segmented.indexed_rounds, reference.indexed_rounds);
-  for (const PoolCodec codec : {PoolCodec::kVarint, PoolCodec::kHuffman}) {
-    CompressedPool comp(kN, codec);
-    comp.append(segments, 0, segments.size());
-    const SelectionResult compressed =
-        check_efficient(RRRPoolView(comp), sets, options);
-    EXPECT_EQ(compressed.indexed_rounds, reference.indexed_rounds);
-  }
 }
 
 TEST(HotVertexIndexSelection, PoolBelowTheBudgetBuildsNoIndex) {

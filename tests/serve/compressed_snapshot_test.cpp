@@ -1,9 +1,9 @@
 // Compressed snapshot coverage (the 8-section layout: v3, and v4 as
 // save() writes it): gap-coded sketch payloads must round-trip through
 // both loaders, serve identical queries to the raw image, reject
-// structural corruption with typed errors, and adopt a compressed
-// PoolBuild without materializing the flat payload. The V3/V2 in the
-// test names are the compressed and raw layouts.
+// structural corruption with typed errors, and decode back to the raw
+// layout on a plain save. The V3/V2 in the test names are the compressed
+// and raw layouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,13 +26,12 @@ namespace {
 
 using namespace snapshot_image;
 
-SketchStore make_store(PoolCompression compress = PoolCompression::kNone) {
+SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
   ImmOptions options;
   options.k = 6;
   options.max_rrr_sets = 4096;
-  options.pool_compress = compress;
   return SketchStore::build(g, options, "amazon-compressed");
 }
 
@@ -71,6 +70,14 @@ TEST(CompressedSnapshot, V3RoundTripsThroughBothLoaders) {
   resave.compress = true;
   mapped.save(resaved, resave);
   EXPECT_EQ(resaved.str(), read_file(path));
+
+  // A plain save decodes the gap-coded payload back to the raw layout
+  // the built store writes.
+  std::stringstream raw_from_built;
+  store.save(raw_from_built);
+  std::stringstream raw_from_mapped;
+  mapped.save(raw_from_mapped);
+  EXPECT_EQ(raw_from_mapped.str(), raw_from_built.str());
 }
 
 TEST(CompressedSnapshot, V3IsSmallerThanV2AndServesIdenticalQueries) {
@@ -144,34 +151,6 @@ TEST(CompressedSnapshot, MaterializeFlatRestoresSpans) {
     EXPECT_EQ(compressed.member_count(id), reference.member_count(id));
   }
   EXPECT_TRUE(compressed == reference);
-}
-
-TEST(CompressedSnapshot, CompressedBuildAdoptsPoolWithoutFlattening) {
-  for (const PoolCompression mode :
-       {PoolCompression::kVarint, PoolCompression::kHuffman}) {
-    const SketchStore compressed = make_store(mode);
-    EXPECT_TRUE(compressed.compressed());
-    EXPECT_GT(compressed.compressed_payload_bytes(), 0u);
-
-    const SketchStore raw = make_store();
-    EXPECT_FALSE(raw.compressed());
-    EXPECT_TRUE(raw == compressed) << to_string(mode);
-    const std::span<const VertexId> raw_seeds = raw.default_seeds();
-    const std::span<const VertexId> comp_seeds = compressed.default_seeds();
-    ASSERT_EQ(raw_seeds.size(), comp_seeds.size());
-    EXPECT_TRUE(std::equal(raw_seeds.begin(), raw_seeds.end(),
-                           comp_seeds.begin()));
-
-    // Both saves (compressed and raw) of the compressed-build store must
-    // load back equal to the raw-build image.
-    const std::string path = snapshot_path("eimm_v3_adopted.sks");
-    SnapshotSaveOptions save;
-    save.compress = true;
-    compressed.save_file(path, save);
-    EXPECT_TRUE(raw == SketchStore::load_file(path)) << to_string(mode);
-    compressed.save_file(path);
-    EXPECT_TRUE(raw == SketchStore::load_file(path)) << to_string(mode);
-  }
 }
 
 TEST(CompressedSnapshot, StructuralCorruptionsThrow) {

@@ -4,16 +4,17 @@
 // CheckError instead of UB (the suite runs under the asan preset in CI).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <sstream>
-#include <streambuf>
 
 #include "io/binary.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
 #include "serve/snapshot_image.hpp"
 #include "support/macros.hpp"
+#include "test_util.hpp"
 #include "workloads/registry.hpp"
 
 namespace eimm {
@@ -21,21 +22,7 @@ namespace {
 
 using namespace snapshot_image;
 
-/// Serves fixed bytes through a streambuf that cannot seek (the base
-/// class's seekoff/seekpos fail), so it cannot report its size either —
-/// a pipe, as far as the loader can tell.
-class PipeBuf : public std::streambuf {
- public:
-  explicit PipeBuf(std::string data) : data_(std::move(data)) {
-    setg(data_.data(), data_.data(), data_.data() + data_.size());
-  }
-  [[nodiscard]] std::size_t served() const {
-    return static_cast<std::size_t>(gptr() - eback());
-  }
-
- private:
-  std::string data_;
-};
+using testing::PipeBuf;
 
 SketchStore make_store() {
   const DiffusionGraph g = make_workload_with_weights(
@@ -278,6 +265,17 @@ TEST(SketchSnapshot, LyingFileSizeOnNonSeekableStreamThrowsWithoutAllocating) {
   PipeBuf short_pipe(shrunk);
   std::istream short_is(&short_pipe);
   EXPECT_THROW(SketchStore::load(short_is), bin::FormatError);
+}
+
+TEST(SketchSnapshot, SaveToFullDeviceThrows) {
+  // /dev/full accepts the open and buffered writes, then fails every
+  // flush with ENOSPC: the save must throw, not report a written file.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const SketchStore store = make_store();
+  EXPECT_THROW(store.save_file("/dev/full"), CheckError);
+  SnapshotSaveOptions compress;
+  compress.compress = true;
+  EXPECT_THROW(store.save_file("/dev/full", compress), CheckError);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // (rrr/fused.hpp), at the pipeline level:
 //   * fused IC output is STATISTICALLY equivalent to the scalar path —
 //     the seeds it selects must match the scalar seeds' Monte-Carlo
-//     spread within the harness tolerance, across shard counts and pool
-//     compression backings (the bit-match check's replacement, see the
+//     spread within the harness tolerance, across shard counts (the
+//     bit-match check's replacement, see the
 //     statcheck.hpp preamble — this is exactly the "future optimizations
 //     may trade exact pool identity for speed" case it was built for);
 //   * LT never fuses: a fused request samples scalar, so the whole
@@ -58,10 +58,10 @@ std::vector<VertexId> members(const RRRSetView& slot) {
 }
 
 TEST(FusedStatistical, FusedSeedsMatchScalarSpreadAcrossShardsAndBackings) {
-  // The headline contract: for IC and LT, across shard counts and pool
-  // compression backings, seeds from a fused build must be as good as
-  // the scalar build's seeds under forward Monte-Carlo estimation. Only
-  // IC actually runs fused; an LT request samples scalar.
+  // The headline contract: for IC and LT, across shard counts, seeds
+  // from a fused build must be as good as the scalar build's seeds under
+  // forward Monte-Carlo estimation. Only IC actually runs fused; an LT
+  // request samples scalar.
   for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                      DiffusionModel::kLinearThreshold}) {
     const DiffusionGraph g = statcheck_workload(
@@ -74,20 +74,14 @@ TEST(FusedStatistical, FusedSeedsMatchScalarSpreadAcrossShardsAndBackings) {
 
     opt.fused_sampling = FusedSampling::kOn;
     for (const int shards : {1, 3}) {
-      for (const PoolCompression compress :
-           {PoolCompression::kNone, PoolCompression::kVarint}) {
-        opt.shards = shards;
-        opt.pool_compress = compress;
-        const ImmResult fused = run_imm(g, opt, Engine::kEfficient);
-        EXPECT_EQ(fused.fused_sampling_used,
-                  model == DiffusionModel::kIndependentCascade);
-        const auto cmp =
-            compare_spread(g, model, scalar.seeds, fused.seeds);
-        EXPECT_TRUE(cmp.within(kSpreadTolerance))
-            << to_string(model) << " shards=" << shards
-            << " compress=" << static_cast<int>(compress) << ": "
-            << cmp.describe();
-      }
+      opt.shards = shards;
+      const ImmResult fused = run_imm(g, opt, Engine::kEfficient);
+      EXPECT_EQ(fused.fused_sampling_used,
+                model == DiffusionModel::kIndependentCascade);
+      const auto cmp = compare_spread(g, model, scalar.seeds, fused.seeds);
+      EXPECT_TRUE(cmp.within(kSpreadTolerance))
+          << to_string(model) << " shards=" << shards << ": "
+          << cmp.describe();
     }
   }
 }

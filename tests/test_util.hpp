@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,22 @@
 #include "rrr/pool.hpp"
 
 namespace eimm::testing {
+
+/// Serves fixed bytes through a streambuf that cannot seek (the base
+/// class's seekoff/seekpos fail), so it cannot report its size either —
+/// a pipe, as far as a reader can tell.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+  [[nodiscard]] std::size_t served() const {
+    return static_cast<std::size_t>(gptr() - eback());
+  }
+
+ private:
+  std::string data_;
+};
 
 /// Scoped environment override that restores the previous value on
 /// destruction. Pass nullptr to unset the variable for the scope.

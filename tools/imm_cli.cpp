@@ -28,9 +28,6 @@
 //   --counter-shards N  NUMA counter replicas for selection (default:
 //                       EIMM_COUNTER_SHARDS, then the domain count;
 //                       1 = legacy flat counter)
-//   --pool-compress M   compressed RRR pool backing: off|varint|huffman
-//                       (default: EIMM_POOL_COMPRESS, then off); seeds
-//                       are bit-identical for every mode
 //   --fused             fused 64-wide IC RRR generation (default:
 //                       EIMM_FUSED, then on); IC output is
 //                       statistically, not bitwise, equivalent to the
@@ -93,8 +90,7 @@ struct CliOptions {
                "          [--no-fusion] [--no-adaptive-repr]\n"
                "          [--no-adaptive-update] [--no-balance] [--no-numa]\n"
                "          [--pin auto|none|compact|spread]\n"
-               "          [--counter-shards N]\n"
-               "          [--pool-compress off|varint|huffman] [--fused]\n"
+               "          [--counter-shards N] [--fused]\n"
                "          [--simulate N] [--log-dir DIR] [--verbose]\n"
                "          [--metrics OUT.json]\n",
                argv0);
@@ -140,17 +136,6 @@ CliOptions parse_cli(int argc, char** argv) {
       const long shards = std::strtol(next().c_str(), nullptr, 10);
       if (shards < 1) usage(argv[0], "--counter-shards must be >= 1");
       options.imm.counter_shards = static_cast<int>(shards);
-    } else if (arg == "--pool-compress") {
-      const std::string mode = next();
-      if (mode == "off" || mode == "none") {
-        options.imm.pool_compress = PoolCompression::kNone;
-      } else if (mode == "varint") {
-        options.imm.pool_compress = PoolCompression::kVarint;
-      } else if (mode == "huffman") {
-        options.imm.pool_compress = PoolCompression::kHuffman;
-      } else {
-        usage(argv[0], "--pool-compress must be off|varint|huffman");
-      }
     } else if (arg == "--fused") {
       options.imm.fused_sampling = FusedSampling::kOn;
     } else if (arg == "--no-fusion") options.imm.kernel_fusion = false;
@@ -238,13 +223,6 @@ int run_cli(int argc, char** argv) {
                                                        numa_topology())))
                   .c_str(),
               result.fused_sampling_used ? ", fused sampling" : "");
-  if (result.pool_compression_used != PoolCompression::kNone) {
-    std::printf("pool: %s-compressed, %llu payload bytes, encode %.3fs\n",
-                std::string(to_string(result.pool_compression_used)).c_str(),
-                static_cast<unsigned long long>(
-                    result.compressed_payload_bytes),
-                result.encode_seconds);
-  }
 
   if (options.verbose) {
     std::printf("\nmartingale iterations:\n");
