@@ -193,45 +193,122 @@ void traverse_ic(const CSRGraph& reverse, Xoshiro256& mask_rng,
   stats.coin_edges = coin_edges;
 }
 
+/// Population count as a branch-free SWAR sum (Hacker's Delight §5-1):
+/// std::popcount compiles to a libgcc call on baseline x86-64.
+constexpr unsigned lane_count(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
+
+/// Lane bits at or above which a touched vertex group is transposed as
+/// a 64×64 bit matrix instead of scattered bit by bit. The transpose
+/// costs the same whatever the group holds; the scatter costs one
+/// read-modify-write per lane bit.
+constexpr std::uint64_t kTransposeMinLaneBits = 96;
+
+/// Touched vertices a group needs before its lane bits are counted for
+/// that choice. Counting is a pass of its own, and on sparse graphs —
+/// a few touched vertices per group, one lane each — its data-dependent
+/// trip count costs more than the scatter it could save; such a group
+/// scatters straight away and counts as it goes.
+constexpr unsigned kCountMinVertices = 8;
+
+/// The matrix path for touched group j (`group` = its 64 visited words,
+/// `vertices` = its touched mask): counts the group's lane bits,
+/// crediting each vertex with its lanes, and when they reach
+/// kTransposeMinLaneBits transposes the group in place (untouched
+/// vertices' words, the last group's padding included, are zero) and
+/// adds each lane's popcount to `counts`. Returns false with the words
+/// untouched for a sparser group. `present` receives the lane mask and
+/// `lane_bits` the lane-bit count either way. Kept out of line so that
+/// the scatter loop, which most groups of a sparse graph take, is not
+/// compiled around the transpose's registers.
+template <typename Credit>
+[[gnu::noinline]] bool transpose_dense_group(
+    std::uint64_t* group, std::size_t j, std::uint64_t vertices,
+    std::uint64_t& present, std::uint64_t& lane_bits,
+    std::array<std::uint32_t, kFusedLanes>& counts, Credit& credit) {
+  present = 0;
+  lane_bits = 0;
+  for (; vertices != 0; vertices &= vertices - 1) {
+    const auto i = static_cast<unsigned>(std::countr_zero(vertices));
+    const std::uint64_t word = group[i];
+    const unsigned lanes = lane_count(word);
+    present |= word;
+    lane_bits += lanes;
+    credit(static_cast<VertexId>((j << 6) | i), lanes);
+  }
+  if (lane_bits < kTransposeMinLaneBits) return false;
+  transpose64(group);
+  for (std::uint64_t rest = present; rest != 0; rest &= rest - 1) {
+    const auto l = static_cast<unsigned>(std::countr_zero(rest));
+    counts[l] += lane_count(group[l]);
+  }
+  return true;
+}
+
 /// Rewrites the traversal's result group by group. Vertex group j is
 /// [64j, 64j + 64) with visited words visited[64j .. 64j + 63]; for
 /// every group with a touched vertex those words are transposed in
 /// place so that visited[64j + l] holds LANE l's membership bits for
-/// the group, and touched[j] becomes the group's lane mask. Only
-/// touched vertices are read, so the cost is O(|V|/64 + members).
-/// Emitting from lane words is one store per (group, lane) for a bitmap
-/// slot, and ascending bit order for a run — no sort anywhere. `counts`
-/// receives each lane's set size; `counters` (if any) the base
-/// counters, counters[v] += lanes at v.
+/// the group, and touched[j] becomes the group's lane mask. A dense
+/// group takes the word-parallel matrix transpose
+/// (transpose_dense_group); any other scatters its lane bits one at a
+/// time. Either way the cost is O(|V|/64 + members), and emitting from
+/// lane words is one store per (group, lane) for a bitmap slot and
+/// ascending bit order for a run — no sort anywhere. `counts` receives
+/// each lane's set size, and every touched vertex v is credited as
+/// credit(v, lanes at v) — the base counters.
+template <typename Credit>
 void transpose_groups(FusedScratch& scratch, FusedTraversalStats& stats,
                       std::array<std::uint32_t, kFusedLanes>& counts,
-                      CounterArray* counters) {
+                      Credit&& credit) {
   counts.fill(0);
   std::array<std::uint64_t, kFusedLanes> lane_words{};
   std::uint64_t* const touched = scratch.touched.data();
   const std::size_t groups = scratch.touched.size();
+  // Tallied in locals: stats may alias the visited words as far as the
+  // compiler knows, so updating it in the loop would reload it per store.
+  std::uint64_t touched_total = 0;
+  std::uint64_t members = 0;
+  std::uint64_t transposed = 0;
+  std::uint64_t scattered = 0;
   for (std::size_t j = 0; j < groups; ++j) {
     std::uint64_t vertices = touched[j];
     if (vertices == 0) continue;
     std::uint64_t* const group = scratch.visited.data() + (j << 6);
+    const unsigned touched_here = lane_count(vertices);
+    touched_total += touched_here;
     std::uint64_t present = 0;
+    const bool counted = touched_here >= kCountMinVertices;
+    if (counted) {
+      std::uint64_t lane_bits = 0;
+      const bool dense = transpose_dense_group(group, j, vertices, present,
+                                               lane_bits, counts, credit);
+      members += lane_bits;
+      if (dense) {
+        touched[j] = present;
+        ++transposed;
+        continue;
+      }
+    }
     for (; vertices != 0; vertices &= vertices - 1) {
       const auto i = static_cast<unsigned>(std::countr_zero(vertices));
       const std::uint64_t bit = std::uint64_t{1} << i;
       std::uint64_t word = group[i];
       group[i] = 0;
       present |= word;
-      std::uint64_t lanes = 0;
-      for (; word != 0; word &= word - 1) {
+      unsigned lanes = 0;
+      for (; word != 0; word &= word - 1, ++lanes) {
         const auto l = static_cast<unsigned>(std::countr_zero(word));
         lane_words[l] |= bit;
         ++counts[l];
-        ++lanes;
       }
-      ++stats.touched;
-      stats.members += lanes;
-      if (counters != nullptr) {
-        counters->add(static_cast<VertexId>((j << 6) | i), lanes);
+      if (!counted) {
+        members += lanes;
+        credit(static_cast<VertexId>((j << 6) | i), lanes);
       }
     }
     touched[j] = present;
@@ -240,16 +317,22 @@ void transpose_groups(FusedScratch& scratch, FusedTraversalStats& stats,
       group[l] = lane_words[l];
       lane_words[l] = 0;
     }
+    ++scattered;
   }
+  stats.touched += touched_total;
+  stats.members += members;
+  stats.groups_transposed += transposed;
+  stats.groups_scattered += scattered;
 }
 
-/// Shared front half of both entry points: validates, runs the IC
-/// traversal and transposes its result into lane words.
-FusedTraversalStats run_fused_traversal(
-    const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
-    std::uint64_t block, unsigned lane_begin, unsigned lane_end,
-    FusedScratch& scratch, std::array<std::uint32_t, kFusedLanes>& counts,
-    CounterArray* counters) {
+/// Shared front half of every entry point: validates and runs the IC
+/// traversal, leaving the lanes in scratch.visited for transpose_groups.
+FusedTraversalStats run_fused_traversal(const CSRGraph& reverse,
+                                        DiffusionModel model,
+                                        std::uint64_t base_seed,
+                                        std::uint64_t block,
+                                        unsigned lane_begin, unsigned lane_end,
+                                        FusedScratch& scratch) {
   EIMM_CHECK(model == DiffusionModel::kIndependentCascade,
              "fused sampling serves IC only; LT runs the scalar sampler");
   EIMM_CHECK(reverse.has_weights(), "reverse graph needs diffusion weights");
@@ -268,7 +351,6 @@ FusedTraversalStats run_fused_traversal(
   FusedTraversalStats stats;
   stats.lanes = lane_end - lane_begin;
   traverse_ic(reverse, mask_rng, scratch, stats);
-  transpose_groups(scratch, stats, counts, counters);
   return stats;
 }
 
@@ -300,40 +382,20 @@ void expand_lane_word(std::size_t j, std::uint64_t word, Out&& out) {
   }
 }
 
-}  // namespace
-
-FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
-                                     DiffusionModel model,
-                                     std::uint64_t base_seed,
-                                     std::uint64_t block, unsigned lane_begin,
-                                     unsigned lane_end,
-                                     FusedScratch& scratch) {
-  std::array<std::uint32_t, kFusedLanes> counts;
-  const FusedTraversalStats stats =
-      run_fused_traversal(reverse, model, base_seed, block, lane_begin,
-                          lane_end, scratch, counts, nullptr);
-  for (unsigned l = lane_begin; l < lane_end; ++l) {
-    scratch.members[l].clear();
-    scratch.members[l].reserve(counts[l]);
-  }
-  drain_lane_words(scratch, [&](unsigned l, std::size_t j, std::uint64_t word) {
-    expand_lane_word(j, word,
-                     [&](VertexId v) { scratch.members[l].push_back(v); });
-  });
-  return stats;
-}
-
-FusedTraversalStats sample_rrr_fused_into(
+/// Both sample_rrr_fused_into overloads: one traversal whose lanes are
+/// written straight into `arena`, crediting base counts via `credit`.
+template <typename Credit>
+FusedTraversalStats sample_into_arena(
     const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
     std::uint64_t block, unsigned lane_begin, unsigned lane_end,
     FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
-    std::size_t bitmap_min, CounterArray* counters) {
-  // The lane sizes come back with the traversal, so each lane's slot is
+    std::size_t bitmap_min, Credit&& credit) {
+  FusedTraversalStats stats = run_fused_traversal(
+      reverse, model, base_seed, block, lane_begin, lane_end, scratch);
+  // The lane sizes come back with the transpose, so each lane's slot is
   // allocated exactly-sized before a single member is written.
   std::array<std::uint32_t, kFusedLanes> counts;
-  const FusedTraversalStats stats =
-      run_fused_traversal(reverse, model, base_seed, block, lane_begin,
-                          lane_end, scratch, counts, counters);
+  transpose_groups(scratch, stats, counts, credit);
   const std::size_t bitmap_words = words_for_bits(reverse.num_vertices());
   std::uint64_t bitmap_lanes = 0;
   std::array<VertexId*, kFusedLanes> dest{};
@@ -362,6 +424,52 @@ FusedTraversalStats sample_rrr_fused_into(
     }
   });
   return stats;
+}
+
+}  // namespace
+
+FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
+                                     DiffusionModel model,
+                                     std::uint64_t base_seed,
+                                     std::uint64_t block, unsigned lane_begin,
+                                     unsigned lane_end,
+                                     FusedScratch& scratch) {
+  FusedTraversalStats stats = run_fused_traversal(
+      reverse, model, base_seed, block, lane_begin, lane_end, scratch);
+  std::array<std::uint32_t, kFusedLanes> counts;
+  transpose_groups(scratch, stats, counts, [](VertexId, unsigned) {});
+  for (unsigned l = lane_begin; l < lane_end; ++l) {
+    scratch.members[l].clear();
+    scratch.members[l].reserve(counts[l]);
+  }
+  drain_lane_words(scratch, [&](unsigned l, std::size_t j, std::uint64_t word) {
+    expand_lane_word(j, word,
+                     [&](VertexId v) { scratch.members[l].push_back(v); });
+  });
+  return stats;
+}
+
+FusedTraversalStats sample_rrr_fused_into(
+    const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
+    std::uint64_t block, unsigned lane_begin, unsigned lane_end,
+    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
+    std::size_t bitmap_min, CounterArray* counters) {
+  return sample_into_arena(
+      reverse, model, base_seed, block, lane_begin, lane_end, scratch, arena,
+      refs_out, bitmap_min, [counters](VertexId v, unsigned lanes) {
+        if (counters != nullptr) counters->add(v, lanes);
+      });
+}
+
+FusedTraversalStats sample_rrr_fused_into(
+    const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
+    std::uint64_t block, unsigned lane_begin, unsigned lane_end,
+    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
+    std::size_t bitmap_min, CounterTally& tally) {
+  return sample_into_arena(
+      reverse, model, base_seed, block, lane_begin, lane_end, scratch, arena,
+      refs_out, bitmap_min,
+      [&tally](VertexId v, unsigned lanes) { tally.add(v, lanes); });
 }
 
 }  // namespace eimm

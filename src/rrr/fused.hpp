@@ -42,7 +42,16 @@
 //     vertices per bitmap word), transposes each touched group's
 //     visited words into per-lane words in place, and writes a bitmap
 //     slot word-for-word or expands a run in ascending order:
-//     O(|V|/64 + members) per traversal.
+//     O(|V|/64 + members) per traversal. A dense group (at least 8
+//     touched vertices and 96 lane bits) is transposed as a 64×64 bit
+//     matrix (transpose64, support/bits.hpp) with lane sizes from
+//     popcounts of the lane words; any other group scatters its lane
+//     bits one at a time;
+//   * base counters — the emit pass credits each touched vertex with
+//     popcount(visited[v]), the lanes that reached it (Algorithm 3's
+//     kernel fusion). The sharded sampler passes a worker-private
+//     CounterTally, flushed into the shared CounterArray once per
+//     round, so workers never share counter lines mid-round.
 // Bit-identity contract: none of this changes which RNG values are
 // drawn or their order, so pools, seeds and snapshots are bit-identical
 // to the straightforward kernel. The golden digests in
@@ -146,6 +155,10 @@ struct FusedTraversalStats {
   /// Scanned edges that flipped coins for at least one lane: the edges
   /// whose target still had an unvisited popped lane when reached.
   std::uint64_t coin_edges = 0;
+  /// Touched 64-vertex groups the emit pass transposed as a bit matrix
+  /// (dense), and those it scattered lane bit by lane bit (sparse).
+  std::uint64_t groups_transposed = 0;
+  std::uint64_t groups_scattered = 0;
 };
 
 /// Draws 64 iid Bernoulli(p) bits in ~8 uniform draws (expected) via a
@@ -175,16 +188,27 @@ FusedTraversalStats sample_rrr_fused(const CSRGraph& reverse,
 /// written STRAIGHT into `arena` (no intermediate per-lane buffer): a
 /// lane with at least `bitmap_min` members becomes a bitmap slot (the
 /// adaptive representation, §IV-C) written one word per touched vertex
-/// group, every other lane a sorted run written one store per member. refs_out must have room for lane_end - lane_begin
-/// entries; refs_out[l - lane_begin] receives lane l's slot. When
-/// `counters` is non-null the emit pass also builds the base counters
-/// (kernel fusion, Algorithm 3) as counters[v] += popcount(visited[v]) —
-/// the same sums per-member increments would produce, in one atomic add
-/// per touched vertex. scratch.members is left untouched.
+/// group, every other lane a sorted run written one store per member.
+/// refs_out must have room for lane_end - lane_begin entries;
+/// refs_out[l - lane_begin] receives lane l's slot. The emit pass also
+/// builds the base counters (kernel fusion, Algorithm 3): each touched
+/// vertex v is credited popcount(visited[v]), its lane count — the same
+/// sums per-member increments would produce. This overload adds them
+/// straight into `counters` (one atomic add per touched vertex; none
+/// when null). scratch.members is left untouched.
 FusedTraversalStats sample_rrr_fused_into(
     const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
     std::uint64_t block, unsigned lane_begin, unsigned lane_end,
     FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
     std::size_t bitmap_min = kNoBitmaps, CounterArray* counters = nullptr);
+
+/// The same traversal and slots, crediting the base counts to a
+/// worker-private `tally` instead; its owner flushes them into the
+/// shared counters (ShardedSampler: once per round).
+FusedTraversalStats sample_rrr_fused_into(
+    const CSRGraph& reverse, DiffusionModel model, std::uint64_t base_seed,
+    std::uint64_t block, unsigned lane_begin, unsigned lane_end,
+    FusedScratch& scratch, ShardArena& arena, ShardArena::Ref* refs_out,
+    std::size_t bitmap_min, CounterTally& tally);
 
 }  // namespace eimm

@@ -89,32 +89,6 @@ void record_slot(SegmentedPool& pool, std::uint64_t i,
   }
 }
 
-/// A worker's private base-counter tally for one round: shared atomic
-/// increments bounce counter cache lines between workers, so flush()
-/// adds each touched vertex's count once per round (same sums). A null
-/// `counters` makes both calls no-ops.
-class CounterTally {
- public:
-  explicit CounterTally(CounterArray* counters, VertexId n)
-      : counters_(counters), counts_(counters != nullptr ? n : 0, 0) {}
-
-  void bump(VertexId v) {
-    if (counters_ != nullptr && counts_[v]++ == 0) touched_.push_back(v);
-  }
-  void flush() noexcept {
-    for (const VertexId v : touched_) {
-      counters_->add(v, counts_[v]);
-      counts_[v] = 0;
-    }
-    touched_.clear();
-  }
-
- private:
-  CounterArray* counters_;
-  std::vector<std::uint32_t> counts_;
-  std::vector<VertexId> touched_;
-};
-
 /// Writes one sampled set into `arena` as pool slot `i`: a bitmap slot
 /// when it has at least `bitmap_min` members (the adaptive
 /// representation, §IV-C), otherwise a run sorted in place first, so
@@ -250,6 +224,12 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
       obs::counter("sampler.fused.edges_scanned_total");
   static const obs::Counter coin_edges_counter =
       obs::counter("sampler.fused.coin_edges_total");
+  // Fused emit work: touched 64-vertex groups transposed as a bit
+  // matrix (dense) or scattered lane bit by lane bit (sparse).
+  static const obs::Counter transposed_counter =
+      obs::counter("sampler.fused.groups_transposed_total");
+  static const obs::Counter scattered_counter =
+      obs::counter("sampler.fused.groups_scattered_total");
   static const obs::Histogram sets_per_traversal =
       obs::histogram("sampler.fused.sets_per_traversal");
   // Average lanes per touched vertex: 64 means every lane shares every
@@ -315,6 +295,7 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
       const auto wid = static_cast<std::size_t>(omp_get_thread_num());
       if (wid < plan.total_workers) {
         ShardArena& arena = arenas[wid];
+        CounterTally tally(counters, n);
         if (fused) {
           FusedScratch scratch(n);
           std::array<ShardArena::Ref, kFusedLanes> lane_refs;
@@ -322,6 +303,8 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
           std::uint64_t local_sets = 0;
           std::uint64_t local_edges = 0;
           std::uint64_t local_coin_edges = 0;
+          std::uint64_t local_transposed = 0;
+          std::uint64_t local_scattered = 0;
           drain(wid, "sampler.fused", [&](std::uint64_t block) {
             const std::uint64_t slot_lo = std::max(begin, block * kFusedLanes);
             const std::uint64_t slot_hi =
@@ -332,8 +315,7 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
                 static_cast<unsigned>(slot_hi - block * kFusedLanes);
             const FusedTraversalStats tstats = sample_rrr_fused_into(
                 reverse_, config_.model, config_.rng_seed, block, lane_lo,
-                lane_hi, scratch, arena, lane_refs.data(), bitmap_min,
-                counters);
+                lane_hi, scratch, arena, lane_refs.data(), bitmap_min, tally);
             for (std::uint64_t i = slot_lo; i < slot_hi; ++i) {
               record_slot(pool, i, arena.slot(lane_refs[i - slot_lo]));
             }
@@ -341,6 +323,8 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
             local_sets += tstats.lanes;
             local_edges += tstats.edges_scanned;
             local_coin_edges += tstats.coin_edges;
+            local_transposed += tstats.groups_transposed;
+            local_scattered += tstats.groups_scattered;
             sets_per_traversal.observe(tstats.lanes);
             if (tstats.touched > 0) {
               lane_occupancy.observe(tstats.members / tstats.touched);
@@ -350,12 +334,13 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
           fused_sets_counter.add(local_sets);
           fused_edges_counter.add(local_edges);
           coin_edges_counter.add(local_coin_edges);
+          transposed_counter.add(local_transposed);
+          scattered_counter.add(local_scattered);
         } else {
           // Allocation-free: each set is walked into the reused scratch,
           // sorted there in place, and written once into the worker's
           // own arena and pool entry.
           SamplerScratch scratch(n);
-          CounterTally tally(counters, n);
           std::uint64_t steps = 0;
           drain(wid, "sampler.shard", [&](std::uint64_t global) {
             steps += sample_rrr_into(reverse_, config_.model, config_.rng_seed,
@@ -363,9 +348,9 @@ void ShardedSampler::generate(SegmentedPool& pool, std::uint64_t begin,
             stage_members(pool, arena, global, scratch.members, bitmap_min,
                           bitmap_words, tally);
           });
-          tally.flush();
           steps_counter.add(steps);
         }
+        tally.flush();
       }
     }
   }

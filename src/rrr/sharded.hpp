@@ -91,7 +91,9 @@ struct ShardStats {
   std::vector<int> shard_domains;
   /// Payload bytes staged into arenas, cumulative across rounds.
   std::uint64_t staged_bytes = 0;
-  /// Arena chunk bytes currently mapped (plateaus under reset() reuse).
+  /// Arena chunk bytes the pool's worker arenas have mapped. Arenas
+  /// only grow (a chunk is kept until its pool dies), so this never
+  /// falls between rounds over one pool.
   std::uint64_t mapped_bytes = 0;
   int numa_domains = 1;  ///< detected domains when the plan was made
 };
@@ -134,7 +136,8 @@ class ShardedSampler {
   /// round schedule, which is itself deterministic in (params, seed).
   /// Scalar staging plans in slots. When `counters` is non-null every
   /// sampled vertex also increments its counter (kernel fusion,
-  /// Algorithm 3).
+  /// Algorithm 3): each worker tallies its round privately
+  /// (CounterTally) and flushes once, one add per touched vertex.
   void generate(SegmentedPool& pool, std::uint64_t begin, std::uint64_t end,
                 CounterArray* counters);
 

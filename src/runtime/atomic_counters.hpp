@@ -88,8 +88,8 @@ class CounterArray {
   void increment(std::size_t i) noexcept {
     array_[i].fetch_add(1, std::memory_order_relaxed);
   }
-  /// Adds `delta` in one atomic update (the fused sampler credits a
-  /// vertex with every lane that reached it at once).
+  /// Adds `delta` in one atomic update (a CounterTally flush, or the
+  /// fused emit pass crediting every lane that reached a vertex at once).
   void add(std::size_t i, std::uint64_t delta) noexcept {
     array_[i].fetch_add(delta, std::memory_order_relaxed);
   }
@@ -119,6 +119,40 @@ class CounterArray {
 
  private:
   NumaArray<std::atomic<std::uint64_t>> array_;
+};
+
+/// A worker's private base-counter tally for one generation round:
+/// shared atomic increments bounce counter cache lines between workers,
+/// so flush() adds each touched vertex's count to the shared array once
+/// per round (same sums). A null `counters` makes every call a no-op.
+class CounterTally {
+ public:
+  CounterTally(CounterArray* counters, std::uint32_t n)
+      : counters_(counters), counts_(counters != nullptr ? n : 0, 0) {}
+
+  /// One more set contains `v` (the scalar staging loop).
+  void bump(std::uint32_t v) {
+    if (counters_ != nullptr && counts_[v]++ == 0) touched_.push_back(v);
+  }
+  /// `k` more sets contain `v` (the fused emit pass credits every lane
+  /// that reached a vertex at once).
+  void add(std::uint32_t v, std::uint32_t k) {
+    if (counters_ == nullptr) return;
+    if (counts_[v] == 0) touched_.push_back(v);
+    counts_[v] += k;
+  }
+  void flush() noexcept {
+    for (const std::uint32_t v : touched_) {
+      counters_->add(v, counts_[v]);
+      counts_[v] = 0;
+    }
+    touched_.clear();
+  }
+
+ private:
+  CounterArray* counters_;
+  std::vector<std::uint32_t> counts_;
+  std::vector<std::uint32_t> touched_;
 };
 
 /// Domain-sharded counter: `shards` full replicas of an `n`-counter

@@ -18,6 +18,7 @@
 #include "rrr/sharded.hpp"
 #include "runtime/thread_info.hpp"
 #include "test_util.hpp"
+#include "workloads/registry.hpp"
 
 namespace eimm {
 namespace {
@@ -250,6 +251,69 @@ TEST(ShardedSampler, FusedCountersCountMembership) {
           << to_string(model) << " sets=" << target;
     }
   }
+}
+
+std::uint64_t counter_value(const char* name) {
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  const obs::MetricValue* metric = snap.find(name);
+  return metric != nullptr ? metric->value : 0;
+}
+
+TEST(ShardedSampler, FusedDenseCountersCountMembershipAtEveryThreadCount) {
+  // Fused IC on a dense graph, where each set covers most of the graph:
+  // full lane windows fill vertex groups with lane bits, so the emit pass
+  // transposes them as bit matrices, while the one-lane traversal of the
+  // 50 -> 51 round holds at most 64 lane bits per group and scatters
+  // them. Growing rounds split blocks; the worker tallies must still add
+  // up to a recount from the pool after every round, and the pool must
+  // not depend on the thread count.
+  const auto model = DiffusionModel::kIndependentCascade;
+  const DiffusionGraph g =
+      make_workload_with_weights("com-LJ", model, 0.05, /*seed=*/11);
+  const VertexId n = g.num_vertices();
+  ShardedConfig config = config_for(model, 2);
+  config.fused = true;
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  FlatPool one_thread;
+  for (const int threads : {1, 2, 4}) {
+    ThreadCountScope scope(threads);
+    const std::uint64_t transposed_before =
+        counter_value("sampler.fused.groups_transposed_total");
+    const std::uint64_t scattered_before =
+        counter_value("sampler.fused.groups_scattered_total");
+    ShardedSampler sampler(g.reverse, config);
+    SegmentedPool pool(n);
+    CounterArray counters(n);
+    std::uint64_t generated = 0;
+    for (const std::uint64_t target : {50u, 51u, 120u, 300u}) {
+      pool.resize(target);
+      sampler.generate(pool, generated, target, &counters);
+      generated = target;
+      std::vector<std::uint64_t> expected(n, 0);
+      const RRRPoolView view(pool);
+      for (std::size_t i = 0; i < target; ++i) {
+        view[i].for_each([&](VertexId v) { ++expected[v]; });
+      }
+      ASSERT_EQ(counters.snapshot(), expected)
+          << "threads=" << threads << " sets=" << target;
+    }
+    EXPECT_GT(counter_value("sampler.fused.groups_transposed_total"),
+              transposed_before)
+        << "threads=" << threads;
+    EXPECT_GT(counter_value("sampler.fused.groups_scattered_total"),
+              scattered_before)
+        << "threads=" << threads;
+    const FlatPool image = RRRPoolView(pool).flatten();
+    EXPECT_GT(image.vertices.size(), 300u * n / 4) << "not a dense workload";
+    if (threads == 1) {
+      one_thread = image;
+    } else {
+      EXPECT_EQ(image.offsets, one_thread.offsets) << "threads=" << threads;
+      EXPECT_EQ(image.vertices, one_thread.vertices) << "threads=" << threads;
+    }
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 TEST(ShardedSampler, StatsDescribeThePlan) {
@@ -495,12 +559,6 @@ TEST(ShardedSampler, FusedRequestOnLTRunsTheScalarStaging) {
   EXPECT_EQ(a.vertices, b.vertices);
   EXPECT_EQ(scalar_sampler.stats().staged_bytes,
             fused_sampler.stats().staged_bytes);
-}
-
-std::uint64_t counter_value(const char* name) {
-  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-  const obs::MetricValue* metric = snap.find(name);
-  return metric != nullptr ? metric->value : 0;
 }
 
 TEST(ShardedSampler, FusedKernelCountersAddUpTheTraversals) {
