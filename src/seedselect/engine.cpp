@@ -3,11 +3,13 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "numa/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rrr/bitset.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
 #include "support/macros.hpp"
@@ -191,8 +193,49 @@ QueryResult SelectionEngine::select(const SketchStore& store,
   return select_from_store(store, options);
 }
 
+std::vector<LazyArgMaxHeap::Entry> store_degree_order(
+    const SketchStore& store) {
+  using Entry = LazyArgMaxHeap::Entry;
+  std::vector<Entry> order;
+  std::uint64_t max_degree = 0;
+  for (VertexId v = 0; v < store.num_vertices(); ++v) {
+    const std::uint64_t degree = store.degree(v);
+    if (degree == 0) continue;
+    order.push_back({degree, v});
+    max_degree = std::max(max_degree, degree);
+  }
+  // LSD radix sort on max_degree - degree, 8 bits a pass: each pass is
+  // stable, so equal degrees keep the ascending ids they were pushed in.
+  std::vector<Entry> scratch(order.size());
+  for (unsigned shift = 0; shift < 64 && (max_degree >> shift) != 0;
+       shift += 8) {
+    std::array<std::size_t, 257> start{};
+    const auto digit = [&](const Entry& e) {
+      return static_cast<std::size_t>(((max_degree - e.count) >> shift) &
+                                      0xFF);
+    };
+    for (const Entry& e : order) ++start[digit(e) + 1];
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const Entry& e : order) scratch[start[digit(e)]++] = e;
+    order.swap(scratch);
+  }
+  return order;
+}
+
 QueryResult select_from_store(const SketchStore& store,
                               const QueryOptions& options) {
+  if (!options.candidates.empty()) return select_from_store(store, options, {});
+  return select_from_store(store, options, store_degree_order(store));
+}
+
+QueryResult select_from_store(const SketchStore& store,
+                              const QueryOptions& options,
+                              std::span<const LazyArgMaxHeap::Entry> order) {
+  static const obs::Counter refreshes_total =
+      obs::counter("query.select.refreshes_total");
+  static const obs::Counter retired_total =
+      obs::counter("query.select.sketches_retired_total");
+  using Entry = LazyArgMaxHeap::Entry;
   const VertexId n = store.num_vertices();
   const std::uint64_t num_sketches = store.num_sketches();
   validate_store_query(store, options);
@@ -202,56 +245,74 @@ QueryResult select_from_store(const SketchStore& store,
 
   const std::vector<std::uint8_t> mask = build_mask(store, options);
 
-  // Per-query scratch: the Algorithm 2 vertex-occurrence counters (seeded
-  // from the inverted-index degrees — the initial counter build is free)
-  // and the alive flags over sketches.
-  std::vector<std::uint64_t> counters(n);
-  for (VertexId v = 0; v < n; ++v) counters[v] = store.degree(v);
-  std::vector<std::uint8_t> alive(num_sketches, 1);
-
-  // Whitelisted queries arg-max over the (sorted) candidate list instead
-  // of all |V| vertices — a 3-candidate query should cost 3 counter
-  // reads per round, not |V|. Ascending order + strict '>' preserves the
-  // seedselect lowest-id tie-break.
-  std::vector<VertexId> scan_list;
+  // A whitelist streams its own candidates: eligible, deduplicated and
+  // sorted into the degree order's key — O(|C| log |C|), not |V|.
+  std::vector<Entry> whitelist;
   if (!options.candidates.empty()) {
-    scan_list = options.candidates;
-    std::sort(scan_list.begin(), scan_list.end());
+    for (const VertexId v : options.candidates) {
+      const std::uint64_t degree = store.degree(v);
+      if (mask[v] != 0 && degree != 0) whitelist.push_back({degree, v});
+    }
+    std::sort(whitelist.begin(), whitelist.end(), LazyArgMaxHeap::above);
+    whitelist.erase(std::unique(whitelist.begin(), whitelist.end(),
+                                [](const Entry& a, const Entry& b) {
+                                  return a.id == b.id;
+                                }),
+                    whitelist.end());
+    order = whitelist;
   }
+  // The cursor over the order; a blacklist skips its forbidden entries.
+  struct OrderStream {
+    std::span<const Entry> order;
+    const std::uint8_t* eligible;
+    std::size_t at = 0;
+    const Entry* peek() noexcept {
+      while (at < order.size() && eligible != nullptr &&
+             eligible[order[at].id] == 0) {
+        ++at;
+      }
+      return at < order.size() ? &order[at] : nullptr;
+    }
+    void advance() noexcept { ++at; }
+  } stream{order, options.candidates.empty() && !mask.empty() ? mask.data()
+                                                          : nullptr};
+
+  // Per-query scratch: the Algorithm 2 vertex-occurrence counters (seeded
+  // from the inverted-index degrees — the initial counter build is free),
+  // the retired sketches, and the heap of re-keyed stale entries.
+  struct Counters {
+    std::vector<std::uint64_t> counts;
+    [[nodiscard]] std::uint64_t get(std::size_t v) const noexcept {
+      return counts[v];
+    }
+    [[nodiscard]] const std::uint64_t* slot(std::size_t v) const noexcept {
+      return &counts[v];
+    }
+  } counters{std::vector<std::uint64_t>(n)};
+  for (VertexId v = 0; v < n; ++v) counters.counts[v] = store.degree(v);
+  DynamicBitset retired(num_sketches);
+  LazyArgMaxHeap stale;
 
   const std::size_t rounds =
       std::min<std::size_t>(options.k, static_cast<std::size_t>(n));
   for (std::size_t round = 0; round < rounds; ++round) {
-    // Serial arg-max with the seedselect tie-break (lowest id wins):
-    // queries parallelize across each other, not within themselves.
-    VertexId best_v = 0;
-    std::uint64_t best_c = 0;
-    auto consider = [&](VertexId v) {
-      if (!mask.empty() && mask[v] == 0) return;
-      if (counters[v] > best_c) {
-        best_c = counters[v];
-        best_v = v;
-      }
-    };
-    if (!scan_list.empty()) {
-      for (const VertexId v : scan_list) consider(v);
-    } else {
-      for (VertexId v = 0; v < n; ++v) consider(v);
-    }
-    if (best_c == 0) break;  // no eligible vertex covers an alive sketch
-
-    result.seeds.push_back(best_v);
-    result.marginal_coverage.push_back(best_c);
-    result.covered_sketches += best_c;
+    const ArgMaxResult best = stale.pop<NullMem>(counters, stream);
+    if (best.value == 0) break;  // no eligible vertex covers an alive sketch
+    const auto seed = static_cast<VertexId>(best.index);
+    result.seeds.push_back(seed);
+    result.marginal_coverage.push_back(best.value);
+    result.covered_sketches += best.value;
 
     // Retire every alive sketch covering the pick, via the inverted
     // index — O(covered sketches), never a scan over all θ.
-    for (const SketchId s : store.covering(best_v)) {
-      if (alive[s] == 0) continue;
-      alive[s] = 0;
-      store.for_each_member(s, [&](VertexId u) { --counters[u]; });
+    for (const SketchId s : store.covering(seed)) {
+      if (retired.test(s)) continue;
+      retired.set(s);
+      store.for_each_member(s, [&](VertexId u) { --counters.counts[u]; });
     }
   }
+  refreshes_total.add(stale.refreshes());
+  retired_total.add(result.covered_sketches);
 
   result.estimated_spread =
       static_cast<double>(n) * result.coverage_fraction();

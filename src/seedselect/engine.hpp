@@ -44,6 +44,8 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "numa/policy.hpp"
 #include "runtime/affinity.hpp"
@@ -180,14 +182,36 @@ class SelectionEngine {
 /// index). Throws CheckError on out-of-range ids / k.
 void validate_store_query(const SketchStore& store, const QueryOptions& query);
 
-/// The serve-side selection kernel: inverted-index greedy over a frozen
+/// A store's vertices with a non-zero degree, each keyed by its degree,
+/// in LazyArgMaxHeap order (degree descending, id ascending). Degrees
+/// never change, so one order serves every query against the store;
+/// QueryEngine builds it once per serving epoch. O(|V|) per radix pass:
+/// an LSD radix sort over the degree bits, stable over ascending ids.
+std::vector<LazyArgMaxHeap::Entry> store_degree_order(const SketchStore& store);
+
+/// The serve-side selection kernel: an exact lazy greedy over a frozen
 /// SketchStore (top-k, whitelists, blacklists), serial per query so
-/// queries parallelize across each other. Same lowest-vertex-id
-/// tie-break as the pool kernels — an unconstrained query reproduces the
-/// efficient kernel's seed sequence exactly. A free function because it
-/// reads no engine state (counter layout and pinning are pool-phase
-/// concerns; batch serving pins its own team) — serve::run_query calls
-/// it per query without resolving shard/pin configuration each time.
+/// queries parallelize across each other. `order` is the store's
+/// store_degree_order(); whitelist queries ignore it and stream their
+/// own candidates, deduplicated and sorted by the same key. Within a
+/// query counts only fall, so a degree or a refreshed count is an upper
+/// bound of the live count: the kernel walks the order with a cursor,
+/// re-keys each stale head into a small LazyArgMaxHeap, and takes the
+/// first entry whose key is live — the exact (count desc, id asc)
+/// arg-max, the same lowest-vertex-id tie-break as the pool kernels, so
+/// an unconstrained query reproduces the efficient kernel's seed
+/// sequence exactly. Each pick retires its covered sketches through the
+/// inverted index (alive flags are a θ-bit bitset). Per query it adds
+/// its stale entries to `query.select.refreshes_total` and its retired
+/// sketches to `query.select.sketches_retired_total`. A free function
+/// because it reads no engine state (counter layout and pinning are
+/// pool-phase concerns; batch serving pins its own team).
+QueryResult select_from_store(const SketchStore& store,
+                              const QueryOptions& options,
+                              std::span<const LazyArgMaxHeap::Entry> order);
+
+/// One-shot form (store builds, deep validation): builds the order on the
+/// spot — unless the query is a whitelist — and runs the same kernel.
 QueryResult select_from_store(const SketchStore& store,
                               const QueryOptions& options);
 

@@ -92,14 +92,29 @@ struct NullMem {
 /// descending, then id ascending, whose stored counts may lag the live
 /// counters from above. Valid only while no counter rises between
 /// build() and the last pop() — true for one greedy selection.
+///
+/// pop() can also merge a presorted stream of upper bounds into the
+/// heap: the serve-side store kernel streams a degree order that is
+/// already in heap order, so it heaps only the entries it finds stale.
 class LazyArgMaxHeap {
  public:
+  struct Entry {
+    std::uint64_t count;
+    VertexId id;
+  };
+
+  /// Heap order: `a` above `b` (ids are unique, so this is total).
+  [[nodiscard]] static bool above(const Entry& a, const Entry& b) noexcept {
+    return a.count > b.count || (a.count == b.count && a.id < b.id);
+  }
+
   /// Heaps every eligible slot of `counters` with a non-zero count
   /// (`eligible`: nullptr, or counters.size() bytes; a zero skips the
   /// slot). O(|V|): one read per counter plus a bottom-up heapify.
   template <typename Mem, typename Counters>
   void build(const Counters& counters, const std::uint8_t* eligible) {
     heap_.clear();
+    refreshes_ = 0;
     for (std::size_t i = 0; i < counters.size(); ++i) {
       if (eligible != nullptr && eligible[i] == 0) continue;
       Mem::touch(counters.slot(i), sizeof(std::uint64_t));
@@ -115,7 +130,32 @@ class LazyArgMaxHeap {
   /// tops are refreshed from `counters` and sifted down on the way.
   template <typename Mem, typename Counters>
   ArgMaxResult pop(const Counters& counters) {
-    while (!heap_.empty()) {
+    NoStream none;
+    return pop<Mem>(counters, none);
+  }
+
+  /// pop() over the union of the heap and `stream`, which yields
+  /// entries in `above` order whose counts are upper bounds of their
+  /// live counters, with ids absent from the heap. `stream.peek()`
+  /// returns the next entry (nullptr when exhausted) and
+  /// `stream.advance()` consumes it. The best of the stream head and the
+  /// heap top is taken when its count is live; a stale stream head is
+  /// re-keyed into the heap, a stale heap top is refreshed in place.
+  template <typename Mem, typename Counters, typename Stream>
+  ArgMaxResult pop(const Counters& counters, Stream& stream) {
+    for (;;) {
+      const Entry* head = stream.peek();
+      if (head != nullptr && (heap_.empty() || above(*head, heap_.front()))) {
+        const Entry next = *head;
+        stream.advance();
+        Mem::touch(counters.slot(next.id), sizeof(std::uint64_t));
+        const std::uint64_t live = counters.get(next.id);
+        if (live == next.count) return {next.id, live};
+        ++refreshes_;
+        if (live != 0) push<Mem>({live, next.id});
+        continue;
+      }
+      if (heap_.empty()) return {};
       Entry& top = heap_.front();
       Mem::touch(&top, sizeof(Entry));
       Mem::touch(counters.slot(top.id), sizeof(std::uint64_t));
@@ -125,6 +165,7 @@ class LazyArgMaxHeap {
         remove_top<Mem>();
         return best;
       }
+      ++refreshes_;
       if (live == 0) {
         remove_top<Mem>();
       } else {
@@ -132,20 +173,35 @@ class LazyArgMaxHeap {
         sift_down<Mem>(0);
       }
     }
-    return {};
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Stale entries pop() met (re-keyed or dropped) since construction
+  /// or the last build().
+  [[nodiscard]] std::uint64_t refreshes() const noexcept {
+    return refreshes_;
+  }
 
  private:
-  struct Entry {
-    std::uint64_t count;
-    VertexId id;
+  /// The empty stream: plain pop() reads only the heap.
+  struct NoStream {
+    static const Entry* peek() noexcept { return nullptr; }
+    static void advance() noexcept {}
   };
 
-  /// Heap order: `a` above `b` (ids are unique, so this is total).
-  static bool above(const Entry& a, const Entry& b) noexcept {
-    return a.count > b.count || (a.count == b.count && a.id < b.id);
+  template <typename Mem>
+  void push(const Entry& entry) {
+    std::size_t at = heap_.size();
+    heap_.push_back(entry);
+    while (at > 0) {
+      const std::size_t parent = (at - 1) / 2;
+      Mem::touch(&heap_[parent], sizeof(Entry));
+      if (!above(entry, heap_[parent])) break;
+      heap_[at] = heap_[parent];
+      at = parent;
+    }
+    Mem::touch(&heap_[at], sizeof(Entry));
+    heap_[at] = entry;
   }
 
   template <typename Mem>
@@ -174,6 +230,7 @@ class LazyArgMaxHeap {
   }
 
   std::vector<Entry> heap_;
+  std::uint64_t refreshes_ = 0;
 };
 
 struct SelectionOptions {

@@ -6,6 +6,7 @@
 #include <exception>
 #include <numeric>
 
+#include "rrr/bitset.hpp"
 #include "runtime/affinity.hpp"
 #include "runtime/thread_info.hpp"
 #include "runtime/work_queue.hpp"
@@ -20,6 +21,15 @@ QueryResult run_query(const SketchStore& store, const QueryOptions& options) {
   // the serve path cannot drift from the seedselect kernels it is
   // cross-validated against.
   return select_from_store(store, options);
+}
+
+QueryEngine::QueryEngine(const SketchStore& store) : store_(&store) {
+  store.verify_checksums();
+  order_ = store_degree_order(store);
+}
+
+QueryResult QueryEngine::select(const QueryOptions& options) const {
+  return select_from_store(*store_, options, order_);
 }
 
 QueryResult QueryEngine::top_k(std::size_t k) const {
@@ -49,13 +59,13 @@ MarginalGainResult QueryEngine::evaluate(
   const VertexId n = store_->num_vertices();
   MarginalGainResult result;
   result.total_sketches = store_->num_sketches();
-  std::vector<std::uint8_t> covered(store_->num_sketches(), 0);
+  DynamicBitset covered(store_->num_sketches());
   for (const VertexId v : seeds) {
     EIMM_CHECK(v < n, "seed vertex out of range");
     std::uint64_t gain = 0;
     for (const SketchId s : store_->covering(v)) {
-      if (covered[s] == 0) {
-        covered[s] = 1;
+      if (!covered.test(s)) {
+        covered.set(s);
         ++gain;
       }
     }

@@ -5,23 +5,30 @@
 //   top_k      — unconstrained top-k; O(k) prefix read of the greedy
 //                sequence precomputed at build time.
 //   select     — the live greedy kernel: plain top-k, candidate
-//                whitelists, forbidden-node blacklists. Uses the store's
-//                inverted index so each pick touches only the sketches it
-//                covers (no scan over all θ sets), with the same
+//                whitelists, forbidden-node blacklists. A lazy greedy
+//                over a per-epoch degree order: each pick re-reads only
+//                the counters of stale order entries (no |V|-wide scan)
+//                and retires only the sketches it covers through the
+//                inverted index (no scan over all θ sets), with the same
 //                lowest-id tie-break as seedselect — an unconstrained
 //                query reproduces Engine::kEfficient's seed set exactly.
 //   evaluate   — marginal-gain/coverage evaluation of a caller-supplied
 //                seed set (what-if analysis for externally chosen seeds).
 //
-// Every query allocates its own scratch and only reads the store, so the
-// engine is thread-safe by construction; run_batch drains a query list
-// through the runtime/ stealing JobPool across OpenMP threads.
+// The engine computes one read-only degree order per serving epoch (at
+// construction, next to the checksum verification) that every select
+// streams; each query allocates only its own small scratch (counters,
+// a θ-bit bitset, a side heap of stale entries) and only reads the
+// store, so the engine is thread-safe by construction; run_batch drains
+// a query list through the runtime/ stealing JobPool across OpenMP
+// threads.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "seedselect/select.hpp"
 #include "serve/sketch_store.hpp"
 
 namespace eimm {
@@ -71,9 +78,10 @@ struct MarginalGainResult {
   }
 };
 
-/// The live greedy kernel over a store (shared by QueryEngine::select and
-/// the build-time default-sequence computation). Pure function of
-/// (store, options); deterministic and thread-safe.
+/// The live greedy kernel over a store, one-shot: builds the degree order
+/// on the spot (the build-time default sequence and deep validation;
+/// QueryEngine::select reuses its epoch's order instead). Pure function
+/// of (store, options); deterministic and thread-safe.
 QueryResult run_query(const SketchStore& store, const QueryOptions& options);
 
 class QueryEngine {
@@ -81,18 +89,15 @@ class QueryEngine {
   /// Non-owning: the store must outlive the engine. Settles any deferred
   /// v4 snapshot checksums (lazy mmap loads) before the first query can
   /// run — constructing an engine over corrupt bytes throws
-  /// bin::FormatError instead of serving them.
-  explicit QueryEngine(const SketchStore& store) : store_(&store) {
-    store.verify_checksums();
-  }
+  /// bin::FormatError instead of serving them. Then builds the degree
+  /// order every select() streams (store_degree_order, once per epoch).
+  explicit QueryEngine(const SketchStore& store);
 
   /// Unconstrained top-k from the precomputed greedy sequence.
   [[nodiscard]] QueryResult top_k(std::size_t k) const;
 
   /// The live kernel (handles whitelists/blacklists).
-  [[nodiscard]] QueryResult select(const QueryOptions& options) const {
-    return run_query(*store_, options);
-  }
+  [[nodiscard]] QueryResult select(const QueryOptions& options) const;
 
   /// Fast path for unconstrained queries, kernel otherwise.
   [[nodiscard]] QueryResult answer(const QueryOptions& options) const {
@@ -113,6 +118,7 @@ class QueryEngine {
 
  private:
   const SketchStore* store_;
+  std::vector<LazyArgMaxHeap::Entry> order_;
 };
 
 }  // namespace eimm

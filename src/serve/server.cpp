@@ -12,6 +12,7 @@
 #include <iterator>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/failpoint.hpp"
 #include "support/log.hpp"
@@ -87,7 +88,10 @@ std::vector<VertexId> WireReader::ids() {
   const std::uint32_t count = u32();
   need(static_cast<std::size_t>(count) * sizeof(VertexId));
   std::vector<VertexId> v(count);
-  std::memcpy(v.data(), payload_.data() + pos_, v.size() * sizeof(VertexId));
+  // An empty vector's data() may be null, which memcpy must not receive.
+  if (!v.empty()) {
+    std::memcpy(v.data(), payload_.data() + pos_, v.size() * sizeof(VertexId));
+  }
   pos_ += v.size() * sizeof(VertexId);
   return v;
 }
@@ -95,8 +99,10 @@ std::vector<VertexId> WireReader::ids() {
 std::vector<std::uint64_t> WireReader::counts(std::size_t n) {
   need(n * sizeof(std::uint64_t));
   std::vector<std::uint64_t> v(n);
-  std::memcpy(v.data(), payload_.data() + pos_,
-              v.size() * sizeof(std::uint64_t));
+  if (!v.empty()) {
+    std::memcpy(v.data(), payload_.data() + pos_,
+                v.size() * sizeof(std::uint64_t));
+  }
   pos_ += v.size() * sizeof(std::uint64_t);
   return v;
 }
@@ -608,6 +614,12 @@ std::vector<std::uint8_t> SketchServer::handle_request(
         ok.u64(epoch->generation);
         ok.u64(registry_.reloads());
         ok.u64(registry_.failed_reloads());
+        const obs::MetricsSnapshot metrics = obs::snapshot_metrics();
+        for (const char* name : {"query.select.refreshes_total",
+                                 "query.select.sketches_retired_total"}) {
+          const obs::MetricValue* metric = metrics.find(name);
+          ok.u64(metric != nullptr ? metric->value : 0);
+        }
         wire::encode_histogram(ok, exec.queue_wait_us);
         wire::encode_histogram(ok, exec.batch_size);
         wire::encode_histogram(ok, exec.exec_us);
@@ -999,6 +1011,8 @@ SketchClient::ServerStats SketchClient::stats() {
   out.generation = r.u64();
   out.reloads = r.u64();
   out.failed_reloads = r.u64();
+  out.select_refreshes = r.u64();
+  out.sketches_retired = r.u64();
   out.executor.queue_wait_us = wire::decode_histogram(r);
   out.executor.batch_size = wire::decode_histogram(r);
   out.executor.exec_us = wire::decode_histogram(r);

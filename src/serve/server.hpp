@@ -66,6 +66,8 @@
 //                                u64 qc_misses, u64 qc_evictions,
 //                                u64 qc_entries, u64 generation,
 //                                u64 reloads, u64 failed_reloads,
+//                                u64 select_refreshes,
+//                                u64 sketches_retired,
 //                                3 × histogram
 //                                (queue wait µs, batch size, exec µs)
 //               reload        := u64 generation, string path loaded
@@ -431,6 +433,11 @@ class SketchClient {
     std::uint64_t generation = 0;
     std::uint64_t reloads = 0;
     std::uint64_t failed_reloads = 0;
+    /// Select-kernel work of the server process, from the obs counters
+    /// query.select.refreshes_total and .sketches_retired_total (0 while
+    /// metrics are disabled).
+    std::uint64_t select_refreshes = 0;
+    std::uint64_t sketches_retired = 0;
   };
   [[nodiscard]] ServerStats stats();
   /// Asks the server to hot-swap its snapshot (empty path = the

@@ -229,26 +229,32 @@ TEST(ShardedSampler, GrowingRangesMatchOneShotGeneration) {
 
 TEST(ShardedSampler, FusedCountersCountMembership) {
   // Kernel-fused base counters accumulate across growing rounds: after
-  // every round they equal the member counts of all slots so far.
+  // every round they equal the member counts of all slots so far, from
+  // the scalar staging tally and (IC only; LT ignores the request) the
+  // fused 64-lane emit pass alike.
   for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
                                      DiffusionModel::kLinearThreshold}) {
-    const auto g = small_graph(model, 37);
-    ShardedSampler sampler(g.reverse, config_for(model, 4));
-    SegmentedPool pool(g.num_vertices());
-    CounterArray counters(g.num_vertices());
-    std::uint64_t generated = 0;
-    for (const std::uint64_t target : {50u, 51u, 120u}) {
-      pool.resize(target);
-      sampler.generate(pool, generated, target, &counters);
-      generated = target;
+    for (const bool fused : {false, true}) {
+      const auto g = small_graph(model, 37);
+      ShardedConfig config = config_for(model, 4);
+      config.fused = fused;
+      ShardedSampler sampler(g.reverse, config);
+      SegmentedPool pool(g.num_vertices());
+      CounterArray counters(g.num_vertices());
+      std::uint64_t generated = 0;
+      for (const std::uint64_t target : {50u, 51u, 120u}) {
+        pool.resize(target);
+        sampler.generate(pool, generated, target, &counters);
+        generated = target;
 
-      std::vector<std::uint64_t> expected(g.num_vertices(), 0);
-      const RRRPoolView view(pool);
-      for (std::size_t i = 0; i < target; ++i) {
-        view[i].for_each([&](VertexId v) { ++expected[v]; });
+        std::vector<std::uint64_t> expected(g.num_vertices(), 0);
+        const RRRPoolView view(pool);
+        for (std::size_t i = 0; i < target; ++i) {
+          view[i].for_each([&](VertexId v) { ++expected[v]; });
+        }
+        EXPECT_EQ(counters.snapshot(), expected)
+            << to_string(model) << " fused=" << fused << " sets=" << target;
       }
-      EXPECT_EQ(counters.snapshot(), expected)
-          << to_string(model) << " sets=" << target;
     }
   }
 }
@@ -397,19 +403,22 @@ TEST(ShardedSampler, ZeroCopyGrowingRangesRetainEarlierRounds) {
 TEST(ShardedSampler, ZeroCopyFusedCountersCountMembership) {
   const auto g = small_graph(DiffusionModel::kIndependentCascade, 59);
   constexpr std::size_t kSets = 90;
-  ShardedSampler sampler(
-      g.reverse, config_for(DiffusionModel::kIndependentCascade, 4));
-  SegmentedPool segments(g.num_vertices());
-  segments.resize(kSets);
-  CounterArray counters(g.num_vertices());
-  sampler.generate(segments, 0, kSets, &counters);
+  for (const bool fused : {false, true}) {
+    ShardedConfig config = config_for(DiffusionModel::kIndependentCascade, 4);
+    config.fused = fused;
+    ShardedSampler sampler(g.reverse, config);
+    SegmentedPool segments(g.num_vertices());
+    segments.resize(kSets);
+    CounterArray counters(g.num_vertices());
+    sampler.generate(segments, 0, kSets, &counters);
 
-  std::vector<std::uint64_t> expected(g.num_vertices(), 0);
-  const RRRPoolView view(segments);
-  for (std::size_t i = 0; i < kSets; ++i) {
-    view[i].for_each([&](VertexId v) { ++expected[v]; });
+    std::vector<std::uint64_t> expected(g.num_vertices(), 0);
+    const RRRPoolView view(segments);
+    for (std::size_t i = 0; i < kSets; ++i) {
+      view[i].for_each([&](VertexId v) { ++expected[v]; });
+    }
+    EXPECT_EQ(counters.snapshot(), expected) << "fused=" << fused;
   }
-  EXPECT_EQ(counters.snapshot(), expected);
 }
 
 TEST(ShardedSampler, ZeroCopyBitmapSlotsFollowTheAdaptiveThreshold) {

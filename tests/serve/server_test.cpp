@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
 #include "support/macros.hpp"
@@ -460,7 +461,10 @@ TEST(BatchingExecutor, StatsSnapshotSafeWhileSubmitting) {
 }
 
 TEST_F(ServerFixture, StatsVerbMatchesScriptedSequence) {
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
   SketchClient client(server_->socket_path());
+  const SketchClient::ServerStats before = client.stats();
   client.ping();
   (void)client.top_k(4);
   QueryOptions constrained;
@@ -488,6 +492,12 @@ TEST_F(ServerFixture, StatsVerbMatchesScriptedSequence) {
             stats.executor.submitted - stats.executor.cache_hits);
   EXPECT_EQ(stats.executor.exec_us.count, stats.executor.batches);
   EXPECT_GE(stats.executor.batch_size.sum, stats.executor.batches);
+  // The one kernel run (the cache miss) retired the sketches it covered.
+  const QueryResult answer = engine_->select(constrained);
+  EXPECT_EQ(stats.sketches_retired - before.sketches_retired,
+            answer.covered_sketches);
+  EXPECT_GE(stats.select_refreshes, before.select_refreshes);
+  obs::set_metrics_enabled(metrics_were_enabled);
 
   // A second stats call sees a strictly larger request count.
   const SketchClient::ServerStats again = client.stats();

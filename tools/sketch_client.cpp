@@ -173,6 +173,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.generation),
                   static_cast<unsigned long long>(stats.reloads),
                   static_cast<unsigned long long>(stats.failed_reloads));
+      std::printf("select kernel: %llu sketches retired, %llu refreshes\n",
+                  static_cast<unsigned long long>(stats.sketches_retired),
+                  static_cast<unsigned long long>(stats.select_refreshes));
       print_histogram_line("queue wait us", stats.executor.queue_wait_us);
       print_histogram_line("batch size", stats.executor.batch_size);
       print_histogram_line("exec us", stats.executor.exec_us);
