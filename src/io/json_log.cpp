@@ -146,6 +146,7 @@ void write_server_metrics_json(std::ostream& os,
   w.kv("Requests", serving.requests)
       .kv("Timeouts", serving.timeouts)
       .kv("Submitted", serving.submitted)
+      .kv("PrefixReads", serving.prefix_reads)
       .kv("CacheHits", serving.cache_hits)
       .kv("Rejected", serving.rejected)
       .kv("Batches", serving.batches)

@@ -58,6 +58,7 @@ struct ServingStatsRecord {
   std::uint64_t requests = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t submitted = 0;
+  std::uint64_t prefix_reads = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t rejected = 0;
   std::uint64_t batches = 0;

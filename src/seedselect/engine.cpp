@@ -188,11 +188,6 @@ SelectionResult SelectionEngine::select_impl(
                                                           sopt);
 }
 
-QueryResult SelectionEngine::select(const SketchStore& store,
-                                    const QueryOptions& options) const {
-  return select_from_store(store, options);
-}
-
 std::vector<LazyArgMaxHeap::Entry> store_degree_order(
     const SketchStore& store) {
   using Entry = LazyArgMaxHeap::Entry;

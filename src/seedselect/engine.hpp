@@ -141,11 +141,6 @@ class SelectionEngine {
                          const CounterArray* base = nullptr,
                          SelectionWorkspace* workspace = nullptr) const;
 
-  /// The serve-side kernel (see select_from_store below); member form
-  /// for callers already holding an engine.
-  QueryResult select(const SketchStore& store,
-                     const QueryOptions& options) const;
-
   /// Traced variant for the cachesim harness: flat counters only (the
   /// cache model observes the paper's Algorithm 2 layout), no pinning
   /// (the trace must be schedule-stable). Accepts the same pool view as

@@ -1,22 +1,27 @@
 // BatchingExecutor — admission control + micro-batching over
 // QueryEngine::run_batch.
 //
-// Clients submit single queries; a dispatcher thread coalesces whatever
-// arrives within a small window (or up to max_batch) into one pinned
-// OpenMP batch, amortizing the affinity save/restore and team spin-up
-// that dominate singleton run_batch calls. Constrained results feed a
-// QueryCache; repeat queries skip the kernel entirely.
+// Clients submit queries; each is validated on the caller's thread.
+// Unconstrained queries are O(k) prefix reads of the store's precomputed
+// greedy sequence and are answered right there, as are constrained
+// queries the QueryCache already holds: neither ever enqueues. The rest
+// queue for one dispatcher thread, which hands whatever is queued when it
+// wakes (up to max_batch) to one pinned OpenMP run_batch. There is no
+// coalescing window: a batch holds exactly the queries that arrived
+// while the previous batch ran, so batches grow only under backlog and
+// an idle server answers a lone query without waiting. A client batch
+// (submit_all) enqueues under one lock, so it reaches one dispatch.
 //
 // Split out of server.hpp so the epoch-versioned StoreRegistry (hot
 // snapshot reload) can own one executor per serving epoch without the
 // registry and the socket front end including each other.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -30,9 +35,6 @@ namespace eimm {
 struct ExecutorOptions {
   /// Largest batch one dispatch passes to run_batch.
   std::size_t max_batch = 64;
-  /// How long the dispatcher waits for more queries to coalesce after
-  /// the first arrival. Zero = dispatch immediately (no batching).
-  std::chrono::microseconds batch_window{200};
   /// Admission bound: submissions beyond this many queued queries are
   /// rejected (OverloadError) instead of growing the queue without
   /// bound under overload.
@@ -49,8 +51,9 @@ class OverloadError : public CheckError {
   using CheckError::CheckError;
 };
 
-/// Micro-batching admission layer over QueryEngine::run_batch.
-/// Thread-safe: any number of producers may submit concurrently.
+/// Admission layer over QueryEngine: inline prefix reads and cache hits,
+/// backlog batches over run_batch for the rest. Thread-safe: any number
+/// of producers may submit concurrently.
 class BatchingExecutor {
  public:
   BatchingExecutor(const QueryEngine& engine, ExecutorOptions options);
@@ -60,13 +63,24 @@ class BatchingExecutor {
   BatchingExecutor(const BatchingExecutor&) = delete;
   BatchingExecutor& operator=(const BatchingExecutor&) = delete;
 
-  /// Validates the query against the store (CheckError on bad k / ids —
-  /// the error surfaces HERE, synchronously, never poisoning a batch),
-  /// consults the cache, and otherwise enqueues for the next dispatch.
-  /// Throws OverloadError when the queue is full (or when the
-  /// `serve.admit` failpoint fires — an injected rejection is
-  /// indistinguishable from a real one to the client).
+  /// In order: validates the query against the store (CheckError on bad
+  /// k / ids — the error surfaces HERE, synchronously, never poisoning a
+  /// batch), passes the `serve.admit` failpoint, answers an unconstrained
+  /// query with engine.top_k(k) on the calling thread, consults the
+  /// cache, and otherwise enqueues for the next dispatch. Throws
+  /// OverloadError when the queue is full (or when `serve.admit` fires —
+  /// an injected rejection is indistinguishable from a real one to the
+  /// client).
   [[nodiscard]] std::future<QueryResult> submit(QueryOptions query);
+
+  /// submit() for one client batch: every query is validated before any
+  /// is admitted, and the ones that must run the kernel enqueue together
+  /// under one lock, so the dispatcher takes them in one batch (when
+  /// they fit in max_batch). Admission is all-or-nothing for the queued
+  /// part: OverloadError when the queue cannot take all of them, and a
+  /// permanent CheckError when they alone exceed max_queue.
+  [[nodiscard]] std::vector<std::future<QueryResult>> submit_all(
+      std::vector<QueryOptions> queries);
 
   /// Stops accepting work, drains what was admitted, joins. Idempotent.
   void stop();
@@ -77,11 +91,14 @@ class BatchingExecutor {
   /// counters while the dispatcher mutates them.
   struct Stats {
     std::uint64_t submitted = 0;
+    /// Unconstrained queries answered inline from the top-k prefix.
+    std::uint64_t prefix_reads = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t rejected = 0;
     std::uint64_t batches = 0;
     std::uint64_t largest_batch = 0;
-    /// Dispatch-queue wait per query, µs (cache hits never enqueue).
+    /// Dispatch-queue wait per query, µs (prefix reads and cache hits
+    /// never enqueue: count == submitted - prefix_reads - cache_hits).
     obs::HistogramSnapshot queue_wait_us;
     /// Queries per dispatched batch.
     obs::HistogramSnapshot batch_size;
@@ -99,8 +116,18 @@ class BatchingExecutor {
     std::promise<QueryResult> promise;
     std::uint64_t enqueue_ns = 0;
   };
+  /// serve.admit, then the inline prefix read, then the cache lookup:
+  /// the answer of a query that never enqueues, nullopt otherwise.
+  std::optional<QueryResult> answer_without_queue(const QueryOptions& query);
+  /// Checks that `count` more queries fit in the queue; mutex_ held.
+  void admit_locked(std::size_t count);
+  /// Appends one admitted query to the queue; mutex_ held.
+  std::future<QueryResult> enqueue_locked(QueryOptions&& query);
   void dispatch_loop();
-  void run_one_batch(std::vector<Pending>&& batch);
+  /// Runs one dispatched batch and settles its promises. `queries` is
+  /// scratch the dispatcher reuses across batches.
+  void run_one_batch(std::vector<Pending>& batch,
+                     std::vector<QueryOptions>& queries);
 
   const QueryEngine* engine_;
   ExecutorOptions options_;

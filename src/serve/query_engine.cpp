@@ -15,14 +15,6 @@
 
 namespace eimm {
 
-QueryResult run_query(const SketchStore& store, const QueryOptions& options) {
-  // The live greedy kernel is owned by the SelectionEngine subsystem —
-  // one place defines the tie-breaks for pool AND store selection, so
-  // the serve path cannot drift from the seedselect kernels it is
-  // cross-validated against.
-  return select_from_store(store, options);
-}
-
 QueryEngine::QueryEngine(const SketchStore& store) : store_(&store) {
   store.verify_checksums();
   order_ = store_degree_order(store);

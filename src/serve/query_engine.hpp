@@ -78,12 +78,6 @@ struct MarginalGainResult {
   }
 };
 
-/// The live greedy kernel over a store, one-shot: builds the degree order
-/// on the spot (the build-time default sequence and deep validation;
-/// QueryEngine::select reuses its epoch's order instead). Pure function
-/// of (store, options); deterministic and thread-safe.
-QueryResult run_query(const SketchStore& store, const QueryOptions& options);
-
 class QueryEngine {
  public:
   /// Non-owning: the store must outlive the engine. Settles any deferred

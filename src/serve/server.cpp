@@ -251,6 +251,13 @@ bool failpoint_fired(const char* site) {
   return mode.has_value() && *mode != fail::Mode::kDelay;
 }
 
+/// An already-settled future: the reply of a query that never enqueued.
+std::future<QueryResult> ready_future(QueryResult result) {
+  std::promise<QueryResult> ready;
+  ready.set_value(std::move(result));
+  return ready.get_future();
+}
+
 }  // namespace
 
 // --- BatchingExecutor ---
@@ -273,38 +280,87 @@ std::future<QueryResult> BatchingExecutor::submit(QueryOptions query) {
   // whole micro-batch it would have joined (run_batch's serial
   // pre-validation throws for the entire batch at once).
   validate_store_query(engine_->store(), query);
+  if (std::optional<QueryResult> ready = answer_without_queue(query)) {
+    return ready_future(std::move(*ready));
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  admit_locked(1);
+  std::future<QueryResult> future = enqueue_locked(std::move(query));
+  lock.unlock();
+  cv_.notify_one();
+  return future;
+}
 
+std::vector<std::future<QueryResult>> BatchingExecutor::submit_all(
+    std::vector<QueryOptions> queries) {
+  for (const QueryOptions& q : queries) {
+    validate_store_query(engine_->store(), q);
+  }
+  std::vector<std::future<QueryResult>> futures(queries.size());
+  std::vector<std::size_t> queued;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (std::optional<QueryResult> ready = answer_without_queue(queries[i])) {
+      futures[i] = ready_future(std::move(*ready));
+    } else {
+      queued.push_back(i);
+    }
+  }
+  if (queued.empty()) return futures;
+  EIMM_CHECK(queued.size() <= options_.max_queue,
+             "batch of " + std::to_string(queued.size()) +
+                 " kernel queries exceeds the admission queue (" +
+                 std::to_string(options_.max_queue) + ")");
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    admit_locked(queued.size());
+    for (const std::size_t i : queued) {
+      futures[i] = enqueue_locked(std::move(queries[i]));
+    }
+  }
+  cv_.notify_one();
+  return futures;
+}
+
+std::optional<QueryResult> BatchingExecutor::answer_without_queue(
+    const QueryOptions& query) {
   if (failpoint_fired("serve.admit")) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.rejected;
     throw OverloadError(
         "injected admission rejection at failpoint 'serve.admit'");
   }
-
-  if (auto cached = cache_.lookup(query)) {
-    std::promise<QueryResult> ready;
-    ready.set_value(std::move(*cached));
+  if (!query.constrained()) {
+    QueryResult prefix = engine_->top_k(query.k);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.submitted;
+    ++stats_.prefix_reads;
+    return prefix;
+  }
+  std::optional<QueryResult> cached = cache_.lookup(query);
+  if (cached) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.submitted;
     ++stats_.cache_hits;
-    return ready.get_future();
   }
+  return cached;
+}
 
-  std::unique_lock<std::mutex> lock(mutex_);
+void BatchingExecutor::admit_locked(std::size_t count) {
   if (stopping_) throw CheckError("executor is shutting down");
-  if (queue_.size() >= options_.max_queue) {
-    ++stats_.rejected;
+  if (queue_.size() + count > options_.max_queue) {
+    stats_.rejected += count;
     throw OverloadError("admission queue full (" +
                         std::to_string(options_.max_queue) +
                         " queries pending)");
   }
+}
+
+std::future<QueryResult> BatchingExecutor::enqueue_locked(
+    QueryOptions&& query) {
   ++stats_.submitted;
   queue_.push_back(Pending{std::move(query), std::promise<QueryResult>(),
                            monotonic_ns()});
-  std::future<QueryResult> future = queue_.back().promise.get_future();
-  lock.unlock();
-  cv_.notify_one();
-  return future;
+  return queue_.back().promise.get_future();
 }
 
 void BatchingExecutor::stop() {
@@ -332,61 +388,66 @@ BatchingExecutor::Stats BatchingExecutor::stats() const {
 }
 
 void BatchingExecutor::dispatch_loop() {
+  // Reused across batches: once they have grown to the backlog's size,
+  // a dispatch allocates nothing of its own.
+  std::vector<Pending> batch;
+  std::vector<QueryOptions> queries;
   for (;;) {
-    std::vector<Pending> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping with a drained queue
-      if (!stopping_ && options_.batch_window.count() > 0 &&
-          queue_.size() < options_.max_batch) {
-        // Coalescing window: wait a beat for concurrent clients to pile
-        // in. Capped by max_batch so a saturated queue dispatches
-        // immediately.
-        cv_.wait_for(lock, options_.batch_window, [this] {
-          return stopping_ || queue_.size() >= options_.max_batch;
-        });
+      // No coalescing window: take what queued while the last batch ran.
+      if (queue_.size() <= options_.max_batch) {
+        batch.swap(queue_);
+      } else {
+        const auto take = static_cast<std::ptrdiff_t>(options_.max_batch);
+        std::move(queue_.begin(), queue_.begin() + take,
+                  std::back_inserter(batch));
+        queue_.erase(queue_.begin(), queue_.begin() + take);
       }
-      const std::size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      std::move(queue_.begin(),
-                queue_.begin() + static_cast<std::ptrdiff_t>(take),
-                std::back_inserter(batch));
-      queue_.erase(queue_.begin(),
-                   queue_.begin() + static_cast<std::ptrdiff_t>(take));
+      // Observed before the scalar count moves, so a stats() snapshot
+      // (scalars first, histograms after) never shows more batches than
+      // batch sizes.
+      batch_size_.observe(batch.size());
       ++stats_.batches;
       stats_.largest_batch = std::max<std::uint64_t>(stats_.largest_batch,
                                                      batch.size());
     }
-    // Histogram updates are lock-free; record them after dropping the
-    // admission lock so producers are never stalled by telemetry.
+    // The per-query histogram updates are lock-free; record them after
+    // dropping the admission lock so producers are not stalled by them.
     const std::uint64_t dispatch_ns = monotonic_ns();
     for (const Pending& p : batch) {
       queue_wait_us_.observe((dispatch_ns - p.enqueue_ns) / 1000);
     }
-    batch_size_.observe(batch.size());
-    run_one_batch(std::move(batch));
+    run_one_batch(batch, queries);
+    batch.clear();
   }
 }
 
-void BatchingExecutor::run_one_batch(std::vector<Pending>&& batch) {
+void BatchingExecutor::run_one_batch(std::vector<Pending>& batch,
+                                     std::vector<QueryOptions>& queries) {
   obs::TraceSpan span("serve.batch", "size",
                       static_cast<std::int64_t>(batch.size()));
-  Timer exec_timer;
-  std::vector<QueryOptions> queries;
-  queries.reserve(batch.size());
-  for (const Pending& p : batch) queries.push_back(p.query);
   try {
+    // Chaos site: `delay` holds the dispatcher (so tests can build a
+    // queue deterministically); `error` fails the batch before it runs,
+    // which the server reports as a retryable kOverloaded.
+    fail::inject("serve.batch");
+    Timer exec_timer;
+    queries.clear();
+    for (Pending& p : batch) queries.push_back(std::move(p.query));
     std::vector<QueryResult> results =
         engine_->run_batch(queries, options_.threads);
     exec_us_.observe(exec_timer.nanos() / 1000);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      cache_.insert(batch[i].query, results[i]);
+      cache_.insert(queries[i], results[i]);
       batch[i].promise.set_value(std::move(results[i]));
     }
   } catch (...) {
-    // Queries were validated at submit, so this is an internal failure
-    // (OOM, kernel bug): every waiter in the batch learns about it.
+    // Queries were validated at submit, so this is an injected fault or
+    // an internal failure (OOM, kernel bug): every waiter in the batch
+    // learns about it.
     for (Pending& p : batch) {
       p.promise.set_exception(std::current_exception());
     }
@@ -558,13 +619,10 @@ std::vector<std::uint8_t> SketchServer::handle_request(
         std::vector<QueryOptions> queries(count);
         for (QueryOptions& q : queries) q = wire::decode_query(r);
         r.expect_done();
-        // Submit all before waiting on any: the whole client batch
-        // lands in one coalescing window.
-        std::vector<std::future<QueryResult>> futures;
-        futures.reserve(queries.size());
-        for (QueryOptions& q : queries) {
-          futures.push_back(epoch->executor.submit(std::move(q)));
-        }
+        // One executor call: the batch's kernel queries enqueue under one
+        // lock, so the dispatcher picks them up together.
+        std::vector<std::future<QueryResult>> futures =
+            epoch->executor.submit_all(std::move(queries));
         const auto deadline =
             std::chrono::steady_clock::now() + options_.request_timeout;
         std::vector<QueryResult> results;
@@ -620,6 +678,7 @@ std::vector<std::uint8_t> SketchServer::handle_request(
           const obs::MetricValue* metric = metrics.find(name);
           ok.u64(metric != nullptr ? metric->value : 0);
         }
+        ok.u64(exec.prefix_reads);
         wire::encode_histogram(ok, exec.queue_wait_us);
         wire::encode_histogram(ok, exec.batch_size);
         wire::encode_histogram(ok, exec.exec_us);
@@ -1013,6 +1072,7 @@ SketchClient::ServerStats SketchClient::stats() {
   out.failed_reloads = r.u64();
   out.select_refreshes = r.u64();
   out.sketches_retired = r.u64();
+  out.executor.prefix_reads = r.u64();
   out.executor.queue_wait_us = wire::decode_histogram(r);
   out.executor.batch_size = wire::decode_histogram(r);
   out.executor.exec_us = wire::decode_histogram(r);

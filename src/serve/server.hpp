@@ -12,13 +12,13 @@
 //                 (WireWriter/WireReader over byte buffers; no sockets,
 //                 so protocol tests run without any I/O).
 //   BatchingExecutor — admission control + micro-batching over
-//                 QueryEngine::run_batch. Clients submit single queries;
-//                 a dispatcher thread coalesces whatever arrives within
-//                 a small window (or up to max_batch) into one pinned
-//                 OpenMP batch, amortizing the affinity save/restore and
-//                 team spin-up that dominate singleton run_batch calls.
-//                 Constrained results feed a QueryCache; repeat queries
-//                 skip the kernel entirely.
+//                 QueryEngine::run_batch. Unconstrained top-k prefix
+//                 reads and QueryCache hits are answered on the
+//                 connection thread; the remaining queries queue for a
+//                 dispatcher thread that runs whatever queued while its
+//                 previous batch ran (up to max_batch) as one pinned
+//                 OpenMP batch, with no coalescing window. Constrained
+//                 results feed the cache.
 //   SketchServer — the AF_UNIX socket front end: acceptor thread +
 //                 thread-per-connection, length-prefixed frames, one
 //                 request/response pair per frame, per-request timeout,
@@ -68,8 +68,12 @@
 //                                u64 reloads, u64 failed_reloads,
 //                                u64 select_refreshes,
 //                                u64 sketches_retired,
+//                                u64 prefix_reads,
 //                                3 × histogram
-//                                (queue wait µs, batch size, exec µs)
+//                                (queue wait µs, batch size, exec µs;
+//                                queue wait counts every enqueued
+//                                query: submitted − cache_hits −
+//                                prefix_reads)
 //               reload        := u64 generation, string path loaded
 //               histogram     := u64 count, u64 sum, u32 nbuckets,
 //                                nbuckets × u64 (log2 buckets; see

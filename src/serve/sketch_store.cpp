@@ -14,6 +14,7 @@
 #include "io/write_file.hpp"
 #include "rrr/gap_codec.hpp"
 #include "runtime/thread_info.hpp"
+#include "seedselect/engine.hpp"
 #include "serve/query_engine.hpp"
 #include "support/crc32c.hpp"
 #include "support/macros.hpp"
@@ -405,7 +406,7 @@ void SketchStore::finalize() {
   // runs, so the cached and live paths cannot drift apart.
   QueryOptions defaults;
   defaults.k = k_max_;
-  QueryResult seq = run_query(*this, defaults);
+  QueryResult seq = select_from_store(*this, defaults);
   default_seeds_own_ = std::move(seq.seeds);
   default_marginals_own_ = std::move(seq.marginal_coverage);
   default_seeds_ = default_seeds_own_;
@@ -722,7 +723,7 @@ void SketchStore::validate_derived() const {
   // store and require the carried prefix to match.
   QueryOptions defaults;
   defaults.k = k_max_;
-  const QueryResult seq = run_query(*this, defaults);
+  const QueryResult seq = select_from_store(*this, defaults);
   EIMM_CHECK(std::equal(seq.seeds.begin(), seq.seeds.end(),
                         default_seeds_.begin(), default_seeds_.end()),
              "snapshot default seed sequence disagrees with the kernel");

@@ -179,31 +179,30 @@ TEST(SelectionEngine, StoreKernelMatchesPoolKernel) {
   const SketchStore store = SketchStore::from_pool(pool, 8, {});
   QueryOptions query;
   query.k = 8;
-  const SelectionEngine engine;
-  const QueryResult via_engine = engine.select(store, query);
-  EXPECT_EQ(via_engine.seeds, direct.seeds);
-  EXPECT_EQ(via_engine.marginal_coverage, direct.marginal_coverage);
+  const QueryResult one_shot = select_from_store(store, query);
+  EXPECT_EQ(one_shot.seeds, direct.seeds);
+  EXPECT_EQ(one_shot.marginal_coverage, direct.marginal_coverage);
 
-  // And run_query (the serve entry point) is the same code path.
-  const QueryResult via_serve = run_query(store, query);
-  EXPECT_EQ(via_serve.seeds, via_engine.seeds);
+  // And the serving engine, which streams its epoch's degree order
+  // through the same kernel.
+  const QueryResult via_serve = QueryEngine(store).select(query);
+  EXPECT_EQ(via_serve.seeds, one_shot.seeds);
 }
 
 TEST(SelectionEngine, StoreKernelValidatesArguments) {
   const RRRPool pool = make_pool(50);
   const SketchStore store = SketchStore::from_pool(pool, 4, {});
-  const SelectionEngine engine;
   QueryOptions query;
   query.k = 0;
-  EXPECT_THROW(engine.select(store, query), CheckError);
+  EXPECT_THROW(select_from_store(store, query), CheckError);
   query.k = 5;  // exceeds k_max
-  EXPECT_THROW(engine.select(store, query), CheckError);
+  EXPECT_THROW(select_from_store(store, query), CheckError);
   query.k = 2;
   query.forbidden = {store.num_vertices()};
-  EXPECT_THROW(engine.select(store, query), CheckError);
+  EXPECT_THROW(select_from_store(store, query), CheckError);
   query.forbidden.clear();
   query.candidates = {store.num_vertices() + 5};
-  EXPECT_THROW(engine.select(store, query), CheckError);
+  EXPECT_THROW(select_from_store(store, query), CheckError);
 }
 
 }  // namespace

@@ -98,6 +98,23 @@ TEST_F(RetryFixture, RetriesThroughInjectedAdmissionRejections) {
   EXPECT_GE(server_->requests_served(), 3u);
 }
 
+TEST_F(RetryFixture, FailedDispatchIsRetriedAsOverload) {
+  RetryOptions retry;
+  retry.max_attempts = 3;
+  retry.initial_backoff = std::chrono::milliseconds(1);
+  SketchClient client(server_->socket_path(), retry);
+
+  // The dispatcher fails the batch before running it: the query never
+  // executed, so the reply is the retryable kOverloaded.
+  fail::arm("serve.batch", error_spec(100, 1));
+  QueryOptions q;
+  q.k = 3;
+  q.forbidden = {engine_->top_k(1).seeds[0]};
+  EXPECT_EQ(client.select(q).seeds, engine_->select(q).seeds);
+  EXPECT_EQ(client.retry_stats().retries, 1u);
+  EXPECT_EQ(fail::stats("serve.batch").fires, 1u);
+}
+
 TEST_F(RetryFixture, ReconnectsThroughInjectedConnectionDrops) {
   RetryOptions retry;
   retry.max_attempts = 5;

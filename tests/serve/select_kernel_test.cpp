@@ -104,7 +104,7 @@ std::size_t expect_battery_matches(const SketchStore& store,
     const QueryResult want = reference_select(store, q);
     const std::string what = label + " " + describe(q);
     expect_same(engine.select(q), want, what + " (engine)");
-    expect_same(run_query(store, q), want, what + " (one-shot)");
+    expect_same(select_from_store(store, q), want, what + " (one-shot)");
   }
   return queries.size();
 }
@@ -255,7 +255,7 @@ TEST(SelectKernel, TieHeavyStoreMatchesReference) {
   // Every unconstrained answer stops once no sketch is left to cover.
   QueryOptions all;
   all.k = store.k_max();
-  const QueryResult full = run_query(store, all);
+  const QueryResult full = select_from_store(store, all);
   EXPECT_LT(full.seeds.size(), store.k_max());
   EXPECT_EQ(full.covered_sketches, store.num_sketches());
 }

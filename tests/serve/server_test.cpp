@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
+#include "support/failpoint.hpp"
 #include "support/macros.hpp"
 #include "workloads/registry.hpp"
 
@@ -40,6 +41,37 @@ void expect_results_equal(const QueryResult& a, const QueryResult& b) {
   EXPECT_EQ(a.total_sketches, b.total_sketches);
   EXPECT_DOUBLE_EQ(a.estimated_spread, b.estimated_spread);
 }
+
+/// A distinct constrained query per index: it misses the prefix path and
+/// (until it has run once) the cache, so it always enqueues.
+QueryOptions kernel_query(const SketchStore& store, std::size_t i) {
+  QueryOptions q;
+  q.k = 1 + i % store.k_max();
+  q.forbidden = {static_cast<VertexId>(i % store.num_vertices())};
+  return q;
+}
+
+/// Holds the executor's dispatcher inside its next batch for `ms`
+/// (the `serve.batch` failpoint in delay mode, firing once), so queries
+/// submitted meanwhile build a queue deterministically. Disarms on exit.
+class DispatcherHold {
+ public:
+  explicit DispatcherHold(std::uint64_t ms) {
+    fail::Spec spec;
+    spec.mode = fail::Mode::kDelay;
+    spec.arg = ms;
+    spec.times = 1;
+    fail::arm("serve.batch", spec);
+  }
+  ~DispatcherHold() { fail::disarm("serve.batch"); }
+  DispatcherHold(const DispatcherHold&) = delete;
+  DispatcherHold& operator=(const DispatcherHold&) = delete;
+
+  /// Returns once the dispatcher has entered the hold.
+  static void wait_until_held() {
+    while (fail::stats("serve.batch").fires == 0) std::this_thread::yield();
+  }
+};
 
 // --- wire codec ---
 
@@ -145,25 +177,26 @@ TEST(BatchingExecutor, SingleSubmitMatchesDirectEngine) {
 TEST(BatchingExecutor, ConcurrentSubmitsAllCorrectAndBatched) {
   const SketchStore store = make_store();
   const QueryEngine engine(store);
-  ExecutorOptions options;
-  options.batch_window = std::chrono::microseconds(2000);
-  BatchingExecutor executor(engine, options);
+  BatchingExecutor executor(engine, ExecutorOptions{});
+  const DispatcherHold hold(300);
 
   constexpr std::size_t kQueries = 48;
   std::vector<QueryOptions> queries(kQueries);
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(kQueries);
   for (std::size_t i = 0; i < kQueries; ++i) {
-    queries[i].k = 1 + i % store.k_max();
-    if (i % 3 == 1) queries[i].forbidden = {static_cast<VertexId>(i)};
+    queries[i] = kernel_query(store, i);
     futures.push_back(executor.submit(queries[i]));
+    // The first query's batch holds the dispatcher; the rest queue.
+    if (i == 0) DispatcherHold::wait_until_held();
   }
   for (std::size_t i = 0; i < kQueries; ++i) {
     expect_results_equal(futures[i].get(), engine.answer(queries[i]));
   }
   const BatchingExecutor::Stats stats = executor.stats();
   EXPECT_EQ(stats.submitted, kQueries);
-  // The coalescing window must have merged at least some submissions.
+  EXPECT_EQ(stats.prefix_reads, 0u);
+  // What queued behind the held batch must have run as batches.
   EXPECT_LT(stats.batches, kQueries);
   EXPECT_GT(stats.largest_batch, 1u);
 }
@@ -197,25 +230,29 @@ TEST(BatchingExecutor, OverloadRejectsInsteadOfGrowing) {
   const QueryEngine engine(store);
   ExecutorOptions options;
   options.max_queue = 2;
-  options.max_batch = 1024;  // keep the window from dispatching early
-  options.batch_window = std::chrono::microseconds(200000);
   BatchingExecutor executor(engine, options);
+  const DispatcherHold hold(300);
 
-  QueryOptions query;
-  query.k = 1;
+  std::vector<QueryOptions> admitted;
   std::vector<std::future<QueryResult>> futures;
   std::uint64_t overloads = 0;
-  for (int i = 0; i < 32; ++i) {
+  for (std::size_t i = 0; i < 32; ++i) {
+    const QueryOptions query = kernel_query(store, i);
     try {
       futures.push_back(executor.submit(query));
+      admitted.push_back(query);
     } catch (const OverloadError&) {
       ++overloads;
     }
+    if (i == 0) DispatcherHold::wait_until_held();
   }
   EXPECT_GT(overloads, 0u);
   EXPECT_EQ(executor.stats().rejected, overloads);
   executor.stop();  // drains the admitted queries
-  for (auto& f : futures) EXPECT_EQ(f.get().seeds, engine.top_k(1).seeds);
+  ASSERT_EQ(futures.size(), admitted.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_results_equal(futures[i].get(), engine.answer(admitted[i]));
+  }
 }
 
 TEST(BatchingExecutor, RepeatedConstrainedQueryHitsCache) {
@@ -236,18 +273,100 @@ TEST(BatchingExecutor, RepeatedConstrainedQueryHitsCache) {
 TEST(BatchingExecutor, StopDrainsAdmittedWork) {
   const SketchStore store = make_store();
   const QueryEngine engine(store);
-  ExecutorOptions options;
-  options.batch_window = std::chrono::microseconds(100000);
-  BatchingExecutor executor(engine, options);
+  BatchingExecutor executor(engine, ExecutorOptions{});
+  const DispatcherHold hold(100);
 
-  QueryOptions query;
-  query.k = 2;
+  std::vector<QueryOptions> queries;
   std::vector<std::future<QueryResult>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(executor.submit(query));
-  executor.stop();
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().seeds, engine.top_k(2).seeds);
+  for (std::size_t i = 0; i < 8; ++i) {
+    queries.push_back(kernel_query(store, i));
+    futures.push_back(executor.submit(queries.back()));
+    if (i == 0) DispatcherHold::wait_until_held();
   }
+  executor.stop();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_results_equal(futures[i].get(), engine.answer(queries[i]));
+  }
+}
+
+TEST(BatchingExecutor, PrefixReadNeverEnqueuesButPassesAdmission) {
+  const SketchStore store = make_store();
+  const QueryEngine engine(store);
+  BatchingExecutor executor(engine, ExecutorOptions{});
+  const DispatcherHold hold(300);
+
+  // A held dispatcher cannot answer anything, yet the prefix read comes
+  // back already settled: it never entered the queue.
+  std::future<QueryResult> queued = executor.submit(kernel_query(store, 0));
+  DispatcherHold::wait_until_held();
+  QueryOptions top;
+  top.k = store.k_max();
+  std::future<QueryResult> prefix = executor.submit(top);
+  ASSERT_EQ(prefix.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  expect_results_equal(prefix.get(), engine.top_k(top.k));
+
+  // The prefix path is still behind the admission failpoint.
+  fail::Spec reject;
+  reject.mode = fail::Mode::kError;
+  reject.arg = 100;
+  reject.times = 1;
+  fail::arm("serve.admit", reject);
+  EXPECT_THROW((void)executor.submit(top), OverloadError);
+  EXPECT_EQ(fail::stats("serve.admit").fires, 1u);
+  fail::disarm("serve.admit");
+
+  expect_results_equal(queued.get(), engine.answer(kernel_query(store, 0)));
+  const BatchingExecutor::Stats stats = executor.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.prefix_reads, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.queue_wait_us.count, 1u);
+}
+
+TEST(BatchingExecutor, SubmitAllEnqueuesTogether) {
+  const SketchStore store = make_store();
+  const QueryEngine engine(store);
+  BatchingExecutor executor(engine, ExecutorOptions{});
+
+  std::vector<QueryOptions> queries;
+  for (std::size_t i = 0; i < 6; ++i) queries.push_back(kernel_query(store, i));
+  QueryOptions top;
+  top.k = 2;
+  queries.push_back(top);
+  std::vector<std::future<QueryResult>> futures =
+      executor.submit_all(queries);
+  ASSERT_EQ(futures.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_results_equal(futures[i].get(), engine.answer(queries[i]));
+  }
+  const BatchingExecutor::Stats stats = executor.stats();
+  EXPECT_EQ(stats.submitted, queries.size());
+  EXPECT_EQ(stats.prefix_reads, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.largest_batch, queries.size() - 1);
+
+  // One bad query fails the whole call before anything is admitted.
+  queries[3].forbidden = {store.num_vertices()};
+  EXPECT_THROW((void)executor.submit_all(queries), CheckError);
+  EXPECT_EQ(executor.stats().submitted, stats.submitted);
+
+  // More kernel queries than the queue can ever hold is a permanent
+  // error, not an overload the client would retry forever.
+  ExecutorOptions tight_options;
+  tight_options.max_queue = 2;
+  BatchingExecutor tight(engine, tight_options);
+  bool permanent = false;
+  try {
+    (void)tight.submit_all({kernel_query(store, 0), kernel_query(store, 1),
+                            kernel_query(store, 2)});
+  } catch (const OverloadError&) {
+  } catch (const CheckError&) {
+    permanent = true;
+  }
+  EXPECT_TRUE(permanent);
+  EXPECT_EQ(tight.stats().submitted, 0u);
 }
 
 // --- SketchServer + SketchClient over a real socket ---
@@ -310,6 +429,23 @@ TEST_F(ServerFixture, ServedQueriesMatchDirectEngine) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     expect_results_equal(served[i], engine_->answer(queries[i]));
   }
+}
+
+TEST_F(ServerFixture, BatchVerbLandsInOneDispatch) {
+  SketchClient client(server_->socket_path());
+  constexpr std::size_t kCount = 5;
+  std::vector<QueryOptions> queries;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    queries.push_back(kernel_query(*store_, i));
+  }
+  const std::vector<QueryResult> served = client.batch(queries);
+  ASSERT_EQ(served.size(), kCount);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    expect_results_equal(served[i], engine_->answer(queries[i]));
+  }
+  const SketchClient::ServerStats stats = client.stats();
+  EXPECT_EQ(stats.executor.batches, 1u);
+  EXPECT_EQ(stats.executor.largest_batch, kCount);
 }
 
 TEST_F(ServerFixture, InvalidQueryGetsErrorResponseNotHangup) {
@@ -404,15 +540,18 @@ TEST(BatchingExecutor, StatsHistogramsTrackDispatch) {
   (void)executor.submit(repeated).get();  // served from the query cache
   QueryOptions fresh;
   fresh.k = 2;
-  (void)executor.submit(fresh).get();
+  (void)executor.submit(fresh).get();  // a prefix read
 
   const BatchingExecutor::Stats stats = executor.stats();
   EXPECT_EQ(stats.submitted, 3u);
   EXPECT_GE(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.prefix_reads, 1u);
   // Every dispatched batch observes its size once; every enqueued query
-  // (cache hits never enqueue) observes its queue wait once.
+  // (prefix reads and cache hits never enqueue) observes its queue wait
+  // once.
   EXPECT_EQ(stats.batch_size.count, stats.batches);
-  EXPECT_EQ(stats.queue_wait_us.count, stats.submitted - stats.cache_hits);
+  EXPECT_EQ(stats.queue_wait_us.count,
+            stats.submitted - stats.cache_hits - stats.prefix_reads);
   EXPECT_EQ(stats.exec_us.count, stats.batches);
   std::uint64_t bucket_total = 0;
   for (const std::uint64_t b : stats.batch_size.buckets) bucket_total += b;
@@ -435,7 +574,7 @@ TEST(BatchingExecutor, StatsSnapshotSafeWhileSubmitting) {
     while (!stop.load(std::memory_order_relaxed)) {
       const BatchingExecutor::Stats stats = executor.stats();
       EXPECT_GE(stats.submitted, last_submitted);
-      EXPECT_GE(stats.submitted, stats.cache_hits);
+      EXPECT_GE(stats.submitted, stats.cache_hits + stats.prefix_reads);
       // Histograms are snapshotted after the scalar copy, so they may
       // run ahead of it — but never behind.
       EXPECT_GE(stats.batch_size.count, stats.batches);
@@ -447,8 +586,10 @@ TEST(BatchingExecutor, StatsSnapshotSafeWhileSubmitting) {
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(kQueries);
   for (std::size_t i = 0; i < kQueries; ++i) {
-    QueryOptions q;
-    q.k = 1 + i % store.k_max();
+    // Odd indices run the kernel, so the dispatcher mutates the counters
+    // while the reader snapshots them; even ones are prefix reads.
+    QueryOptions q = kernel_query(store, i);
+    if (i % 2 == 0) q.forbidden.clear();
     futures.push_back(executor.submit(q));
   }
   for (auto& f : futures) (void)f.get();
@@ -457,7 +598,9 @@ TEST(BatchingExecutor, StatsSnapshotSafeWhileSubmitting) {
 
   const BatchingExecutor::Stats stats = executor.stats();
   EXPECT_EQ(stats.submitted, kQueries);
-  EXPECT_EQ(stats.queue_wait_us.count, stats.submitted - stats.cache_hits);
+  EXPECT_EQ(stats.prefix_reads, kQueries / 2);
+  EXPECT_EQ(stats.queue_wait_us.count,
+            stats.submitted - stats.cache_hits - stats.prefix_reads);
 }
 
 TEST_F(ServerFixture, StatsVerbMatchesScriptedSequence) {
@@ -479,17 +622,19 @@ TEST_F(ServerFixture, StatsVerbMatchesScriptedSequence) {
   EXPECT_GE(stats.requests, 4u);
   EXPECT_EQ(stats.timeouts, 0u);
   EXPECT_EQ(stats.executor.submitted, 3u);
+  EXPECT_EQ(stats.executor.prefix_reads, 1u);
   EXPECT_GE(stats.executor.cache_hits, 1u);
   EXPECT_GE(stats.executor.batches, 1u);
   EXPECT_GE(stats.executor.largest_batch, 1u);
   EXPECT_EQ(stats.cache.hits, stats.executor.cache_hits);
   // Only the two constrained selects are cacheable; the unconstrained
-  // top_k bypasses the cache without recording a miss.
+  // top_k is a prefix read that never looks the cache up.
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, 2u);
   // Wire-decoded histograms carry the executor's real distributions.
   EXPECT_EQ(stats.executor.batch_size.count, stats.executor.batches);
   EXPECT_EQ(stats.executor.queue_wait_us.count,
-            stats.executor.submitted - stats.executor.cache_hits);
+            stats.executor.submitted - stats.executor.cache_hits -
+                stats.executor.prefix_reads);
   EXPECT_EQ(stats.executor.exec_us.count, stats.executor.batches);
   EXPECT_GE(stats.executor.batch_size.sum, stats.executor.batches);
   // The one kernel run (the cache miss) retired the sketches it covered.

@@ -155,9 +155,12 @@ int main(int argc, char** argv) {
       std::printf("requests: %llu (%llu timeouts)\n",
                   static_cast<unsigned long long>(stats.requests),
                   static_cast<unsigned long long>(stats.timeouts));
-      std::printf("executor: %llu submitted, %llu cache hits, %llu rejected, "
-                  "%llu batches (largest %llu)\n",
+      std::printf("executor: %llu submitted, %llu prefix reads, "
+                  "%llu cache hits, %llu rejected, %llu batches "
+                  "(largest %llu)\n",
                   static_cast<unsigned long long>(stats.executor.submitted),
+                  static_cast<unsigned long long>(
+                      stats.executor.prefix_reads),
                   static_cast<unsigned long long>(stats.executor.cache_hits),
                   static_cast<unsigned long long>(stats.executor.rejected),
                   static_cast<unsigned long long>(stats.executor.batches),

@@ -60,8 +60,10 @@ struct ServerCli {
       "          [--deep-validate]   (O(pool) integrity scan at load)\n"
       "          [--k N] [--model IC|LT] [--scale F] [--seed N]\n"
       "          [--max-rrr N] [--threads N]   (build mode only)\n"
-      "          [--batch N] [--batch-window-us N] [--timeout-ms N]\n"
-      "          [--max-queue N] [--cache N]\n"
+      "          [--batch N]         (largest kernel batch; batches form\n"
+      "                               only from queries that queue while\n"
+      "                               the previous batch runs)\n"
+      "          [--timeout-ms N] [--max-queue N] [--cache N]\n"
       "          [--metrics OUT.json] [--metrics-interval SECONDS]\n",
       argv0);
   std::exit(error != nullptr ? 2 : 0);
@@ -109,9 +111,6 @@ ServerCli parse_cli(int argc, char** argv) {
     } else if (arg == "--batch") {
       cli.server.executor.max_batch =
           static_cast<std::size_t>(parse_uint(argv[0], arg, next()));
-    } else if (arg == "--batch-window-us") {
-      cli.server.executor.batch_window =
-          std::chrono::microseconds(parse_uint(argv[0], arg, next()));
     } else if (arg == "--timeout-ms") {
       cli.server.request_timeout =
           std::chrono::milliseconds(parse_uint(argv[0], arg, next()));
@@ -185,6 +184,7 @@ ServingStatsRecord serving_record(SketchServer& server) {
   record.requests = server.requests_served();
   record.timeouts = server.timeouts();
   record.submitted = exec.submitted;
+  record.prefix_reads = exec.prefix_reads;
   record.cache_hits = exec.cache_hits;
   record.rejected = exec.rejected;
   record.batches = exec.batches;
