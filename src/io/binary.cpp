@@ -56,11 +56,9 @@ void write_header(std::ostream& os, std::string_view magic,
   write_pod(os, version);
 }
 
-std::uint32_t read_header_any(std::istream& is, std::string_view magic,
-                              std::span<const std::uint32_t> accepted,
-                              const char* what) {
+void read_header(std::istream& is, std::string_view magic,
+                 std::uint32_t expected_version, const char* what) {
   EIMM_CHECK(magic.size() <= 8, "binary magic longer than 8 bytes");
-  EIMM_CHECK(!accepted.empty(), "no accepted versions given");
   char expected[8] = {};
   std::memcpy(expected, magic.data(), magic.size());
   char found[8] = {};
@@ -71,19 +69,12 @@ std::uint32_t read_header_any(std::istream& is, std::string_view magic,
   }
   std::uint32_t version = 0;
   read_pod(is, version, what);
-  for (const std::uint32_t v : accepted) {
-    if (version == v) return version;
+  if (version != expected_version) {
+    const auto ver_at = detail::tell(is);
+    throw FormatError(std::string("unsupported version ") +
+                          std::to_string(version) + " of " + what,
+                      what, ver_at);
   }
-  const auto ver_at = detail::tell(is);
-  throw FormatError(std::string("unsupported version ") +
-                        std::to_string(version) + " of " + what,
-                    what, ver_at);
-}
-
-std::uint32_t read_header(std::istream& is, std::string_view magic,
-                          std::uint32_t expected_version, const char* what) {
-  const std::uint32_t accepted[] = {expected_version};
-  return read_header_any(is, magic, accepted, what);
 }
 
 void write_string(std::ostream& os, const std::string& s) {

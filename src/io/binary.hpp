@@ -1,15 +1,16 @@
 // Binary serialization — load big graphs (and sketch-store snapshots)
 // without re-parsing text. Little-endian, versioned headers.
 //
-// The eimm::bin helpers are the shared on-disk vocabulary: every binary
-// format in the project (CSR graphs here, sketch-store snapshots in
-// src/serve) is an 8-byte magic + u32 version header followed by PODs
-// and length-prefixed POD vectors. Failures throw FormatError (a
-// CheckError subclass) naming the section being read and, on seekable
-// streams, the byte offset where the failing read began — never UB and
-// never a partially populated object: these reads are load-bearing for
-// the mmap'ed snapshot path, where a corrupt length field must not turn
-// into a multi-exabyte allocation or an out-of-bounds pointer.
+// The eimm::bin helpers are the shared on-disk vocabulary: CSR graphs
+// here are an 8-byte magic + u32 version header followed by PODs and
+// length-prefixed POD vectors, and sketch-store snapshots (src/serve)
+// encode their meta section with the same primitives. Failures throw
+// FormatError (a CheckError subclass) naming the section being read and,
+// on seekable streams, the byte offset where the failing read began —
+// never UB and never a partially populated object: these reads are
+// load-bearing for the mmap'ed snapshot path, where a corrupt length
+// field must not turn into a multi-exabyte allocation or an
+// out-of-bounds pointer.
 #pragma once
 
 #include <algorithm>
@@ -106,18 +107,11 @@ void read_into(std::istream& is, Container& out, std::uint64_t size,
 void write_header(std::ostream& os, std::string_view magic,
                   std::uint32_t version);
 
-/// Reads and validates a header written by write_header. Returns the
-/// stored version; throws FormatError on bad magic or a version not in
-/// `accepted` (version negotiation for formats with several live
-/// revisions — the caller dispatches on the return value). `what` names
-/// the format in error messages ("sketch-store snapshot").
-std::uint32_t read_header_any(std::istream& is, std::string_view magic,
-                              std::span<const std::uint32_t> accepted,
-                              const char* what);
-
-/// Single-version convenience over read_header_any.
-std::uint32_t read_header(std::istream& is, std::string_view magic,
-                          std::uint32_t expected_version, const char* what);
+/// Reads and validates a header written by write_header. Throws
+/// FormatError on bad magic or a version other than `expected_version`.
+/// `what` names the format in error messages ("binary graph file").
+void read_header(std::istream& is, std::string_view magic,
+                 std::uint32_t expected_version, const char* what);
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {

@@ -2,7 +2,7 @@
 // SketchStore.
 //
 // The paper's build/serve split stops one step short of a service: the
-// CLI re-loads the snapshot per invocation. With v2 snapshots mmap'ed
+// CLI re-loads the snapshot per invocation. With snapshots mmap'ed
 // read-only, N server processes share one page-cache copy of the sketch
 // data and cold-start in O(section table), so running the store as a
 // daemon is finally cheaper than running it as a command. This header

@@ -23,50 +23,41 @@ namespace eimm {
 namespace {
 
 constexpr std::string_view kSnapshotMagic = "EIMMSKS";
-constexpr std::uint32_t kSnapshotVersionV1 = 1;
-constexpr std::uint32_t kSnapshotVersionV2 = 2;
-constexpr std::uint32_t kSnapshotVersionV3 = 3;
-constexpr std::uint32_t kSnapshotVersionV4 = 4;
-constexpr std::uint32_t kAcceptedVersions[] = {kSnapshotVersionV1,
-                                               kSnapshotVersionV2,
-                                               kSnapshotVersionV3,
-                                               kSnapshotVersionV4};
+/// The one version written and read; check_prefix() rejects any other.
+constexpr std::uint32_t kSnapshotVersion = 4;
 constexpr const char* kSnapshotWhat = "sketch-store snapshot";
-/// A v1 file may declare at most max(kV1VertexFloor, its member count)
-/// vertices (see the v1 entry in sketch_store.hpp).
-constexpr std::uint64_t kV1VertexFloor = std::uint64_t{1} << 20;
 
-// --- v2/v3 on-disk layout ------------------------------------------------
+// --- on-disk layout -------------------------------------------------------
 // magic(8) version(4) section_count(4) file_bytes(8), then section_count
-// table entries of {u32 id, u32 reserved, u64 offset, u64 bytes}, then
+// table entries of {u32 id, u32 crc, u64 offset, u64 bytes}, then
 // the sections themselves, each starting at a kSectionAlign-aligned file
 // offset (zero-padded gaps). Section offsets are absolute, so an mmap of
 // the whole file serves every array in place: page alignment makes the
 // typed reinterpretation valid, and the byte lengths make truncation a
 // section-table error instead of a mid-array surprise.
 //
-// v3 reuses the layout with 8 sections: the sketch-vertices section
+// The section count picks the layout. The raw layout has 7 sections;
+// the compressed one adds an eighth, and its sketch-vertices section
 // holds the gap-coded payload BYTES (u8, always plain varints on disk)
-// and section 8 carries the per-sketch byte offsets. Everything else —
-// including the derived arrays — is identical to v2.
-//
-// v4 keeps both layouts (7 sections = raw, 8 = compressed) and stamps
-// the CRC32C of each section's payload into the table entry's reserved
-// u32, so loaders can prove every byte they are about to serve.
+// while section 8 carries the per-sketch byte offsets. Everything else —
+// including the derived arrays — is identical. Each table entry's crc is
+// the CRC32C of its section's payload, so loaders can prove every byte
+// they are about to serve.
 enum SectionId : std::uint32_t {
   kSecMeta = 1,              // bin-encoded scalars + strings
   kSecSketchOffsets = 2,     // u64[num_sketches + 1] (member counts CSR)
-  kSecSketchVertices = 3,    // v2: u32[total members]; v3: u8[payload]
+  kSecSketchVertices = 3,    // raw: u32[total members]; compressed: u8[]
   kSecNodeOffsets = 4,       // u64[num_vertices + 1]
   kSecNodeSketches = 5,      // u32[total members]
   kSecDefaultSeeds = 6,      // u32[default sequence length]
   kSecDefaultMarginals = 7,  // u64[default sequence length]
-  kSecCompOffsets = 8,       // v3 only: u64[num_sketches + 1] byte CSR
+  kSecCompOffsets = 8,       // compressed only: u64[num_sketches + 1]
 };
-constexpr std::uint32_t kSectionCountV2 = 7;
-constexpr std::uint32_t kSectionCountV3 = 8;
+constexpr std::uint32_t kSectionCountRaw = 7;
+constexpr std::uint32_t kSectionCountCompressed = 8;
 constexpr std::uint64_t kSectionAlign = 4096;
 constexpr std::uint64_t kSectionEntryBytes = 24;
+constexpr std::uint64_t kVersionEnd = 12;  // magic(8) + version(4)
 constexpr std::uint64_t header_bytes(std::uint32_t section_count) {
   return 8 + 4 + 4 + 8 + section_count * kSectionEntryBytes;
 }
@@ -87,7 +78,7 @@ constexpr const char* section_name(std::uint32_t id) {
 
 struct SectionEntry {
   std::uint32_t id = 0;
-  std::uint32_t crc = 0;  // CRC32C of the section payload (v4; else 0)
+  std::uint32_t crc = 0;  // CRC32C of the section payload
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;
 };
@@ -104,34 +95,36 @@ constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
                          section, offset);
 }
 
-/// Section count a version must declare: fixed for v2/v3; v4 serves
-/// both layouts, so the declared count itself picks raw vs compressed.
-std::uint32_t checked_section_count(std::uint32_t version,
-                                    std::uint32_t declared) {
-  const bool ok = version == kSnapshotVersionV4
-                      ? (declared == kSectionCountV2 ||
-                         declared == kSectionCountV3)
-                      : declared == (version == kSnapshotVersionV3
-                                         ? kSectionCountV3
-                                         : kSectionCountV2);
-  if (!ok) fail_section("wrong section count in", "section table", 12);
-  return declared;
-}
-
-bool compressed_layout(std::uint32_t version, std::uint32_t section_count) {
-  return version == kSnapshotVersionV3 ||
-         (version == kSnapshotVersionV4 && section_count == kSectionCountV3);
+/// Checks the magic and version word that open every snapshot. Any
+/// version but v4 fails with one typed error that names it, whatever
+/// bytes follow.
+void check_prefix(std::span<const std::uint8_t> prefix) {
+  if (prefix.size() < kVersionEnd) {
+    bin::detail::fail_section("not a recognized", kSnapshotWhat, 0);
+  }
+  char expected[8] = {};
+  std::memcpy(expected, kSnapshotMagic.data(), kSnapshotMagic.size());
+  if (std::memcmp(prefix.data(), expected, sizeof expected) != 0) {
+    bin::detail::fail_section("not a recognized", kSnapshotWhat, 0);
+  }
+  std::uint32_t version = 0;
+  std::memcpy(&version, prefix.data() + 8, sizeof version);
+  if (version != kSnapshotVersion) {
+    throw bin::FormatError(
+        std::string("unsupported ") + kSnapshotWhat + " version " +
+            std::to_string(version) + " (only version " +
+            std::to_string(kSnapshotVersion) +
+            " loads); rebuild the snapshot with sketch_cli save",
+        "header", 8);
+  }
 }
 
 /// Validates one parsed section table: expected ids in order, aligned,
 /// ascending, in-bounds, gap-only overlap-free.
 void check_section_table(const std::vector<SectionEntry>& table,
-                         std::uint64_t file_bytes,
-                         std::uint32_t expected_count) {
-  if (table.size() != expected_count) {
-    fail_section("wrong section count in", "section table", 12);
-  }
-  std::uint64_t prev_end = header_bytes(expected_count);
+                         std::uint64_t file_bytes) {
+  std::uint64_t prev_end =
+      header_bytes(static_cast<std::uint32_t>(table.size()));
   for (std::size_t i = 0; i < table.size(); ++i) {
     const SectionEntry& s = table[i];
     const char* name = section_name(s.id);
@@ -151,9 +144,8 @@ void check_section_table(const std::vector<SectionEntry>& table,
   }
 }
 
-/// Serializes the meta fields with the bin primitives: the meta section
-/// of a section-table snapshot, and the fields v1 files carry inline
-/// (read_meta_fields parses both).
+/// Serializes the meta fields with the bin primitives (the meta section;
+/// read_meta_fields parses it).
 void write_meta_fields(std::ostream& os, VertexId num_vertices,
                        std::uint64_t num_sketches, std::uint64_t k_max,
                        const SketchStoreMeta& meta) {
@@ -200,21 +192,27 @@ std::span<const T> typed_section(std::span<const std::uint8_t> image,
           static_cast<std::size_t>(s.bytes / sizeof(T))};
 }
 
-/// Reads the rest of a v2+ snapshot whose magic and version were already
-/// consumed into an owned image of the whole file, so a stream load
-/// decodes the same bytes an mmap would. The declared size is never
+/// Reads a snapshot into an owned image of the whole file, so a stream
+/// load decodes the same bytes an mmap would. The magic and version are
+/// checked before anything else is read. The declared size is never
 /// trusted for allocation: on a stream that cannot be measured, the
 /// image grows geometrically from kImageChunk as bytes actually arrive,
 /// so a header that lies about its size fails as truncated after at
 /// most twice the delivered bytes, not as a huge allocation.
-std::vector<std::uint8_t> read_image(std::istream& is,
-                                     std::uint32_t version) {
-  constexpr std::uint64_t kPrefixBytes = 24;  // magic, version, count, size
+std::vector<std::uint8_t> read_image(std::istream& is) {
+  constexpr std::uint64_t kPrefixBytes = 24;  // + section count, size
   constexpr std::uint64_t kImageChunk = std::uint64_t{1} << 16;
-  std::uint32_t section_count = 0;
+  std::vector<std::uint8_t> image(kPrefixBytes, 0);
+  is.read(reinterpret_cast<char*>(image.data()), kVersionEnd);
+  check_prefix({image.data(), static_cast<std::size_t>(is.gcount())});
+  is.read(reinterpret_cast<char*>(image.data() + kVersionEnd),
+          kPrefixBytes - kVersionEnd);
+  if (!is.good()) {
+    fail_section("truncated header in", "section table",
+                 kVersionEnd + static_cast<std::uint64_t>(is.gcount()));
+  }
   std::uint64_t file_bytes = 0;
-  bin::read_pod(is, section_count, "section table");
-  bin::read_pod(is, file_bytes, "section table");
+  std::memcpy(&file_bytes, image.data() + 16, sizeof file_bytes);
   if (file_bytes < kPrefixBytes) {
     fail_section("implausible file size in", "section table", 16);
   }
@@ -229,11 +227,6 @@ std::vector<std::uint8_t> read_image(std::istream& is,
     }
     growth_floor = file_bytes;
   }
-  std::vector<std::uint8_t> image(kPrefixBytes, 0);
-  std::memcpy(image.data(), kSnapshotMagic.data(), kSnapshotMagic.size());
-  std::memcpy(image.data() + 8, &version, sizeof version);
-  std::memcpy(image.data() + 12, &section_count, sizeof section_count);
-  std::memcpy(image.data() + 16, &file_bytes, sizeof file_bytes);
   while (image.size() < file_bytes) {
     const std::uint64_t have = image.size();
     const std::uint64_t want =
@@ -252,8 +245,8 @@ std::vector<std::uint8_t> read_image(std::istream& is,
 
 }  // namespace
 
-/// Checksum work of a v4 section load. The data pointers reference the
-/// snapshot image, which never relocates when the store moves.
+/// Checksum work of a load. The data pointers reference the snapshot
+/// image, which never relocates when the store moves.
 struct SketchStore::PendingChecksums {
   struct Section {
     const char* name;
@@ -376,10 +369,9 @@ void SketchStore::finalize() {
   // Inverted index by counting sort: degree histogram → prefix sum →
   // fill in sketch order, which leaves each vertex's covering list
   // sorted by sketch id. Derived deterministically from the sketch
-  // members at build time (and carried verbatim in v2 snapshots, so a
-  // v2 load skips this entirely — the O(index) cold start). Reads
-  // through sketch(), so flat and zero-copy backings produce the
-  // identical index.
+  // members at build time (and carried verbatim in snapshots, so a load
+  // skips this entirely — the O(index) cold start). Reads through
+  // sketch(), so flat and zero-copy backings produce the identical index.
   const VertexId n = num_vertices_;
   node_offsets_own_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (std::uint64_t s = 0; s < num_sketches_; ++s) {
@@ -455,7 +447,7 @@ std::uint64_t SketchStore::memory_bytes() const noexcept {
 
 void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   const std::uint32_t section_count =
-      options.compress ? kSectionCountV3 : kSectionCountV2;
+      options.compress ? kSectionCountCompressed : kSectionCountRaw;
 
   // Meta section first (the loader needs the counts before the arrays).
   std::ostringstream meta_os(std::ios::binary);
@@ -544,11 +536,10 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   }
   const std::uint64_t file_bytes = cursor;
 
-  bin::write_header(os, kSnapshotMagic, kSnapshotVersionV4);
+  bin::write_header(os, kSnapshotMagic, kSnapshotVersion);
   bin::write_pod(os, section_count);
   bin::write_pod(os, file_bytes);
   for (std::uint32_t i = 0; i < section_count; ++i) {
-    // v4 stamps the section's CRC32C into the slot v2/v3 reserved as 0.
     bin::write_pod(os, blobs[i].id);
     bin::write_pod(os, crc32c(blobs[i].data, blobs[i].bytes));
     bin::write_pod(os, offsets[i]);
@@ -610,9 +601,9 @@ void SketchStore::save_file(const std::string& path,
              [&](std::ostream& os) { save(os, options); });
 }
 
-void SketchStore::validate_primary() const {
-  // Shape checks only — O(θ), no pool-sized scan. A malformed snapshot
-  // must fail loudly here, not as UB inside a query.
+void SketchStore::validate_structure() const {
+  // Shape checks only — O(sections + θ + |V| + k), no pool-sized scan. A
+  // malformed snapshot must fail loudly here, not as UB inside a query.
   EIMM_CHECK(num_vertices_ > 0, "snapshot holds a zero-vertex store");
   EIMM_CHECK(k_max_ > 0, "snapshot holds a zero query cap");
   EIMM_CHECK(k_max_ <= num_vertices_,
@@ -642,12 +633,7 @@ void SketchStore::validate_primary() const {
     EIMM_CHECK(sketch_offsets_[i] >= sketch_offsets_[i - 1],
                "snapshot sketch offsets decrease");
   }
-}
-
-void SketchStore::validate_structure() const {
-  // O(sections + θ + |V| + k): the primary shape, then the derived
-  // arrays a section load carries instead of recomputing.
-  validate_primary();
+  // The derived arrays a load carries instead of recomputing.
   EIMM_CHECK(node_offsets_.size() ==
                  static_cast<std::size_t>(num_vertices_) + 1,
              "snapshot node offsets inconsistent with vertex count");
@@ -695,7 +681,7 @@ void SketchStore::validate_payload() const {
 
 void SketchStore::validate_derived() const {
   // Recompute the inverted index exactly as finalize() would and compare
-  // against the carried arrays: a v2 snapshot whose derived state was
+  // against the carried arrays: a snapshot whose derived state was
   // tampered with (or bit-rotted) must not serve wrong covering lists.
   const VertexId n = num_vertices_;
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
@@ -734,63 +720,25 @@ void SketchStore::validate_derived() const {
              "snapshot default marginals disagree with the kernel");
 }
 
-SketchStore SketchStore::load_v1(std::istream& is) {
-  SketchStore store;
-  read_meta_fields(is, store.num_vertices_, store.num_sketches_,
-                   store.k_max_, store.meta_);
-  store.sketch_offsets_own_ =
-      bin::read_vec<std::uint64_t>(is, section_name(kSecSketchOffsets));
-  store.sketch_vertices_own_ =
-      bin::read_vec<VertexId>(is, section_name(kSecSketchVertices));
-  store.flat_ = true;
-  store.sketch_offsets_ = store.sketch_offsets_own_;
-  store.sketch_vertices_ = store.sketch_vertices_own_;
-
-  // v1 carries primary data only: validate it, then rebuild the derived
-  // state, so no cross-index inconsistency can survive a load.
-  store.validate_primary();
-  // No per-vertex array bounds the declared vertex count, yet finalize()
-  // allocates per vertex: cap it before a short file can demand gigabytes.
-  EIMM_CHECK(store.num_vertices_ <=
-                 std::max<std::uint64_t>(kV1VertexFloor,
-                                         store.sketch_vertices_.size()),
-             "v1 snapshot declares more vertices than it can reach");
-  store.validate_payload();
-  store.finalize();
-  store.load_stats_.version = kSnapshotVersionV1;
-  store.load_stats_.bytes_copied =
-      store.sketch_offsets_.size_bytes() + store.sketch_vertices_.size_bytes();
-  return store;
-}
-
 void SketchStore::decode_sections(std::span<const std::uint8_t> image,
                                   ChecksumMode checksums) {
   EIMM_CHECK(reinterpret_cast<std::uintptr_t>(image.data()) % 8 == 0,
              "snapshot image is not 8-byte aligned");
   const std::uint64_t size = image.size();
-  if (size < header_bytes(kSectionCountV2)) {
+  check_prefix(image);
+  if (size < header_bytes(kSectionCountRaw)) {
     fail_section("truncated header in", "section table", size);
   }
-  char expected[8] = {};
-  std::memcpy(expected, kSnapshotMagic.data(), kSnapshotMagic.size());
-  if (std::memcmp(image.data(), expected, sizeof expected) != 0) {
-    bin::detail::fail_section("not a recognized", kSnapshotWhat, 0);
-  }
-  std::uint32_t version = 0;
   std::uint32_t section_count = 0;
   std::uint64_t file_bytes = 0;
-  std::memcpy(&version, image.data() + 8, sizeof version);
   std::memcpy(&section_count, image.data() + 12, sizeof section_count);
   std::memcpy(&file_bytes, image.data() + 16, sizeof file_bytes);
-  if (version != kSnapshotVersionV2 && version != kSnapshotVersionV3 &&
-      version != kSnapshotVersionV4) {
-    fail_section("not a section-table snapshot version in", "header", 8);
+  if (section_count != kSectionCountRaw &&
+      section_count != kSectionCountCompressed) {
+    fail_section("wrong section count in", "section table", 12);
   }
-  const std::uint32_t expected_count =
-      checked_section_count(version, section_count);
-  const bool compressed = compressed_layout(version, expected_count);
-  const bool checksummed = version == kSnapshotVersionV4;
-  if (size < header_bytes(expected_count)) {
+  const bool compressed = section_count == kSectionCountCompressed;
+  if (size < header_bytes(section_count)) {
     fail_section("truncated header in", "section table", size);
   }
   if (file_bytes != size) {
@@ -798,34 +746,31 @@ void SketchStore::decode_sections(std::span<const std::uint8_t> image,
     // (payload, padding, table) disagrees with its own header.
     fail_section("truncated file in", "section table", size);
   }
-  std::vector<SectionEntry> table(expected_count);
-  for (std::uint32_t i = 0; i < expected_count; ++i) {
+  std::vector<SectionEntry> table(section_count);
+  for (std::uint32_t i = 0; i < section_count; ++i) {
     const std::uint8_t* entry = image.data() + 24 + i * kSectionEntryBytes;
     std::memcpy(&table[i].id, entry, sizeof table[i].id);
     std::memcpy(&table[i].crc, entry + 4, sizeof table[i].crc);
     std::memcpy(&table[i].offset, entry + 8, sizeof table[i].offset);
     std::memcpy(&table[i].bytes, entry + 16, sizeof table[i].bytes);
   }
-  check_section_table(table, file_bytes, expected_count);
+  check_section_table(table, file_bytes);
 
-  load_stats_.version = version;
+  load_stats_.version = kSnapshotVersion;
   load_stats_.file_bytes = file_bytes;
   load_stats_.compressed = compressed;
-  load_stats_.checksummed = checksummed;
-  if (checksummed) {
-    // Verify before anything is parsed, so an eager load reports a
-    // flipped bit as the checksum mismatch it is.
-    auto pending = std::make_shared<PendingChecksums>();
-    pending->sections.reserve(table.size());
-    for (const SectionEntry& s : table) {
-      pending->sections.push_back({section_name(s.id), s.offset, s.bytes,
-                                   s.crc, image.data() + s.offset});
-    }
-    pending_checksums_ = std::move(pending);
-    if (checksums == ChecksumMode::kEager) {
-      verify_checksums();
-      load_stats_.checksums_verified = true;
-    }
+  // Verify before anything is parsed, so an eager load reports a flipped
+  // bit as the checksum mismatch it is.
+  auto pending = std::make_shared<PendingChecksums>();
+  pending->sections.reserve(table.size());
+  for (const SectionEntry& s : table) {
+    pending->sections.push_back({section_name(s.id), s.offset, s.bytes,
+                                 s.crc, image.data() + s.offset});
+  }
+  pending_checksums_ = std::move(pending);
+  if (checksums == ChecksumMode::kEager) {
+    verify_checksums();
+    load_stats_.checksums_verified = true;
   }
   {
     const SectionEntry& s = table[kSecMeta - 1];
@@ -885,12 +830,8 @@ bool SketchStore::checksums_pending() const noexcept {
 }
 
 SketchStore SketchStore::load(std::istream& is) {
-  const std::uint32_t version =
-      bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
-                           kSnapshotWhat);
-  if (version == kSnapshotVersionV1) return load_v1(is);
   SketchStore store;
-  store.image_own_ = read_image(is, version);
+  store.image_own_ = read_image(is);
   store.decode_sections(store.image_own_, ChecksumMode::kEager);
   store.load_stats_.bytes_copied = store.image_own_.size();
   store.validate_payload();
@@ -899,35 +840,23 @@ SketchStore SketchStore::load(std::istream& is) {
 
 SketchStore SketchStore::load_file(const std::string& path,
                                    SnapshotLoadOptions options) {
-  std::ifstream is(path, std::ios::binary);
-  EIMM_CHECK(is.good(), "cannot open snapshot file");
   SketchStore store;
   if (options.mode == SnapshotLoadMode::kStream) {
+    std::ifstream is(path, std::ios::binary);
+    EIMM_CHECK(is.good(), "cannot open snapshot file");
     store = load(is);
   } else {
-    const std::uint32_t version =
-        bin::read_header_any(is, kSnapshotMagic, kAcceptedVersions,
-                             kSnapshotWhat);
-    if (version == kSnapshotVersionV1) {
-      EIMM_CHECK(options.mode != SnapshotLoadMode::kMap,
-                 "legacy v1 snapshots cannot be mmap-served; re-save as v4");
-      store = load_v1(is);
-    } else {
-      is.close();
-      store.mapping_ = MappedFile::open_readonly(path);
-      store.decode_sections({store.mapping_.data(), store.mapping_.size()},
-                            options.checksums);
-      store.load_stats_.mmap_backed = true;
-      store.load_stats_.bytes_mapped = store.mapping_.size();
-    }
+    store.mapping_ = MappedFile::open_readonly(path);
+    store.decode_sections({store.mapping_.data(), store.mapping_.size()},
+                          options.checksums);
+    store.load_stats_.mmap_backed = true;
+    store.load_stats_.bytes_mapped = store.mapping_.size();
   }
   if (options.deep_validate) {
     // Checksums first: a deep scan over provably intact bytes separates
     // "bit rot" from "writer bug" in the diagnostic.
     store.verify_checksums();
-    if (store.pending_checksums_ != nullptr) {
-      store.load_stats_.checksums_verified = true;
-    }
+    store.load_stats_.checksums_verified = true;
     if (store.load_stats_.mmap_backed) {
       store.validate_payload();  // stream loads have already run it
     }

@@ -22,42 +22,33 @@
 // explicit materialize_flat()), so build-and-query-only workloads never
 // pay the copy.
 //
-// Snapshots (magic "EIMMSKS") come in four revisions, all still loaded;
-// save() writes only v4.
-//   v1 — legacy length-prefixed stream of primary data only; load()
-//        copies into fresh vectors and recomputes the derived state.
-//        v1 has no per-vertex array, so nothing in it bounds the
-//        declared vertex count that the rebuilt index is sized by: a v1
-//        file may declare at most max(2^20, its member count) vertices,
-//        so a short file costs at most ~24 MiB of derived state, and the
-//        loader rejects a larger count with a CheckError.
-//   v2 — page-aligned section-table format: a header + section table
-//        (id, offset, length; every section offset 4096-aligned)
-//        followed by the raw arrays, INCLUDING the derived inverted
-//        index and default greedy sequence. load_file() mmaps the file
-//        read-only and serves every array straight from the mapping —
-//        zero pool copies, cold start O(section table + offsets scan)
-//        instead of O(pool) — so N serving processes share one
-//        page-cache copy of the sketch data.
-//   v3 — v2's layout with a COMPRESSED sketch payload: the sketch-
-//        vertices section holds the delta-varint gap streams of all
-//        sketches back to back (rrr/gap_codec.hpp), and an eighth
-//        section carries the per-sketch byte offsets.
-//        Loads keep the payload compressed and serve queries
-//        decode-on-enumerate.
-//   v4 — the v2/v3 layouts with INTEGRITY CHECKSUMS: each section-table
-//        entry's reserved u32 carries the CRC32C of that section's
-//        payload bytes (7 sections = raw, 8 = compressed; the table is
-//        otherwise bit-identical to v2/v3). mmap loads verify lazily by
-//        default (at first QueryEngine construction, preserving the
-//        O(table) cold start) or eagerly per SnapshotLoadOptions::
-//        checksums. A mismatch surfaces as typed bin::FormatError with
-//        section+offset — a flipped bit is never served.
-// v2, v3 and v4 share one decoder: it reads a byte image of the whole
-// file, which is the read-only mapping on the mmap path and an owned
-// 8-byte-aligned copy on the stream path (pipes, tests). Stream loads
-// therefore serve from exactly the bytes an mmap load would, verify v4
-// checksums before returning, and always scan the payload.
+// Snapshots (magic "EIMMSKS", version 4 — the one version save() writes
+// and the loaders read; a file of any other version fails with a typed
+// bin::FormatError that names the version and asks for a rebuild) are a
+// header + page-aligned section table (id, CRC32C, offset, length; every
+// section offset 4096-aligned) followed by the raw arrays, INCLUDING the
+// derived inverted index and default greedy sequence. The section count
+// picks the layout:
+//   7 sections — raw: the sketch-vertices section holds u32 members.
+//   8 sections — compressed: the sketch-vertices section holds the
+//                delta-varint gap streams of all sketches back to back
+//                (rrr/gap_codec.hpp), and an eighth section carries the
+//                per-sketch byte offsets. Loads keep the payload
+//                compressed and serve queries decode-on-enumerate.
+// load_file() mmaps the file read-only and serves every array straight
+// from the mapping — zero pool copies, cold start O(section table +
+// offsets scan) instead of O(pool) — so N serving processes share one
+// page-cache copy of the sketch data. Each table entry carries the
+// CRC32C of its section's payload bytes: mmap loads verify lazily by
+// default (at first QueryEngine construction, preserving the O(table)
+// cold start) or eagerly per SnapshotLoadOptions::checksums. A mismatch
+// surfaces as typed bin::FormatError with section+offset — a flipped bit
+// is never served.
+// One decoder reads a byte image of the whole file, which is the
+// read-only mapping on the mmap path and an owned 8-byte-aligned copy on
+// the stream path (pipes, tests). Stream loads therefore serve from
+// exactly the bytes an mmap load would, verify checksums before
+// returning, and always scan the payload.
 //
 // Everything is read-only after build/load — queries allocate their own
 // scratch (see QueryEngine) — so any number of threads can serve from one
@@ -103,13 +94,12 @@ struct SketchStoreMeta {
 
 /// How load_file() should back the store.
 enum class SnapshotLoadMode {
-  kAuto,    ///< mmap v2+ snapshots, stream-read v1 (the serving default)
-  kMap,     ///< require the mmap path (v1 files are rejected)
-  kStream,  ///< copy the whole file into owned memory, even for v2+
+  kMap,     ///< mmap the file read-only and serve from it (the default)
+  kStream,  ///< copy the whole file into owned memory
 };
 
-/// When an mmap load of a v4 snapshot verifies the per-section CRC32C
-/// checksums (stream loads always verify — the bytes are in hand).
+/// When an mmap load verifies the per-section CRC32C checksums (stream
+/// loads always verify — the bytes are in hand).
 enum class ChecksumMode {
   kLazy,   ///< defer to verify_checksums() — first QueryEngine ctor —
            ///< keeping the O(table) mmap cold start
@@ -117,15 +107,15 @@ enum class ChecksumMode {
 };
 
 struct SnapshotLoadOptions {
-  SnapshotLoadMode mode = SnapshotLoadMode::kAuto;
+  SnapshotLoadMode mode = SnapshotLoadMode::kMap;
   /// Adds the O(pool) scans the mmap path skips by default: per-member
   /// range/ordering checks plus recompute-and-compare of the derived
   /// inverted index and default greedy sequence. Stream loads always
-  /// validate the primary payload (v1 semantics); deep validation adds
-  /// the derived-state cross-check there too (and forces checksum
-  /// verification first on v4 files).
+  /// validate the primary payload; deep validation adds the derived-
+  /// state cross-check there too (and forces checksum verification
+  /// first).
   bool deep_validate = false;
-  /// v4 checksum handling on the mmap path.
+  /// Checksum handling on the mmap path.
   ChecksumMode checksums = ChecksumMode::kLazy;
 };
 
@@ -136,17 +126,14 @@ struct SnapshotLoadStats {
   std::uint64_t file_bytes = 0;
   /// Bytes mapped read-only (the whole file on the mmap path, else 0).
   std::uint64_t bytes_mapped = 0;
-  /// Bytes copied into owned memory: the whole file on a v2+ stream
-  /// load, the primary arrays on a v1 load, 0 on the mmap path (nothing
-  /// but the meta strings is duplicated).
+  /// Bytes copied into owned memory: the whole file on a stream load, 0
+  /// on the mmap path (nothing but the meta strings is duplicated).
   std::uint64_t bytes_copied = 0;
   bool deep_validated = false;
   /// Compressed layout: the payload stayed gap-coded through the load.
   bool compressed = false;
   /// Bytes of the compressed sketch payload (0 for raw layouts).
   std::uint64_t compressed_payload_bytes = 0;
-  /// The snapshot carries per-section CRC32C checksums (v4).
-  bool checksummed = false;
   /// Checksums were verified DURING the load (stream / eager mmap). A
   /// lazy mmap load leaves this false; see checksums_pending().
   bool checksums_verified = false;
@@ -286,9 +273,9 @@ class SketchStore {
   void save(std::ostream& os, SnapshotSaveOptions options = {}) const;
   void save_file(const std::string& path,
                  SnapshotSaveOptions options = {}) const;
-  /// Stream loader for every version: v1 is parsed field by field, v2+
-  /// is copied into an owned image and decoded like a mapping. Always
-  /// verifies v4 checksums and validates the primary payload.
+  /// Stream loader: copies the snapshot into an owned image and decodes
+  /// it like a mapping. Always verifies checksums and validates the
+  /// primary payload.
   static SketchStore load(std::istream& is);
   static SketchStore load_file(const std::string& path,
                                SnapshotLoadOptions options = {});
@@ -298,7 +285,7 @@ class SketchStore {
     return load_stats_;
   }
 
-  /// Verifies any deferred v4 section checksums (lazy mmap loads).
+  /// Verifies any deferred section checksums (lazy mmap loads).
   /// Idempotent and safe under concurrency; a no-op when nothing is
   /// pending. Throws bin::FormatError naming the corrupt section — and
   /// stays retryable: a failed verification leaves the store pending.
@@ -317,20 +304,18 @@ class SketchStore {
   SketchStore() = default;
 
   /// Derives the inverted index and the default greedy sequence from the
-  /// sketch members (build paths and v1 loads — v2 snapshots carry the
-  /// derived arrays). Reads through sketch(), so it works over flat and
-  /// deferred backings alike.
+  /// sketch members (build paths — snapshots carry the derived arrays).
+  /// Reads through sketch(), so it works over flat and deferred backings
+  /// alike.
   void finalize();
 
   /// Assembles the contiguous payload from sketch() spans (the deferred
   /// flatten, shared by save() and materialize_flat()).
   [[nodiscard]] std::vector<VertexId> assemble_payload() const;
 
-  /// Shape checks of the primary data (counts, query cap, sketch
-  /// offsets against the payload) — shared by v1 and section loads.
-  void validate_primary() const;
-  /// O(sections + offsets + |V| + k) shape checks of a section load:
-  /// validate_primary() plus the derived arrays.
+  /// O(sections + offsets + |V| + k) shape checks of a load: counts,
+  /// query cap, sketch offsets against the payload, and the derived
+  /// arrays.
   void validate_structure() const;
   /// O(pool) scans: sketch members strictly ascending and < |V|, node
   /// index entries < num_sketches (stream loads always; mmap on
@@ -341,11 +326,10 @@ class SketchStore {
   /// (deep_validate only).
   void validate_derived() const;
 
-  static SketchStore load_v1(std::istream& is);
-  /// The one v2/v3/v4 decoder: parses the header and section table of
-  /// `image` (the whole file — mapped or owned, which the caller keeps
-  /// alive inside this store), verifies v4 checksums now or defers them
-  /// per `checksums`, and points the read surface into the image.
+  /// The one decoder: parses the header and section table of `image`
+  /// (the whole file — mapped or owned, which the caller keeps alive
+  /// inside this store), verifies checksums now or defers them per
+  /// `checksums`, and points the read surface into the image.
   void decode_sections(std::span<const std::uint8_t> image,
                        ChecksumMode checksums);
 
@@ -397,16 +381,15 @@ class SketchStore {
   std::span<const std::uint64_t> comp_offsets_;  // num_sketches_ + 1
   std::span<const std::uint8_t> comp_payload_;
 
-  /// v4 checksum state of a section load: the section list with expected
-  /// CRCs, verified once (at load, or on first demand after a lazy mmap
+  /// Checksum state of a load: the section list with expected CRCs, verified once (at load, or on first demand after a lazy mmap
   /// load). Held through a shared_ptr so the store stays movable (the
   /// sections point into the snapshot image, which never relocates on
   /// move).
   struct PendingChecksums;
   std::shared_ptr<PendingChecksums> pending_checksums_;
 
-  /// The snapshot image of a section load: the read-only mapping, or the
-  /// owned copy a stream load reads. At most one is non-empty.
+  /// The snapshot image of a load: the read-only mapping, or the owned
+  /// copy a stream load reads. At most one is non-empty.
   MappedFile mapping_;
   std::vector<std::uint8_t> image_own_;
 };

@@ -1,9 +1,7 @@
-// Compressed snapshot coverage (the 8-section layout: v3, and v4 as
-// save() writes it): gap-coded sketch payloads must round-trip through
-// both loaders, serve identical queries to the raw image, reject
-// structural corruption with typed errors, and decode back to the raw
-// layout on a plain save. The V3/V2 in the test names are the compressed
-// and raw layouts.
+// Compressed snapshot coverage (the 8-section v4 layout): gap-coded
+// sketch payloads must round-trip through both loaders, serve identical
+// queries to the raw 7-section image, reject structural corruption with
+// typed errors, and decode back to the raw layout on a plain save.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,9 +37,9 @@ std::string snapshot_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-TEST(CompressedSnapshot, V3RoundTripsThroughBothLoaders) {
+TEST(CompressedSnapshot, CompressedLayoutRoundTripsThroughBothLoaders) {
   const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_v3_roundtrip.sks");
+  const std::string path = snapshot_path("eimm_compressed_roundtrip.sks");
   SnapshotSaveOptions save;
   save.compress = true;
   store.save_file(path, save);
@@ -80,21 +78,22 @@ TEST(CompressedSnapshot, V3RoundTripsThroughBothLoaders) {
   EXPECT_EQ(raw_from_mapped.str(), raw_from_built.str());
 }
 
-TEST(CompressedSnapshot, V3IsSmallerThanV2AndServesIdenticalQueries) {
+TEST(CompressedSnapshot,
+     CompressedLayoutIsSmallerThanRawAndServesIdenticalQueries) {
   const SketchStore store = make_store();
-  const std::string v2_path = snapshot_path("eimm_v3_cmp_v2.sks");
-  const std::string v3_path = snapshot_path("eimm_v3_cmp_v3.sks");
-  store.save_file(v2_path);
+  const std::string raw_path = snapshot_path("eimm_compressed_raw.sks");
+  const std::string compressed_path = snapshot_path("eimm_compressed_gap.sks");
+  store.save_file(raw_path);
   SnapshotSaveOptions save;
   save.compress = true;
-  store.save_file(v3_path, save);
+  store.save_file(compressed_path, save);
 
-  const std::string v2_bytes = read_file(v2_path);
-  const std::string v3_bytes = read_file(v3_path);
-  EXPECT_LT(v3_bytes.size(), v2_bytes.size());
+  const std::string raw_bytes = read_file(raw_path);
+  const std::string compressed_bytes = read_file(compressed_path);
+  EXPECT_LT(compressed_bytes.size(), raw_bytes.size());
 
-  const SketchStore flat = SketchStore::load_file(v2_path);
-  const SketchStore compressed = SketchStore::load_file(v3_path);
+  const SketchStore flat = SketchStore::load_file(raw_path);
+  const SketchStore compressed = SketchStore::load_file(compressed_path);
   EXPECT_FALSE(flat.compressed());
   EXPECT_TRUE(compressed.compressed());
   EXPECT_TRUE(flat == compressed);
@@ -110,7 +109,7 @@ TEST(CompressedSnapshot, V3IsSmallerThanV2AndServesIdenticalQueries) {
 
 TEST(CompressedSnapshot, MemberEnumerationMatchesFlatSpans) {
   const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_v3_members.sks");
+  const std::string path = snapshot_path("eimm_compressed_members.sks");
   SnapshotSaveOptions save;
   save.compress = true;
   store.save_file(path, save);
@@ -136,7 +135,7 @@ TEST(CompressedSnapshot, MemberEnumerationMatchesFlatSpans) {
 }
 
 TEST(CompressedSnapshot, MaterializeFlatRestoresSpans) {
-  const std::string path = snapshot_path("eimm_v3_materialize.sks");
+  const std::string path = snapshot_path("eimm_compressed_materialize.sks");
   SnapshotSaveOptions save;
   save.compress = true;
   make_store().save_file(path, save);
@@ -154,7 +153,7 @@ TEST(CompressedSnapshot, MaterializeFlatRestoresSpans) {
 }
 
 TEST(CompressedSnapshot, StructuralCorruptionsThrow) {
-  const std::string path = snapshot_path("eimm_v3_corrupt.sks");
+  const std::string path = snapshot_path("eimm_compressed_corrupt.sks");
   SnapshotSaveOptions save;
   save.compress = true;
   make_store().save_file(path, save);
@@ -196,7 +195,7 @@ TEST(CompressedSnapshot, StructuralCorruptionsThrow) {
 
 TEST(CompressedSnapshot, TamperedGapPayloadFailsValidation) {
   const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_v3_tampered.sks");
+  const std::string path = snapshot_path("eimm_compressed_tampered.sks");
   SnapshotSaveOptions save;
   save.compress = true;
   store.save_file(path, save);

@@ -1,6 +1,6 @@
 // Section-table snapshot coverage: the mmap load path must be zero-copy
-// and bit-faithful, every snapshot version must load in every mode it
-// supports, the section table must reject every structural corruption
+// and bit-faithful, both v4 layouts must load in every mode, the section
+// table must reject every structural corruption
 // with a FormatError naming the section, and N read-only loads of one
 // file must not interfere (the N-serving-processes deployment the format
 // exists for).
@@ -141,16 +141,6 @@ TEST(MmapSnapshot, BitmapSlotStoreRoundTripsThroughMapLoad) {
   EXPECT_EQ(reference.select(constrained).seeds, b.seeds);
 }
 
-TEST(MmapSnapshot, AutoModePrefersMapForV2Files) {
-  const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_mmap_auto.sks");
-  write_file(path, legacy_image(save_bytes(store), 2));
-  const SketchStore loaded = SketchStore::load_file(path);
-  EXPECT_EQ(loaded.load_stats().version, 2u);
-  EXPECT_TRUE(loaded.load_stats().mmap_backed);
-  EXPECT_EQ(loaded.load_stats().bytes_copied, 0u);
-}
-
 TEST(MmapSnapshot, EveryVersionLoadsInEveryModeAndResavesAsV4) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_mmap_versions.sks");
@@ -161,71 +151,37 @@ TEST(MmapSnapshot, EveryVersionLoadsInEveryModeAndResavesAsV4) {
   struct Image {
     const char* label;
     std::string bytes;
-    std::uint32_t version;
     bool compressed;
   };
   const Image images[] = {
-      {"v1", v1_image(store), 1, false},
-      {"v2", legacy_image(v4_raw, 2), 2, false},
-      {"v3", legacy_image(v4_compressed, 3), 3, true},
-      {"v4-raw", v4_raw, 4, false},
-      {"v4-compressed", v4_compressed, 4, true},
+      {"v4-raw", v4_raw, false},
+      {"v4-compressed", v4_compressed, true},
   };
   for (const Image& image : images) {
     write_file(path, image.bytes);
     for (const SnapshotLoadMode mode :
-         {SnapshotLoadMode::kAuto, SnapshotLoadMode::kMap,
-          SnapshotLoadMode::kStream}) {
+         {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
       SnapshotLoadOptions options;
       options.mode = mode;
       const std::string where =
           std::string(image.label) + " mode " +
           std::to_string(static_cast<int>(mode));
-      if (image.version == 1 && mode == SnapshotLoadMode::kMap) {
-        EXPECT_THROW(SketchStore::load_file(path, options), CheckError)
-            << where;
-        continue;
-      }
       const SketchStore loaded = SketchStore::load_file(path, options);
       const SnapshotLoadStats& stats = loaded.load_stats();
-      const bool mapped =
-          image.version != 1 && mode != SnapshotLoadMode::kStream;
-      EXPECT_EQ(stats.version, image.version) << where;
+      const bool mapped = mode == SnapshotLoadMode::kMap;
+      EXPECT_EQ(stats.version, 4u) << where;
       EXPECT_EQ(stats.mmap_backed, mapped) << where;
       EXPECT_EQ(stats.bytes_copied == 0, mapped) << where;
-      EXPECT_EQ(stats.checksummed, image.version == 4) << where;
+      // A lazy mmap load defers its checksums; a stream load verifies.
+      EXPECT_EQ(loaded.checksums_pending(), mapped) << where;
       EXPECT_EQ(loaded.compressed(), image.compressed) << where;
       EXPECT_TRUE(store == loaded) << where;
-      // Whatever version was read, the one writer re-saves v4 bytes
-      // identical to a direct save of the same layout.
+      // Either layout re-saves bytes identical to a direct save.
       EXPECT_EQ(save_bytes(loaded, image.compressed ? compress
                                                     : SnapshotSaveOptions{}),
                 image.compressed ? v4_compressed : v4_raw)
           << where;
     }
-  }
-}
-
-TEST(MmapSnapshot, LegacyV1RoundTripsButCannotBeMapped) {
-  const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_mmap_legacy.sks");
-  write_file(path, v1_image(store));
-
-  // kAuto falls back to the stream loader for v1.
-  const SketchStore loaded = SketchStore::load_file(path);
-  EXPECT_EQ(loaded.load_stats().version, 1u);
-  EXPECT_FALSE(loaded.load_stats().mmap_backed);
-  EXPECT_TRUE(store == loaded);
-  EXPECT_EQ(save_bytes(loaded), save_bytes(store));
-
-  // An explicit kMap request must fail loudly, not silently copy.
-  SnapshotLoadOptions map_options;
-  map_options.mode = SnapshotLoadMode::kMap;
-  try {
-    SketchStore::load_file(path, map_options);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos);
   }
 }
 

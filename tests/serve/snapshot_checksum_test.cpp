@@ -60,7 +60,6 @@ TEST(SnapshotChecksum, StreamLoadVerifiesInline) {
   SnapshotLoadOptions stream;
   stream.mode = SnapshotLoadMode::kStream;
   const SketchStore loaded = SketchStore::load_file(path, stream);
-  EXPECT_TRUE(loaded.load_stats().checksummed);
   EXPECT_TRUE(loaded.load_stats().checksums_verified);
   EXPECT_FALSE(loaded.checksums_pending());
   EXPECT_TRUE(store == loaded);
@@ -71,9 +70,8 @@ TEST(SnapshotChecksum, LazyMapLoadDefersToQueryEngine) {
   const std::string path = snapshot_path("eimm_ck_lazy.sks");
   store.save_file(path);
 
-  const SketchStore mapped = SketchStore::load_file(path);  // kAuto + kLazy
+  const SketchStore mapped = SketchStore::load_file(path);  // kMap + kLazy
   EXPECT_TRUE(mapped.load_stats().mmap_backed);
-  EXPECT_TRUE(mapped.load_stats().checksummed);
   EXPECT_FALSE(mapped.load_stats().checksums_verified);
   EXPECT_TRUE(mapped.checksums_pending());
 
@@ -168,28 +166,6 @@ TEST(SnapshotChecksum, CompressedV4RoundTripsOnBothLoaders) {
   EXPECT_TRUE(store == mapped);
 }
 
-TEST(SnapshotChecksum, PreV4SnapshotsStillLoadWithoutChecksums) {
-  const SketchStore store = make_store();
-  const std::string path = snapshot_path("eimm_ck_legacy_load.sks");
-  SnapshotSaveOptions compress;
-  compress.compress = true;
-  for (const std::string& legacy :
-       {legacy_image(save_bytes(store), 2),
-        legacy_image(save_bytes(store, compress), 3)}) {
-    write_file(path, legacy);
-    for (const SnapshotLoadMode mode :
-         {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
-      SnapshotLoadOptions options;
-      options.mode = mode;
-      options.checksums = ChecksumMode::kEager;  // must be a no-op pre-v4
-      const SketchStore loaded = SketchStore::load_file(path, options);
-      EXPECT_FALSE(loaded.load_stats().checksummed);
-      EXPECT_FALSE(loaded.checksums_pending());
-      EXPECT_TRUE(store == loaded);
-    }
-  }
-}
-
 TEST(SnapshotChecksum, DeepValidateForcesVerificationOnMapLoads) {
   const SketchStore store = make_store();
   const std::string path = snapshot_path("eimm_ck_deep.sks");
@@ -202,7 +178,7 @@ TEST(SnapshotChecksum, DeepValidateForcesVerificationOnMapLoads) {
 
   SnapshotLoadOptions deep;
   deep.mode = SnapshotLoadMode::kMap;
-  deep.deep_validate = true;  // implies checksum verification on v4
+  deep.deep_validate = true;  // implies checksum verification
   EXPECT_THROW(SketchStore::load_file(path, deep), bin::FormatError);
 }
 

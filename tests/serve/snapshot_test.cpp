@@ -101,17 +101,46 @@ TEST(SketchSnapshot, BadMagicThrows) {
 }
 
 TEST(SketchSnapshot, BadVersionThrows) {
-  const SketchStore store = make_store();
-  std::stringstream ss;
-  store.save(ss);
-  std::string data = ss.str();
-  data[8] = 99;  // version u32 lives right after the 8-byte magic
-  std::stringstream patched(data);
-  try {
-    SketchStore::load(patched);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // Only v4 loads. Versions 1-3 are retired formats and 5 is unknown: each
+  // must fail on every load path with the one typed error that names the
+  // version and asks for a rebuild, whatever the bytes after the version
+  // word look like.
+  const std::string good = save_bytes(make_store());
+  const std::string path = ::testing::TempDir() + "/eimm_store_version.sks";
+  const auto expect_unsupported = [](const auto& load, std::uint32_t version,
+                                     const char* where) {
+    try {
+      load();
+      FAIL() << "version " << version << " accepted by " << where;
+    } catch (const bin::FormatError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported sketch-store snapshot version " +
+                          std::to_string(version)),
+                std::string::npos)
+          << where << ": " << what;
+      EXPECT_NE(what.find("rebuild"), std::string::npos) << where << ": "
+                                                         << what;
+    }
+  };
+  for (const std::uint32_t version : {1u, 2u, 3u, 5u, 99u}) {
+    std::string data = good;
+    store_at(data, kVersionAt, version);
+    write_file(path, data);
+    expect_unsupported(
+        [&] {
+          std::stringstream patched(data);
+          SketchStore::load(patched);
+        },
+        version, "load()");
+    for (const SnapshotLoadMode mode :
+         {SnapshotLoadMode::kMap, SnapshotLoadMode::kStream}) {
+      SnapshotLoadOptions options;
+      options.mode = mode;
+      expect_unsupported([&] { SketchStore::load_file(path, options); },
+                         version,
+                         mode == SnapshotLoadMode::kMap ? "load_file kMap"
+                                                        : "load_file kStream");
+    }
   }
 }
 
@@ -133,34 +162,44 @@ TEST(SketchSnapshot, TruncationAtEveryRegionThrows) {
 }
 
 TEST(SketchSnapshot, DuplicateSketchMembersThrow) {
-  // A hand-crafted snapshot whose single sketch lists vertex 1 twice:
-  // offsets and ranges all validate, but the duplicate would double-count
-  // coverage — load must reject the non-ascending run.
-  std::stringstream ss;
-  bin::write_header(ss, "EIMMSKS", 1);
-  bin::write_pod(ss, VertexId{2});
-  bin::write_pod(ss, std::uint64_t{1});  // num_sketches
-  bin::write_pod(ss, std::uint64_t{1});  // k_max
-  bin::write_string(ss, "crafted");
-  bin::write_string(ss, "IC");
-  bin::write_pod(ss, std::uint64_t{0});  // rng_seed
-  bin::write_pod(ss, double{0.5});       // epsilon
-  bin::write_pod(ss, std::uint64_t{1});  // theta
-  bin::write_pod(ss, std::uint8_t{0});   // theta_capped
-  bin::write_vec(ss, std::vector<std::uint64_t>{0, 2});
-  bin::write_vec(ss, std::vector<VertexId>{1, 1});
-  EXPECT_THROW(SketchStore::load(ss), CheckError);
+  // A sketch that lists one vertex twice: offsets and ranges all
+  // validate, but the duplicate would double-count coverage. With its
+  // CRCs re-stamped only the payload scan stands in the way, and load
+  // must reject the non-ascending run.
+  const SketchStore store = make_store();
+  SketchId victim = 0;
+  while (store.member_count(victim) < 2) ++victim;
+  std::string data = save_bytes(store);
+  const auto vertices_at = static_cast<std::size_t>(
+      load_at<std::uint64_t>(data, kTableAt + 2 * kEntryBytes + 8));
+  const auto offsets_at = static_cast<std::size_t>(
+      load_at<std::uint64_t>(data, kTableAt + 1 * kEntryBytes + 8));
+  const auto first = static_cast<std::size_t>(
+      load_at<std::uint64_t>(data, offsets_at + 8 * victim));
+  const std::size_t member_at = vertices_at + first * sizeof(VertexId);
+  store_at(data, member_at + sizeof(VertexId),
+           load_at<VertexId>(data, member_at));
+  std::stringstream ss(restamp_crcs(data));
+  try {
+    SketchStore::load(ss);
+    FAIL() << "accepted a sketch with a duplicate member";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("strictly ascending"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SketchSnapshot, CorruptedStructureThrows) {
-  // An unchecksummed v2 image, so nothing but the structural validator
-  // stands between the corruption and a served store. num_vertices (u32)
+  // CRCs re-stamped after the corruption, so nothing but the structural
+  // validator stands between it and a served store. num_vertices (u32)
   // opens the meta section (table entry 0); zeroing it makes the store
   // structurally inconsistent.
-  std::string data = legacy_image(save_bytes(make_store()), 2);
+  std::string data = save_bytes(make_store());
   const auto meta_at =
       static_cast<std::size_t>(load_at<std::uint64_t>(data, kTableAt + 8));
   store_at(data, meta_at, VertexId{0});
+  data = restamp_crcs(std::move(data));
   const std::string path =
       ::testing::TempDir() + "/eimm_store_zero_vertices.sks";
   write_file(path, data);
@@ -178,47 +217,6 @@ TEST(SketchSnapshot, CorruptedStructureThrows) {
   }
 }
 
-TEST(SketchSnapshot, V1VertexCountBeyondItsReachIsRejected) {
-  // A hand-written v1 file with one sketch {0}. v1 has no per-vertex
-  // array, so only the loader's cap keeps these ~110 bytes from sizing
-  // the rebuilt index for 2^24 vertices (~390 MiB).
-  const auto v1_file = [](VertexId num_vertices) {
-    std::ostringstream os;
-    bin::write_header(os, "EIMMSKS", 1);
-    bin::write_pod(os, num_vertices);
-    bin::write_pod(os, std::uint64_t{1});  // num_sketches
-    bin::write_pod(os, std::uint64_t{1});  // k_max
-    bin::write_string(os, "tiny");
-    bin::write_string(os, "LT");
-    bin::write_pod(os, std::uint64_t{7});  // rng_seed
-    bin::write_pod(os, 0.5);               // epsilon
-    bin::write_pod(os, std::uint64_t{1});  // theta
-    bin::write_pod(os, std::uint8_t{0});   // theta_capped
-    bin::write_vec(os, std::vector<std::uint64_t>{0, 1});
-    bin::write_vec(os, std::vector<VertexId>{0});
-    return os.str();
-  };
-  for (const VertexId n : {VertexId{1} << 24, (VertexId{1} << 20) + 1,
-                           ~VertexId{0}}) {
-    std::istringstream is(v1_file(n));
-    try {
-      SketchStore::load(is);
-      FAIL() << "loaded a v1 file declaring " << n << " vertices";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("more vertices"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  // The floor itself, and a small count, still load.
-  for (const VertexId n : {VertexId{1} << 20, VertexId{2}}) {
-    std::istringstream is(v1_file(n));
-    const SketchStore loaded = SketchStore::load(is);
-    EXPECT_EQ(loaded.num_vertices(), n);
-    EXPECT_EQ(loaded.num_sketches(), 1u);
-  }
-}
-
 TEST(SketchSnapshot, NonSeekableStreamRoundTrips) {
   // Without a size to check against, the stream loader grows its image
   // chunk by chunk; the result must match the seekable load exactly.
@@ -226,8 +224,7 @@ TEST(SketchSnapshot, NonSeekableStreamRoundTrips) {
   SnapshotSaveOptions compress;
   compress.compress = true;
   for (const std::string& bytes :
-       {save_bytes(store), save_bytes(store, compress),
-        legacy_image(save_bytes(store), 2), v1_image(store)}) {
+       {save_bytes(store), save_bytes(store, compress)}) {
     PipeBuf pipe(bytes);
     std::istream is(&pipe);
     const SketchStore loaded = SketchStore::load(is);

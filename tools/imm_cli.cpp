@@ -46,6 +46,7 @@
 #include <optional>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "core/imm.hpp"
 #include "diffusion/weights.hpp"
 #include "graph/builder.hpp"
@@ -100,6 +101,7 @@ struct CliOptions {
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
   options.imm.max_rrr_sets = 1u << 22;
+  const cli::FlagParser flags(usage, argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -109,7 +111,7 @@ CliOptions parse_cli(int argc, char** argv) {
     if (arg == "--graph") options.graph_path = next();
     else if (arg == "--binary") options.binary_path = next();
     else if (arg == "--workload") options.workload = next();
-    else if (arg == "--scale") options.scale = std::strtod(next().c_str(), nullptr);
+    else if (arg == "--scale") options.scale = flags.number(arg, next());
     else if (arg == "--undirected") options.undirected = true;
     else if (arg == "--model") options.model = parse_model(next());
     else if (arg == "--engine") {
@@ -118,24 +120,22 @@ CliOptions parse_cli(int argc, char** argv) {
       else if (engine == "ripples") options.engine = Engine::kRipples;
       else usage(argv[0], "engine must be 'efficient' or 'ripples'");
     } else if (arg == "--k") {
-      options.imm.k = std::strtoul(next().c_str(), nullptr, 10);
+      options.imm.k = flags.integer<std::size_t>(arg, next(), 1);
     } else if (arg == "--epsilon") {
-      options.imm.epsilon = std::strtod(next().c_str(), nullptr);
+      options.imm.epsilon = flags.number(arg, next());
     } else if (arg == "--threads") {
-      options.imm.threads = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      options.imm.threads = flags.integer<int>(arg, next(), 0);
     } else if (arg == "--seed") {
-      options.imm.rng_seed = std::strtoull(next().c_str(), nullptr, 10);
+      options.imm.rng_seed = flags.integer<std::uint64_t>(arg, next());
     } else if (arg == "--max-rrr") {
-      options.imm.max_rrr_sets = std::strtoull(next().c_str(), nullptr, 10);
+      options.imm.max_rrr_sets = flags.integer<std::uint64_t>(arg, next(), 1);
     } else if (arg == "--pin") {
       bool ok = false;
       const PinMode mode = parse_pin_mode(next(), PinMode::kAuto, &ok);
       if (!ok) usage(argv[0], "--pin must be auto|none|compact|spread");
       set_pin_mode(mode);
     } else if (arg == "--counter-shards") {
-      const long shards = std::strtol(next().c_str(), nullptr, 10);
-      if (shards < 1) usage(argv[0], "--counter-shards must be >= 1");
-      options.imm.counter_shards = static_cast<int>(shards);
+      options.imm.counter_shards = flags.integer<int>(arg, next(), 1);
     } else if (arg == "--fused") {
       options.imm.fused_sampling = FusedSampling::kOn;
     } else if (arg == "--no-fusion") options.imm.kernel_fusion = false;
@@ -144,7 +144,7 @@ CliOptions parse_cli(int argc, char** argv) {
     else if (arg == "--no-balance") options.imm.dynamic_balance = false;
     else if (arg == "--no-numa") options.imm.numa_aware = false;
     else if (arg == "--simulate") {
-      options.simulate_samples = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      options.simulate_samples = flags.integer<int>(arg, next(), 0);
     } else if (arg == "--log-dir") options.log_dir = next();
     else if (arg == "--metrics") options.metrics_path = next();
     else if (arg == "--verbose") options.verbose = true;

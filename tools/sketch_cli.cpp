@@ -21,15 +21,13 @@
 // Build options mirror imm_cli: --workload NAME | --graph PATH |
 // --binary PATH, --scale F, --undirected, --model IC|LT, --k N (the
 // build-time query cap), --epsilon F, --threads N, --seed N, --max-rrr N.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "diffusion/weights.hpp"
 #include "graph/builder.hpp"
 #include "io/binary.hpp"
@@ -94,76 +92,13 @@ struct CliOptions {
       "       %s verify SNAPSHOT   (one-shot integrity check: structure,\n"
       "          section checksums, payload and derived-state scans;\n"
       "          exits non-zero with a one-line diagnostic on corruption)\n"
-      "       --stream copies the whole file instead of mapping it (v2+\n"
-      "       snapshots mmap by default; v1 always streams) and verifies\n"
-      "       checksums and payload during the load; --deep-validate adds\n"
-      "       the O(pool) derived-state scan\n"
+      "       snapshots are v4 and mmap by default (other versions fail:\n"
+      "       rebuild them with save); --stream copies the whole file\n"
+      "       instead and verifies checksums and payload during the load;\n"
+      "       --deep-validate adds the O(pool) derived-state scan\n"
       "       any verb accepts --metrics OUT.json (obs registry snapshot)\n",
       argv0, argv0, argv0, argv0);
   std::exit(error != nullptr ? 2 : 0);
-}
-
-std::vector<VertexId> parse_vertex_list(const char* argv0,
-                                        const std::string& list) {
-  std::vector<VertexId> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(pos, comma - pos);
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-        value > std::numeric_limits<VertexId>::max()) {
-      usage(argv0, ("vertex list entry '" + token +
-                    "' is not a valid vertex id")
-                       .c_str());
-    }
-    out.push_back(static_cast<VertexId>(value));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::uint64_t parse_uint_option(const char* argv0, const std::string& arg,
-                                const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  // strtoull silently wraps "-5" to a huge value; reject signs up front.
-  if (value.empty() || value.find('-') != std::string::npos ||
-      end == nullptr || *end != '\0' || errno == ERANGE) {
-    usage(argv0, (arg + " expects a non-negative integer, got '" + value +
-                  "'")
-                     .c_str());
-  }
-  return v;
-}
-
-int parse_int_option(const char* argv0, const std::string& arg,
-                     const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    usage(argv0,
-          (arg + " expects an integer, got '" + value + "'").c_str());
-  }
-  return static_cast<int>(v);
-}
-
-double parse_double_option(const char* argv0, const std::string& arg,
-                           const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    usage(argv0, (arg + " expects a number, got '" + value + "'").c_str());
-  }
-  return v;
 }
 
 CliOptions parse_cli(int argc, char** argv) {
@@ -177,6 +112,7 @@ CliOptions parse_cli(int argc, char** argv) {
     usage(argv[0], "verb must be build, save, load, query, or verify");
   }
   options.imm.max_rrr_sets = 1u << 20;
+  const cli::FlagParser flags(usage, argv[0]);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -189,42 +125,35 @@ CliOptions parse_cli(int argc, char** argv) {
     else if (arg == "--store") options.store_path = next();
     else if (arg == "--out") options.out_path = next();
     else if (arg == "--scale") {
-      options.scale = parse_double_option(argv[0], arg, next());
+      options.scale = flags.number(arg, next());
     } else if (arg == "--undirected") options.undirected = true;
     else if (arg == "--model") options.model = parse_model(next());
     else if (arg == "--k") {
-      const auto k = static_cast<std::size_t>(
-          parse_uint_option(argv[0], arg, next()));
-      if (k == 0) usage(argv[0], "--k must be positive");
-      options.imm.k = k;
-      options.query_k = k;
+      options.imm.k = flags.integer<std::size_t>(arg, next(), 1);
+      options.query_k = options.imm.k;
     } else if (arg == "--epsilon") {
-      options.imm.epsilon = parse_double_option(argv[0], arg, next());
+      options.imm.epsilon = flags.number(arg, next());
     } else if (arg == "--threads") {
-      options.imm.threads = parse_int_option(argv[0], arg, next());
+      options.imm.threads = flags.integer<int>(arg, next(), 0);
     } else if (arg == "--shards") {
-      const int shards = parse_int_option(argv[0], arg, next());
-      if (shards < 1) usage(argv[0], "--shards must be >= 1");
-      options.imm.shards = shards;
+      options.imm.shards = flags.integer<int>(arg, next(), 1);
     } else if (arg == "--counter-shards") {
-      const int shards = parse_int_option(argv[0], arg, next());
-      if (shards < 1) usage(argv[0], "--counter-shards must be >= 1");
-      options.imm.counter_shards = shards;
+      options.imm.counter_shards = flags.integer<int>(arg, next(), 1);
     } else if (arg == "--pin") {
       bool ok = false;
       const PinMode mode = parse_pin_mode(next(), PinMode::kAuto, &ok);
       if (!ok) usage(argv[0], "--pin must be auto|none|compact|spread");
       set_pin_mode(mode);
     } else if (arg == "--seed") {
-      options.imm.rng_seed = parse_uint_option(argv[0], arg, next());
+      options.imm.rng_seed = flags.integer<std::uint64_t>(arg, next());
     } else if (arg == "--max-rrr") {
-      options.imm.max_rrr_sets = parse_uint_option(argv[0], arg, next());
+      options.imm.max_rrr_sets = flags.integer<std::uint64_t>(arg, next(), 1);
     } else if (arg == "--candidates") {
-      options.candidates = parse_vertex_list(argv[0], next());
+      options.candidates = flags.vertex_list(arg, next());
     } else if (arg == "--forbid") {
-      options.forbidden = parse_vertex_list(argv[0], next());
+      options.forbidden = flags.vertex_list(arg, next());
     } else if (arg == "--eval") {
-      options.eval_seeds = parse_vertex_list(argv[0], next());
+      options.eval_seeds = flags.vertex_list(arg, next());
     } else if (arg == "--stream") {
       options.load.mode = SnapshotLoadMode::kStream;
     } else if (arg == "--compress") {
@@ -341,12 +270,10 @@ int run_verify(const CliOptions& options) {
     const SketchStore store =
         SketchStore::load_file(*options.store_path, load);
     const SnapshotLoadStats& stats = store.load_stats();
-    std::printf("verify: OK %s (v%u%s%s, %llu sketches over %u nodes, "
-                "%.1f MiB)\n",
+    std::printf("verify: OK %s (v%u%s, checksums verified, %llu sketches "
+                "over %u nodes, %.1f MiB)\n",
                 options.store_path->c_str(), stats.version,
                 stats.compressed ? ", compressed" : "",
-                stats.checksummed ? ", checksums verified"
-                                  : ", no checksums (pre-v4)",
                 static_cast<unsigned long long>(store.num_sketches()),
                 store.num_vertices(),
                 static_cast<double>(stats.file_bytes) / (1024.0 * 1024.0));

@@ -15,16 +15,13 @@
 // Query output matches `sketch_cli query` exactly, so CI can diff the
 // two paths: same store + same query must yield byte-identical seed
 // lines whether served over the socket or computed in-process.
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
-#include <vector>
 
+#include "cli_flags.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -42,29 +39,6 @@ using namespace eimm;
                "       default 1) and --deadline-ms N (whole-call bound)\n",
                argv0, argv0, argv0);
   std::exit(error != nullptr ? 2 : 0);
-}
-
-std::vector<VertexId> parse_vertex_list(const char* argv0,
-                                        const std::string& list) {
-  std::vector<VertexId> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(pos, comma - pos);
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (token.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-        value > std::numeric_limits<VertexId>::max()) {
-      usage(argv0, ("vertex list entry '" + token +
-                    "' is not a valid vertex id")
-                       .c_str());
-    }
-    out.push_back(static_cast<VertexId>(value));
-    pos = comma + 1;
-  }
-  return out;
 }
 
 void print_histogram_line(const char* label,
@@ -93,6 +67,7 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   QueryOptions query;
   RetryOptions retry;
+  const cli::FlagParser flags(usage, argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -101,21 +76,16 @@ int main(int argc, char** argv) {
     };
     if (arg == "--socket") socket_path = next();
     else if (arg == "--k") {
-      query.k = static_cast<std::size_t>(
-          std::strtoull(next().c_str(), nullptr, 10));
+      query.k = flags.integer<std::size_t>(arg, next(), 1);
     } else if (arg == "--candidates") {
-      query.candidates = parse_vertex_list(argv[0], next());
+      query.candidates = flags.vertex_list(arg, next());
     } else if (arg == "--forbid") {
-      query.forbidden = parse_vertex_list(argv[0], next());
+      query.forbidden = flags.vertex_list(arg, next());
     } else if (arg == "--retries") {
-      retry.max_attempts = static_cast<std::size_t>(
-          std::strtoull(next().c_str(), nullptr, 10));
-      if (retry.max_attempts == 0) {
-        usage(argv[0], "--retries must be at least 1");
-      }
+      retry.max_attempts = flags.integer<std::size_t>(arg, next(), 1);
     } else if (arg == "--deadline-ms") {
       retry.deadline = std::chrono::milliseconds(
-          std::strtoull(next().c_str(), nullptr, 10));
+          flags.integer<std::chrono::milliseconds::rep>(arg, next(), 0));
     } else if (arg == "--snapshot") {
       snapshot_path = next();
     } else if (arg == "--help" || arg == "-h") usage(argv[0]);

@@ -22,6 +22,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "diffusion/weights.hpp"
 #include "io/json_log.hpp"
 #include "obs/metrics.hpp"
@@ -69,23 +70,10 @@ struct ServerCli {
   std::exit(error != nullptr ? 2 : 0);
 }
 
-std::uint64_t parse_uint(const char* argv0, const std::string& arg,
-                         const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || value.find('-') != std::string::npos ||
-      end == nullptr || *end != '\0' || errno == ERANGE) {
-    usage(argv0, (arg + " expects a non-negative integer, got '" + value +
-                  "'")
-                     .c_str());
-  }
-  return v;
-}
-
 ServerCli parse_cli(int argc, char** argv) {
   ServerCli cli;
   cli.imm.max_rrr_sets = 1u << 20;
+  const cli::FlagParser flags(usage, argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -98,33 +86,30 @@ ServerCli parse_cli(int argc, char** argv) {
     else if (arg == "--stream") cli.load.mode = SnapshotLoadMode::kStream;
     else if (arg == "--deep-validate") cli.load.deep_validate = true;
     else if (arg == "--k") {
-      cli.imm.k = static_cast<std::size_t>(parse_uint(argv[0], arg, next()));
+      cli.imm.k = flags.integer<std::size_t>(arg, next(), 1);
     } else if (arg == "--model") cli.model = parse_model(next());
-    else if (arg == "--scale") cli.scale = std::atof(next().c_str());
+    else if (arg == "--scale") cli.scale = flags.number(arg, next());
     else if (arg == "--seed") {
-      cli.imm.rng_seed = parse_uint(argv[0], arg, next());
+      cli.imm.rng_seed = flags.integer<std::uint64_t>(arg, next());
     } else if (arg == "--max-rrr") {
-      cli.imm.max_rrr_sets = parse_uint(argv[0], arg, next());
+      cli.imm.max_rrr_sets = flags.integer<std::uint64_t>(arg, next(), 1);
     } else if (arg == "--threads") {
-      cli.imm.threads = static_cast<int>(parse_uint(argv[0], arg, next()));
+      cli.imm.threads = flags.integer<int>(arg, next(), 0);
       cli.server.executor.threads = cli.imm.threads;
     } else if (arg == "--batch") {
-      cli.server.executor.max_batch =
-          static_cast<std::size_t>(parse_uint(argv[0], arg, next()));
+      cli.server.executor.max_batch = flags.integer<std::size_t>(arg, next());
     } else if (arg == "--timeout-ms") {
-      cli.server.request_timeout =
-          std::chrono::milliseconds(parse_uint(argv[0], arg, next()));
+      cli.server.request_timeout = std::chrono::milliseconds(
+          flags.integer<std::chrono::milliseconds::rep>(arg, next(), 0));
     } else if (arg == "--max-queue") {
-      cli.server.executor.max_queue =
-          static_cast<std::size_t>(parse_uint(argv[0], arg, next()));
+      cli.server.executor.max_queue = flags.integer<std::size_t>(arg, next());
     } else if (arg == "--cache") {
       cli.server.executor.cache_capacity =
-          static_cast<std::size_t>(parse_uint(argv[0], arg, next()));
+          flags.integer<std::size_t>(arg, next());
     } else if (arg == "--metrics") {
       cli.metrics_path = next();
     } else if (arg == "--metrics-interval") {
-      cli.metrics_interval_seconds =
-          static_cast<int>(parse_uint(argv[0], arg, next()));
+      cli.metrics_interval_seconds = flags.integer<int>(arg, next(), 0);
     } else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else usage(argv[0], ("unknown option " + arg).c_str());
   }
