@@ -30,8 +30,8 @@
 // enumerate ascending), so selection over a view is bit-identical to
 // selection over the flattened pool — enforced by tests/rrr/pool_view
 // and the ctest -L statcheck view sweep. flatten() stays available for
-// consumers that genuinely need the contiguous CSR image (snapshot
-// serialization); everything else reads in place.
+// consumers that genuinely need the contiguous CSR image (the serving
+// store's freeze); everything else reads in place.
 #pragma once
 
 #include <cstdint>
@@ -353,8 +353,9 @@ class RRRPoolView {
   [[nodiscard]] std::uint64_t memory_bytes() const noexcept;
 
   /// Copies every set into one contiguous CSR image — the ONLY remaining
-  /// payload copy on the data path, kept for snapshot serialization and
-  /// cross-backing equality checks. Parallel fill; bitmap sets expand to
+  /// payload copy on the data path, kept for the serving store's freeze
+  /// (the image its snapshots serialize) and cross-backing equality
+  /// checks. Parallel fill; bitmap sets expand to
   /// sorted runs.
   [[nodiscard]] FlatPool flatten() const;
 

@@ -263,104 +263,49 @@ struct SketchStore::PendingChecksums {
 SketchStore SketchStore::build(const DiffusionGraph& graph,
                                const ImmOptions& options,
                                std::string workload_label) {
-  PoolBuild pool_build = build_rrr_pool(graph, options, Engine::kEfficient);
-
   SketchStoreMeta meta;
   meta.workload = std::move(workload_label);
   meta.model = std::string(to_string(options.model));
   meta.rng_seed = options.rng_seed;
   meta.epsilon = options.epsilon;
-  meta.theta = pool_build.theta;
-  meta.theta_capped = pool_build.theta_capped;
-  // Freezing (index build + default sequence) honours the same thread
-  // cap as the sampling phase. No flatten happens here: from_build
-  // adopts the build's storage and serves sketches in place.
+  // Flattening and freezing (index build + default sequence) honour the
+  // same thread cap as the sampling phase.
   ThreadCountScope thread_scope(options.threads);
-  return from_build(std::move(pool_build), options.k, std::move(meta));
+  FlatPool flat;
+  {
+    const PoolBuild pool_build =
+        build_rrr_pool(graph, options, Engine::kEfficient);
+    meta.theta = pool_build.theta;
+    meta.theta_capped = pool_build.theta_capped;
+    flat = pool_build.view().flatten();
+  }  // the build's storage is released before the index is derived
+  return freeze(std::move(flat), options.k, std::move(meta));
 }
 
-SketchStore SketchStore::from_build(PoolBuild&& build, std::size_t k_max,
-                                    SketchStoreMeta meta) {
-  const RRRPoolView view = build.view();
-  EIMM_CHECK(view.num_vertices() > 0, "cannot freeze a zero-vertex pool");
-  EIMM_CHECK(k_max > 0, "build-time query cap must be positive");
-  EIMM_CHECK(view.size() < std::numeric_limits<SketchId>::max(),
-             "pool too large for 32-bit sketch ids");
-
-  SketchStore store;
-  store.num_vertices_ = view.num_vertices();
-  store.num_sketches_ = view.size();
-  store.k_max_ = std::min<std::uint64_t>(k_max, view.num_vertices());
-  store.meta_ = std::move(meta);
-
-  // Adopt the storage FIRST (pointers must target the store-owned
-  // containers, not the about-to-die build), then wire one member
-  // pointer per sketch. Vector-represented sets and arena runs are
-  // already sorted contiguous images of themselves; only bitmap sets
-  // need expanding, into one shared side array.
-  const std::size_t count = store.num_sketches_;
-  store.sketch_offsets_own_.resize(count + 1);
-  store.sketch_offsets_own_[0] = 0;
-  store.entry_ptrs_.assign(count, nullptr);
-  if (build.segmented) {
-    store.backing_segments_ = std::move(build.segments);
-  } else {
-    store.backing_pool_ = std::move(build.pool);
-  }
-  const RRRPoolView backing =
-      build.segmented ? RRRPoolView(store.backing_segments_)
-                      : RRRPoolView(store.backing_pool_);
-  std::uint64_t bitmap_vertices = 0;
-  for (std::size_t s = 0; s < count; ++s) {
-    const RRRSetView set = backing[s];
-    store.sketch_offsets_own_[s + 1] =
-        store.sketch_offsets_own_[s] + set.size();
-    if (set.repr() == RRRRepr::kBitmap) bitmap_vertices += set.size();
-  }
-  // Reserve the exact expansion size up front: entry pointers go live
-  // as we fill, so the array must never reallocate.
-  store.bitmap_expansion_.resize(bitmap_vertices);
-  std::uint64_t cursor = 0;
-  for (std::size_t s = 0; s < count; ++s) {
-    const RRRSetView set = backing[s];
-    if (set.repr() == RRRRepr::kVector) {
-      store.entry_ptrs_[s] = set.vertices().data();
-    } else {
-      store.entry_ptrs_[s] = store.bitmap_expansion_.data() + cursor;
-      set.for_each([&](VertexId v) {
-        store.bitmap_expansion_[cursor++] = v;
-      });
-    }
-  }
-  store.sketch_offsets_ = store.sketch_offsets_own_;
-  store.flat_ = false;
-  store.finalize();
-  return store;
-}
-
-SketchStore SketchStore::from_pool(const RRRPool& pool, std::size_t k_max,
+SketchStore SketchStore::from_pool(RRRPoolView pool, std::size_t k_max,
                                    SketchStoreMeta meta) {
-  EIMM_CHECK(pool.num_vertices() > 0, "cannot freeze a zero-vertex pool");
+  return freeze(pool.flatten(), k_max, std::move(meta));
+}
+
+SketchStore SketchStore::freeze(FlatPool&& flat, std::size_t k_max,
+                                SketchStoreMeta meta) {
+  EIMM_CHECK(flat.num_vertices > 0, "cannot freeze a zero-vertex pool");
   EIMM_CHECK(k_max > 0, "build-time query cap must be positive");
-  EIMM_CHECK(pool.size() <
-                 std::numeric_limits<SketchId>::max(),
+  EIMM_CHECK(flat.offsets.size() - 1 < std::numeric_limits<SketchId>::max(),
              "pool too large for 32-bit sketch ids");
 
   SketchStore store;
-  store.num_vertices_ = pool.num_vertices();
-  store.num_sketches_ = pool.size();
+  store.num_vertices_ = flat.num_vertices;
+  store.num_sketches_ = flat.offsets.size() - 1;
   // Greedy selection can never return more than |V| seeds, so a cap
   // above that is meaningless — clamping keeps k_max ≤ |V| a snapshot
   // invariant load() can enforce against corrupt files.
-  store.k_max_ = std::min<std::uint64_t>(k_max, pool.num_vertices());
+  store.k_max_ = std::min<std::uint64_t>(k_max, flat.num_vertices);
   store.meta_ = std::move(meta);
-
-  FlatPool flat = pool.flatten();
   store.sketch_offsets_own_ = std::move(flat.offsets);
   store.sketch_vertices_own_ = std::move(flat.vertices);
   store.sketch_offsets_ = store.sketch_offsets_own_;
   store.sketch_vertices_ = store.sketch_vertices_own_;
-  store.flat_ = true;
   store.finalize();
   return store;
 }
@@ -370,8 +315,7 @@ void SketchStore::finalize() {
   // fill in sketch order, which leaves each vertex's covering list
   // sorted by sketch id. Derived deterministically from the sketch
   // members at build time (and carried verbatim in snapshots, so a load
-  // skips this entirely — the O(index) cold start). Reads through
-  // sketch(), so flat and zero-copy backings produce the identical index.
+  // skips this entirely — the O(index) cold start).
   const VertexId n = num_vertices_;
   node_offsets_own_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (std::uint64_t s = 0; s < num_sketches_; ++s) {
@@ -416,28 +360,9 @@ std::vector<VertexId> SketchStore::assemble_payload() const {
   return payload;
 }
 
-void SketchStore::materialize_flat() {
-  if (flat_) return;
-  sketch_vertices_own_ = assemble_payload();
-  sketch_vertices_ = sketch_vertices_own_;
-  flat_ = true;
-  // The backing storage is now redundant; release it so a materialized
-  // store costs the same as a loaded one.
-  entry_ptrs_ = {};
-  backing_pool_ = RRRPool(num_vertices_);
-  backing_segments_ = SegmentedPool();
-  bitmap_expansion_ = {};
-  compressed_ = false;
-  comp_offsets_ = {};
-  comp_payload_ = {};
-}
-
 std::uint64_t SketchStore::memory_bytes() const noexcept {
   return sketch_offsets_own_.capacity() * sizeof(std::uint64_t) +
          sketch_vertices_own_.capacity() * sizeof(VertexId) +
-         entry_ptrs_.capacity() * sizeof(const VertexId*) +
-         backing_pool_.memory_bytes() + backing_segments_.memory_bytes() +
-         bitmap_expansion_.capacity() * sizeof(VertexId) +
          image_own_.capacity() +
          node_offsets_own_.capacity() * sizeof(std::uint64_t) +
          node_sketches_own_.capacity() * sizeof(SketchId) +
@@ -454,11 +379,10 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   write_meta_fields(meta_os, num_vertices_, num_sketches_, k_max_, meta_);
   const std::string meta_blob = meta_os.str();
 
-  // The payload section. Raw: the flat vertex image — this is where a
-  // deferred (or loaded compressed) backing finally pays the
-  // flatten/decode. Compressed: the varint gap streams — a loaded
-  // compressed store's payload is written as-is; every other backing
-  // (flat or deferred) is encoded into a transient varint image here.
+  // The payload section. Raw: the flat vertex image — a loaded
+  // compressed store decodes into a transient one here. Compressed: the
+  // varint gap streams — a loaded compressed store's payload is written
+  // as-is; a flat one is encoded into a transient varint image here.
   std::vector<VertexId> transient_flat;
   std::vector<std::uint64_t> transient_comp_offsets;
   std::vector<std::uint8_t> transient_comp_payload;
@@ -467,7 +391,7 @@ void SketchStore::save(std::ostream& os, SnapshotSaveOptions options) const {
   std::span<const std::uint64_t> comp_offsets;
   if (!options.compress) {
     std::span<const VertexId> payload = sketch_vertices_;
-    if (!flat_) {
+    if (compressed_) {
       transient_flat = assemble_payload();
       payload = transient_flat;
     }
@@ -803,7 +727,6 @@ void SketchStore::decode_sections(std::span<const std::uint8_t> image,
       typed_section<VertexId>(image, table[kSecDefaultSeeds - 1]);
   default_marginals_ =
       typed_section<std::uint64_t>(image, table[kSecDefaultMarginals - 1]);
-  flat_ = !compressed;
   compressed_ = compressed;
   validate_structure();
 }

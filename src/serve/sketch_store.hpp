@@ -14,13 +14,10 @@
 // plus the precomputed unconstrained greedy sequence up to the build-time
 // cap k_max, so plain top-k queries are an O(k) prefix read.
 //
-// Zero-copy freezing: build() takes ownership of the PoolBuild's storage
-// and serves sketch() spans straight from it — arena runs of the sharded
-// SegmentedPool, or the RRRSets' own sorted vectors (only bitmap sets
-// are expanded, into one side array). The contiguous CSR image is NOT
-// materialized at build time; flatten is deferred to save() (or an
-// explicit materialize_flat()), so build-and-query-only workloads never
-// pay the copy.
+// Freezing: build() flattens the build's pool into the contiguous CSR
+// image once (RRRPoolView::flatten — bitmap sets expand to sorted runs)
+// and releases the build's storage before deriving the index, so a built
+// store holds exactly the arrays a loaded one does.
 //
 // Snapshots (magic "EIMMSKS", version 4 — the one version save() writes
 // and the loaders read; a file of any other version fails with a typed
@@ -53,8 +50,8 @@
 // Everything is read-only after build/load — queries allocate their own
 // scratch (see QueryEngine) — so any number of threads can serve from one
 // store concurrently. save→load→save is bit-identical under both load
-// paths, and a deferred-backing store compares equal (operator== is
-// logical, not representational) to its own loaded snapshot.
+// paths, and a store compares equal (operator== is logical, not
+// representational) to its own loaded snapshot, raw or compressed.
 #pragma once
 
 #include <cstdint>
@@ -150,24 +147,18 @@ struct SnapshotSaveOptions {
 class SketchStore {
  public:
   /// Runs the sampling phase (identical to run_imm with Engine::kEfficient
-  /// and the same options) and freezes the resulting build WITHOUT
-  /// flattening it (see from_build). options.k is the build-time query
-  /// cap: queries may ask for any k ≤ k_max. The cap is clamped to |V|
+  /// and the same options) and freezes the resulting pool, releasing the
+  /// build's storage first. options.k is the build-time query cap:
+  /// queries may ask for any k ≤ k_max. The cap is clamped to |V|
   /// (greedy can never return more seeds).
   static SketchStore build(const DiffusionGraph& graph,
                            const ImmOptions& options,
                            std::string workload_label = "");
 
-  /// Zero-copy freeze: takes ownership of the build's storage (the
-  /// SegmentedPool arenas on the sharded path, the RRRPool otherwise)
-  /// and serves sketches in place. Only bitmap-represented sets are
-  /// expanded; the contiguous image is deferred to save().
-  static SketchStore from_build(PoolBuild&& build, std::size_t k_max,
-                                SketchStoreMeta meta = {});
-
-  /// Freezes a COPY of an existing pool via the contiguous image (test
-  /// seam and offline conversions; the caller keeps the pool).
-  static SketchStore from_pool(const RRRPool& pool, std::size_t k_max,
+  /// Freezes a COPY of an existing pool — an RRRPool or a SegmentedPool,
+  /// both convert to the view (test seam and offline conversions; the
+  /// caller keeps the pool).
+  static SketchStore from_pool(RRRPoolView pool, std::size_t k_max,
                                SketchStoreMeta meta = {});
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
@@ -179,20 +170,15 @@ class SketchStore {
   [[nodiscard]] std::size_t k_max() const noexcept { return k_max_; }
   [[nodiscard]] const SketchStoreMeta& meta() const noexcept { return meta_; }
 
-  /// Member vertices of sketch `s`, ascending — served from the flat
-  /// image (owned or mmap'ed) when one exists, otherwise straight from
-  /// the owned backing storage (zero-copy). Compressed stores have no
-  /// materialized members to span — this throws CheckError there; use
-  /// for_each_member (works over every backing) or materialize_flat().
+  /// Member vertices of sketch `s`, ascending, from the flat image
+  /// (owned or mmap'ed). Compressed stores have no materialized members
+  /// to span — this throws CheckError there; use for_each_member (works
+  /// over every backing).
   [[nodiscard]] std::span<const VertexId> sketch(SketchId s) const {
     EIMM_CHECK(!compressed_,
                "sketch() spans are unavailable on a compressed store; "
-               "enumerate with for_each_member() or materialize_flat()");
-    const std::uint64_t len = sketch_offsets_[s + 1] - sketch_offsets_[s];
-    if (flat_) {
-      return {sketch_vertices_.data() + sketch_offsets_[s], len};
-    }
-    return {entry_ptrs_[s], len};
+               "enumerate with for_each_member()");
+    return {sketch_vertices_.data() + sketch_offsets_[s], member_count(s)};
   }
 
   /// Invokes fn(vertex) for every member of sketch `s` in ascending
@@ -213,10 +199,6 @@ class SketchStore {
     return sketch_offsets_[s + 1] - sketch_offsets_[s];
   }
 
-  /// True when a contiguous CSR image backs sketch() (always after
-  /// load(); after build() only once save()/materialize_flat() ran).
-  [[nodiscard]] bool flat() const noexcept { return flat_; }
-
   /// True when the sketch payload is gap-coded (a loaded compressed
   /// snapshot) and queries decode on enumerate.
   [[nodiscard]] bool compressed() const noexcept { return compressed_; }
@@ -224,17 +206,6 @@ class SketchStore {
   [[nodiscard]] std::uint64_t compressed_payload_bytes() const noexcept {
     return compressed_ ? comp_offsets_.back() : 0;
   }
-
-  /// Builds the contiguous image from the backing storage (decoding a
-  /// compressed payload), switches sketch() to serve from it, and
-  /// releases the backing (idempotent; a no-op on loaded uncompressed
-  /// stores, which are flat by nature).
-  /// NOT safe against concurrent readers: it frees the storage deferred
-  /// sketch() spans point into, so call it before publishing the store
-  /// to serving threads (or rely on save(), which assembles a transient
-  /// payload without touching the backing). Useful to pay the copy once
-  /// before repeated save()s.
-  void materialize_flat();
 
   /// Sketches covering vertex `v`, ascending.
   [[nodiscard]] std::span<const SketchId> covering(VertexId v) const noexcept {
@@ -296,21 +267,24 @@ class SketchStore {
   [[nodiscard]] bool checksums_pending() const noexcept;
 
   /// Logical equality: same shape, meta, and per-sketch members —
-  /// independent of which storage backs each side, so a deferred store
-  /// equals its own loaded (flat or mmap'ed) snapshot.
+  /// independent of which storage backs each side, so a built store
+  /// equals its own loaded (owned, mmap'ed or compressed) snapshot.
   friend bool operator==(const SketchStore& a, const SketchStore& b);
 
  private:
   SketchStore() = default;
 
+  /// The one freeze behind build() and from_pool(): adopts the flat
+  /// image and finalizes it.
+  static SketchStore freeze(FlatPool&& flat, std::size_t k_max,
+                            SketchStoreMeta meta);
+
   /// Derives the inverted index and the default greedy sequence from the
-  /// sketch members (build paths — snapshots carry the derived arrays).
-  /// Reads through sketch(), so it works over flat and deferred backings
-  /// alike.
+  /// sketch members (freeze only — snapshots carry the derived arrays).
   void finalize();
 
-  /// Assembles the contiguous payload from sketch() spans (the deferred
-  /// flatten, shared by save() and materialize_flat()).
+  /// Decodes a loaded compressed payload into the contiguous image (the
+  /// raw re-save of a compressed store).
   [[nodiscard]] std::vector<VertexId> assemble_payload() const;
 
   /// O(sections + offsets + |V| + k) shape checks of a load: counts,
@@ -361,19 +335,11 @@ class SketchStore {
   // vectors OR into mapping_. Both survive moves of the store — heap and
   // mmap allocations never relocate.
   std::span<const std::uint64_t> sketch_offsets_;  // num_sketches_ + 1
-  std::span<const VertexId> sketch_vertices_;      // valid iff flat_
+  std::span<const VertexId> sketch_vertices_;      // empty iff compressed_
   std::span<const std::uint64_t> node_offsets_;    // num_vertices_ + 1
   std::span<const SketchId> node_sketches_;
   std::span<const VertexId> default_seeds_;
   std::span<const std::uint64_t> default_marginals_;
-
-  bool flat_ = false;
-  /// Deferred backing (used iff !flat_ && !compressed_): per-sketch
-  /// member pointers into the owned storage below.
-  std::vector<const VertexId*> entry_ptrs_;
-  RRRPool backing_pool_{0};
-  SegmentedPool backing_segments_;
-  std::vector<VertexId> bitmap_expansion_;  // expanded bitmap sets only
 
   /// Compressed backing (used iff compressed_): the varint payload and
   /// its byte offsets inside the snapshot image.

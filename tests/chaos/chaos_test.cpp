@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -128,6 +129,10 @@ class ChaosFixture : public ::testing::Test {
     fail::disarm_all();
     fail::set_seed(0);
     if (server_) server_->stop();
+    // The per-process files outlive the process otherwise: one snapshot
+    // per case, plus the corrupt copy the reload case pushes.
+    std::remove(snapshot_path_.c_str());
+    std::remove(temp_path("corrupt.sks").c_str());
   }
 
   static RetryOptions chaos_retry() {

@@ -4,6 +4,9 @@
 // nothing.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/imm.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/sketch_store.hpp"
@@ -84,16 +87,30 @@ TEST(ServeEquivalence, SmallerQueriesArePrefixesOfTheDirectRun) {
 }
 
 TEST(ServeEquivalence, BuildIsDeterministicAcrossThreadCounts) {
-  const DiffusionGraph graph = make_workload_with_weights(
-      "com-DBLP", DiffusionModel::kIndependentCascade, 0.01);
-  ImmOptions options =
-      smoke_options(DiffusionModel::kIndependentCascade, 6, 42);
-
-  options.threads = 1;
-  const SketchStore serial = SketchStore::build(graph, options);
-  options.threads = 4;
-  const SketchStore parallel = SketchStore::build(graph, options);
-  EXPECT_TRUE(serial == parallel);
+  // The saved snapshot — the flat image the build froze plus the derived
+  // arrays — is byte-identical whatever thread and shard count built it.
+  for (const DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                                     DiffusionModel::kLinearThreshold}) {
+    const DiffusionGraph graph =
+        make_workload_with_weights("com-DBLP", model, 0.01);
+    ImmOptions options = smoke_options(model, 6, 42);
+    std::string reference;
+    for (const int threads : {1, 4}) {
+      for (const int shards : {1, 3}) {
+        options.threads = threads;
+        options.shards = shards;
+        std::stringstream saved;
+        SketchStore::build(graph, options).save(saved);
+        if (reference.empty()) {
+          reference = saved.str();
+          continue;
+        }
+        EXPECT_TRUE(saved.str() == reference)
+            << to_string(model) << " threads=" << threads
+            << " shards=" << shards;
+      }
+    }
+  }
 }
 
 }  // namespace

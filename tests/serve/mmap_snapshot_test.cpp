@@ -99,7 +99,7 @@ TEST(MmapSnapshot, BitmapSlotStoreRoundTripsThroughMapLoad) {
   ImmOptions options;
   options.k = 6;
   options.max_rrr_sets = 4096;
-  PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
+  const PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
   ASSERT_TRUE(build.segmented);
   ASSERT_GT(build.view().bitmap_count(), 0u)
       << "workload produced no bitmap slots";
@@ -112,7 +112,7 @@ TEST(MmapSnapshot, BitmapSlotStoreRoundTripsThroughMapLoad) {
         flat.vertices.begin() +
             static_cast<std::ptrdiff_t>(flat.offsets[s + 1])));
   }
-  const SketchStore store = SketchStore::from_build(std::move(build), 6);
+  const SketchStore store = SketchStore::from_pool(build.view(), 6);
   const SketchStore eager = SketchStore::from_pool(vectors, 6);
   EXPECT_TRUE(store == eager);
 

@@ -129,9 +129,9 @@ TEST(SketchStore, RejectsDegeneratePools) {
   EXPECT_THROW(SketchStore::from_pool(empty_vertices, 1), CheckError);
 }
 
-// --- Deferred-flatten (zero-copy freeze) semantics ---
+// --- Freeze-at-build semantics ---
 
-ImmOptions deferred_options() {
+ImmOptions freeze_options() {
   ImmOptions options;
   options.k = 5;
   options.rng_seed = 4242;
@@ -142,14 +142,12 @@ ImmOptions deferred_options() {
 TEST(SketchStore, BuildDefersFlattenUntilSave) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
-  const ImmOptions options = deferred_options();
+  const ImmOptions options = freeze_options();
   const SketchStore store = SketchStore::build(g, options, "deferred");
-  // Build-and-query-only workloads never pay the copy.
-  EXPECT_FALSE(store.flat());
   EXPECT_GT(store.num_sketches(), 0u);
 
-  // The deferred store must be logically identical to the eager
-  // from_pool freeze of the same build's flattened image.
+  // The built store must be logically identical to the from_pool freeze
+  // of the same build's sets held as sorted vectors.
   const PoolBuild reference_build =
       build_rrr_pool(g, options, Engine::kEfficient);
   RRRPool reference(g.num_vertices());
@@ -167,7 +165,6 @@ TEST(SketchStore, BuildDefersFlattenUntilSave) {
   SketchStoreMeta meta = store.meta();
   const SketchStore eager =
       SketchStore::from_pool(reference, options.k, std::move(meta));
-  EXPECT_TRUE(eager.flat());
   EXPECT_TRUE(store == eager);
   EXPECT_TRUE(
       std::ranges::equal(store.default_seeds(), eager.default_seeds()));
@@ -176,40 +173,30 @@ TEST(SketchStore, BuildDefersFlattenUntilSave) {
 TEST(SketchStore, DeferredStoreSavesAndMaterializesIdentically) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-DBLP", DiffusionModel::kIndependentCascade, 0.01);
-  SketchStore store = SketchStore::build(g, deferred_options(), "dblp");
-  ASSERT_FALSE(store.flat());
+  const SketchStore store = SketchStore::build(g, freeze_options(), "dblp");
 
-  // save() assembles the payload on the fly without materializing.
   std::stringstream ss;
   store.save(ss);
-  EXPECT_FALSE(store.flat());
   const SketchStore loaded = SketchStore::load(ss);
-  EXPECT_TRUE(loaded.flat());
   EXPECT_TRUE(store == loaded);
 
-  // materialize_flat() switches backing without changing content, and a
-  // second save produces the identical byte stream.
-  store.materialize_flat();
-  EXPECT_TRUE(store.flat());
-  store.materialize_flat();  // idempotent
+  // A second save of the same store produces the identical byte stream.
   std::stringstream again;
   store.save(again);
-  EXPECT_EQ(ss.str().substr(0), again.str());
-  EXPECT_TRUE(store == loaded);
+  EXPECT_EQ(ss.str(), again.str());
 }
 
 TEST(SketchStore, FromBuildAdoptsSegmentedStorageZeroCopy) {
   const DiffusionGraph g = make_workload_with_weights(
       "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
-  ImmOptions options = deferred_options();
+  ImmOptions options = freeze_options();
   options.shards = 3;  // force the SegmentedPool backing
-  PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
+  const PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
   ASSERT_TRUE(build.segmented);
   const FlatPool expected = build.view().flatten();
 
-  const SketchStore store =
-      SketchStore::from_build(std::move(build), options.k);
-  EXPECT_FALSE(store.flat());
+  // A SegmentedPool freezes through the same view an RRRPool does.
+  const SketchStore store = SketchStore::from_pool(build.view(), options.k);
   ASSERT_EQ(store.num_sketches(), expected.offsets.size() - 1);
   for (std::uint64_t s = 0; s < store.num_sketches(); ++s) {
     const auto actual = store.sketch(static_cast<SketchId>(s));
@@ -219,6 +206,23 @@ TEST(SketchStore, FromBuildAdoptsSegmentedStorageZeroCopy) {
         expected.vertices.begin() +
             static_cast<std::ptrdiff_t>(expected.offsets[s])));
   }
+}
+
+TEST(SketchStore, BuiltStoreHoldsNoBuildStorage) {
+  // build() releases the pool it sampled: the store it returns costs
+  // exactly what a from_pool freeze of the same pool does — the flat
+  // image and the derived arrays, no pool and no per-sketch pointers.
+  const DiffusionGraph g = make_workload_with_weights(
+      "com-Amazon", DiffusionModel::kIndependentCascade, 0.01);
+  const ImmOptions options = freeze_options();
+  const SketchStore built = SketchStore::build(g, options);
+  const PoolBuild build = build_rrr_pool(g, options, Engine::kEfficient);
+  ASSERT_GT(build.view().bitmap_count(), 0u)
+      << "workload produced no bitmap slots";
+  const SketchStore frozen =
+      SketchStore::from_pool(build.view(), options.k, built.meta());
+  EXPECT_TRUE(built == frozen);
+  EXPECT_EQ(built.memory_bytes(), frozen.memory_bytes());
 }
 
 }  // namespace
